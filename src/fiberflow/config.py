@@ -23,6 +23,7 @@ identical configuration.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from typing import Optional
@@ -390,7 +391,7 @@ class RunConfig:
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
         if "manifold" in cfg.raw:
             cfg.model = parse_manifold(cfg.raw["manifold"])
-        rank = int(float(cfg.raw.get("bundle_rank", "1")))
+        rank = int(_finite_number("bundle_rank", cfg.raw.get("bundle_rank", "1")))
         if "beta" in cfg.raw and cfg.model is not None:
             cfg.beta = parse_beta(cfg.model, cfg.raw["beta"])
         bundle_kind = cfg.raw.get("bundle", "trivial")
@@ -426,10 +427,7 @@ class RunConfig:
             if required:
                 raise ConfigError(key, "required value missing")
             return default
-        try:
-            return float(self.raw[key])
-        except ValueError:
-            raise ConfigError(key, f"expected a number, got {self.raw[key]!r}") from None
+        return _finite_number(key, self.raw[key])
 
     def integer(self, key, default=None, required=False):
         v = self.number(key, default=default, required=required)
@@ -440,7 +438,7 @@ class RunConfig:
             if required:
                 raise ConfigError(key, "required value missing")
             return default
-        return np.asarray([float(v) for v in _split_top_level(self.raw[key])])
+        return np.asarray([_finite_number(key, v) for v in _split_top_level(self.raw[key])])
 
     def points(self, key, required=False):
         if key not in self.raw:
@@ -451,6 +449,16 @@ class RunConfig:
 
     def echo(self):
         return dict(sorted(self.raw.items()))
+
+
+def _finite_number(key, text):
+    try:
+        v = float(text)
+    except ValueError:
+        raise ConfigError(key, f"expected a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(key, f"expected a finite number, got {text!r}")
+    return v
 
 
 def read_config_file(path):

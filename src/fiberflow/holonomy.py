@@ -84,8 +84,8 @@ def evolve_holonomy(path: PathSample, V: PotentialSpec, cap=None) -> HolonomyTra
     L = W.shape[0] + 1
     d = V.rank
     dts = np.diff(path.times[:L])
-    steps = expm_neg_hermitian(W, dts)
-    inv_steps = expm_neg_hermitian(W, -dts)
+    steps, _ = expm_neg_hermitian(W, dts)
+    inv_steps, _ = expm_neg_hermitian(W, -dts)
     values = np.zeros((L, d, d), dtype=complex)
     inverses = np.zeros((L, d, d), dtype=complex)
     values[0] = np.eye(d)
@@ -151,7 +151,7 @@ def appendix_c_check(F, times, c=None, slack=1e-8, pair_F=None):
             raise ValueError("quadratic-form bound c required for non-Hermitian F")
         c = np.linalg.eigvalsh(F)[:, -1].real
 
-    steps = expm_neg_hermitian(-F, dts) if herm else _expm_stack(F, dts)
+    steps = expm_neg_hermitian(-F, dts)[0] if herm else _expm_stack(F, dts)
     Y = np.zeros((K + 1, d, d), dtype=complex)
     Y[0] = np.eye(d)
     for k in range(K):
@@ -184,7 +184,7 @@ def appendix_c_check(F, times, c=None, slack=1e-8, pair_F=None):
     if pair_F is not None:
         F2 = np.asarray(pair_F, dtype=complex)
         herm2 = bool(np.max(np.abs(F2 - np.conj(np.transpose(F2, (0, 2, 1))))) < 1e-12)
-        steps2 = expm_neg_hermitian(-F2, dts) if herm2 else _expm_stack(F2, dts)
+        steps2 = expm_neg_hermitian(-F2, dts)[0] if herm2 else _expm_stack(F2, dts)
         Y2 = np.eye(d, dtype=complex)
         for k in range(K):
             Y2 = Y2 @ steps2[k]

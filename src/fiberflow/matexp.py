@@ -6,33 +6,41 @@ tolerance, and the resulting factor has operator norm exactly
 exp(-s * lambda_min(W)), which is what makes the per-sample domination
 inequality an identity for the product scheme.  Ranks 1 and 2 use closed
 forms to keep the per-step cost off the LAPACK path.
+
+`expm_neg_hermitian` returns lambda_min(W) next to the exponential, taken
+from the same eigen-data.  W = T^* V T, with T the unitary transport, has
+the spectrum of the potential V, so this is V's pointwise floor (exact up
+to rounding), and the path engine uses it instead of solving for V's
+spectrum a second time.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expm_neg_hermitian", "expm_general"]
+__all__ = ["expm_neg_hermitian"]
 
 
 def expm_neg_hermitian(W, s):
-    """exp(-s * W) for a batch of Hermitian matrices W, shape (..., d, d);
-    s is a scalar or batch of nonnegative step sizes."""
+    """(exp(-s * W), lambda_min(W)) for a batch of Hermitian matrices W,
+    shape (..., d, d); s is a scalar or batch of nonnegative step sizes.
+    The smallest eigenvalue has W's batch shape."""
     W = np.asarray(W)
     d = W.shape[-1]
     s = np.asarray(s, dtype=float)
     if d == 1:
-        return np.exp(-s[..., None, None] * W.real) * np.ones_like(W)
+        return np.exp(-s[..., None, None] * W.real) * np.ones_like(W), W[..., 0, 0].real
     if d == 2:
         return _expm2(W, s)
     lam, U = np.linalg.eigh(W)
     e = np.exp(-s[..., None] * lam)
-    return np.einsum("...ij,...j,...kj->...ik", U, e, U.conj())
+    return np.einsum("...ij,...j,...kj->...ik", U, e, U.conj()), lam[..., 0]
 
 
 def _expm2(W, s):
     # split W = mu*I + D with D traceless Hermitian, D^2 = rho^2 * I:
-    # exp(-sW) = e^{-s mu} (cosh(s rho) I - sinh(s rho)/rho * D)
+    # exp(-sW) = e^{-s mu} (cosh(s rho) I - sinh(s rho)/rho * D), and the
+    # eigenvalues of W are mu -+ rho
     a = W[..., 0, 0].real
     c = W[..., 1, 1].real
     b = W[..., 0, 1]
@@ -48,11 +56,4 @@ def _expm2(W, s):
     out[..., 1, 1] = ch + f * (c - mu)
     out[..., 0, 1] = f * b
     out[..., 1, 0] = f * np.conj(b)
-    return np.exp(-s * mu)[..., None, None] * out
-
-
-def expm_general(A):
-    """scipy Pade exponential for one (possibly non-Hermitian) matrix."""
-    from scipy.linalg import expm
-
-    return expm(np.asarray(A))
+    return np.exp(-s * mu)[..., None, None] * out, mu - rho

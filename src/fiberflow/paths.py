@@ -13,11 +13,16 @@ endpoints, alive indicators, trapezoid time-integrals of scalar fields
 points), Stratonovich line integrals of 1-forms (geodesic midpoint rule),
 the potential holonomy (exponential-product integrator, left-point rule),
 the accumulated transport, and left-point integrals of the scalar floor,
-all snapshotted at requested checkpoint times.
+all snapshotted at requested checkpoint times.  Each step evaluates V(x)
+once: the matrix exponential also returns the smallest eigenvalue of the
+transported generator, which is the floor (and gives ||V^(2)||) unless
+the potential declares its own floor_fn.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
-regroup the computation.  Reductions happen in path-index order.
+regroup the computation.  A block draws its increments with rng.normals,
+row for row the same numbers as the per-path streams that sample_path
+uses.  Reductions happen in path-index order.
 """
 
 from __future__ import annotations
@@ -33,7 +38,7 @@ from .bundles import BundleSpec, stratonovich_increment
 from .geometry import ManifoldModel, OpenSubdomain, Sphere2
 from .matexp import expm_neg_hermitian
 from .potentials import OneForm, PotentialSpec, ScalarField
-from .rng import RngKey, stream
+from .rng import RngKey, normals, stream
 
 __all__ = [
     "PathSample",
@@ -244,6 +249,8 @@ def run_ensemble(
         bundle.validate_model(model)
     if potential is not None and bundle is not None and potential.rank != bundle.rank:
         raise ValueError("potential rank does not match bundle rank")
+    if (track_floor or track_v2norm) and potential is None:
+        raise ValueError("floor tracking requires a potential")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = np.broadcast_to(x0, (n_paths, x0.shape[0]))
@@ -324,9 +331,7 @@ def _run_block(
         snap_set.setdefault(idx, []).append(pos)
     T = len(snap_idx)
 
-    incs = np.empty((B, K, m)) if K > 0 else np.zeros((B, 0, m))
-    for j in range(B):
-        incs[j] = stream(key.child(i0 + j)).standard_normal((K, m))
+    incs = normals(key.child(i0), B, (K, m))
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     track_transport = bundle is not None
@@ -353,15 +358,12 @@ def _run_block(
         else:
             hol_log = None
             hol = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-    if track_transport:
+    acc_phase = None
+    acc = None
+    if track_transport and not bundle.trivial_transport:
         if bundle.kind == "magnetic":
             acc_phase = np.ones(B, dtype=complex)
-            acc = None
-        elif bundle.trivial_transport:
-            acc_phase = None
-            acc = None
         else:
-            acc_phase = None
             acc = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
     floor_acc = np.zeros(B) if track_floor else None
     v2_acc = np.zeros(B) if track_v2norm else None
@@ -404,24 +406,29 @@ def _run_block(
         sqdt = math.sqrt(dt)
         step = sqdt * incs[:, k, :]
 
-        # potential holonomy and left-point integrals use the step start
-        if track_holonomy or track_floor or track_v2norm:
-            if track_holonomy:
-                if hol is None:
-                    vx = potential.scalar_values(x, cap=cap)
-                    hol_log_new = hol_log + dt * vx
+        # potential holonomy and left-point integrals use the step start;
+        # V(x) is evaluated once, and its floor is the smallest eigenvalue
+        # the exponential already solved for (W is a unitary conjugate of
+        # V) unless the potential supplies its own floor_fn
+        if track_holonomy:
+            if hol is None:
+                vx = potential.scalar_values(x, cap=cap)
+                hol_log_new = hol_log + dt * vx
+                lam_min = vx
+            else:
+                V = potential.matrix(x, cap=cap)
+                if acc is not None:
+                    W = np.einsum("bji,bjk,bkl->bil", acc.conj(), V, acc)
                 else:
-                    V = potential.matrix(x, cap=cap)
-                    if acc is not None:
-                        W = np.einsum("bji,bjk,bkl->bil", acc.conj(), V, acc)
-                    else:
-                        W = V
-                    hol_new = hol @ expm_neg_hermitian(W, dt)
+                    W = V
+                step_exp, lam_min = expm_neg_hermitian(W, dt)
+                hol_new = hol @ step_exp
+            if track_floor or track_v2norm:
+                fl = lam_min if potential.floor_fn is None else potential.scalar_floor(x, cap=cap)
             if track_floor:
-                fl = potential.scalar_floor(x, cap=cap)
                 floor_new = floor_acc + dt * fl
             if track_v2norm:
-                v2_new = v2_acc + dt * potential.negative_norm(x, cap=cap)
+                v2_new = v2_acc + dt * np.maximum(0.0, -fl)
 
         # transport along the step
         if track_transport and not bundle.trivial_transport:

@@ -3,9 +3,12 @@
 Scalar fields carry metadata the samplers need: declared singular points
 (which trigger sub-step sampling and the 1/h cap along paths) and a Kato
 class tag.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i with
-constant Hermitian P_i, which covers the desk-scale bundle cases; the
-scalar floor (pointwise smallest eigenvalue) used for semigroup domination
-is computed by eigen-solve unless overridden.
+constant Hermitian P_i, which covers the desk-scale bundle cases.  The
+scalar floor used for semigroup domination is the pointwise smallest
+eigenvalue unless floor_fn overrides it.  PotentialSpec.scalar_floor
+computes it by eigen-solve; the path engine instead takes it from the
+eigen-data of the step exponential it computes anyway (matexp), so a
+sampled path evaluates V once per step.
 
 All field callables are module-level classes so estimator tasks stay
 picklable for process workers.
@@ -277,8 +280,11 @@ class PotentialSpec:
         return v
 
     def scalar_floor(self, pts, cap=None):
-        """Floor v(x) <= min sigma(V(x)); defaults to the exact smallest
-        eigenvalue so that domination checks saturate in the scalar case."""
+        """Floor v(x) <= min sigma(V(x)): floor_fn when given, else the
+        exact smallest eigenvalue (by eigvalsh), so that domination checks
+        saturate in the scalar case.  run_ensemble calls this only for a
+        floor_fn; otherwise it reads the same eigenvalue off the step
+        exponential's eigen-data."""
         if self.floor_fn is not None:
             return np.asarray(self.floor_fn(np.asarray(pts, dtype=float)))
         if self.is_scalar:

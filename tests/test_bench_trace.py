@@ -1,0 +1,36 @@
+"""Smoke test of the benchmark's per-layer tracer (bench/layers.py).
+
+The tracer wraps engine functions by name, so renaming one of them breaks
+`bench/run.py --trace 1` without failing any engine test.  This runs a tiny
+rank-3 fk_vector call under the tracer and pins what the fused step
+promises: one V(x) evaluation per step and no separate floor eigen-solve.
+"""
+
+import sys
+from pathlib import Path
+
+import numpy as np
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
+
+import layers  # noqa: E402
+import workloads  # noqa: E402
+
+from fiberflow.rng import RngKey  # noqa: E402
+from fiberflow.semigroup import fk_vector  # noqa: E402
+
+
+def test_traced_rank3_call_evaluates_potential_once_per_step():
+    w = workloads.SpinorRank3()
+    c = w.cfg
+    t, h, n = 0.01, w.h, 16
+    tr = layers.Tracer()
+    with tr.installed():
+        est = fk_vector(c.model, c.bundle, w.potential, c.section, w.x, t, h, n, RngKey(3))
+    assert np.all(np.isfinite(est.value))
+    m = tr.metrics()
+    steps = int(round(t / h))
+    assert m["potentials.floor_s"] == 0
+    assert m["potentials.matrix_calls"] == steps
+    assert m["matexp.matrices"] == steps * n
+    assert m["paths.blocks"] == 1

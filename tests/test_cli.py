@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from fiberflow.cli import main
+from fiberflow.cli import EXIT_USAGE, main
 from fiberflow.config import (ConfigError, RunConfig, parse_beta, parse_manifold,
                               parse_points, parse_potential, parse_section,
                               read_config_file)
@@ -105,6 +105,19 @@ def test_missing_required_flag_names_key(capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "'t'" in err
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--t", "0.1", "--h", "nan", "--n", "10"], "h"),
+    (["--t", "inf", "--h", "0.01", "--n", "10"], "t"),
+    (["--t", "0.1", "--h", "0.01", "--n", "nan"], "n"),
+])
+def test_non_finite_number_names_key(flags, key, capsys):
+    code = main(["semigroup", *BASE, *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"'{key}'" in err
+    assert "Traceback" not in err
 
 
 def test_bad_grammar_exit_code(capsys):

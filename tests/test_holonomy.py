@@ -8,7 +8,7 @@ from fiberflow.bundles import tangent_bundle
 from fiberflow.geometry import Euclidean, Sphere2
 from fiberflow.holonomy import (appendix_c_check, appendix_c_suite, evolve_holonomy,
                                 frame_generators, product_integral_truncation)
-from fiberflow.paths import PathSample, sample_path
+from fiberflow.paths import PathSample, run_ensemble, sample_path
 from fiberflow.potentials import PotentialSpec, ScalarField
 from fiberflow.rng import RngKey
 
@@ -124,6 +124,77 @@ def test_sphere_bundle_conjugation_hermitian():
     partial = np.concatenate([[0.0], np.cumsum(dts * floor)])
     norms = np.linalg.norm(tr.values, ord=2, axis=(1, 2))
     assert np.max(norms - np.exp(-partial)) < 1e-9
+
+
+# -- floor integrals of the ensemble engine ----------------------------------
+
+
+class _Height:
+    def __call__(self, pts):
+        return np.asarray(pts)[..., 2]
+
+
+class _ShiftedFloor:
+    """A declared floor a fixed gap below V's smallest eigenvalue."""
+
+    def __init__(self, V, gap):
+        self.V, self.gap = V, gap
+
+    def __call__(self, pts):
+        return self.V.scalar_floor(pts) - self.gap
+
+
+def fused_case(name):
+    """(model, bundle, potential) with a floor that is negative somewhere."""
+    if name == "sphere2_tangent_rank2":
+        s2 = Sphere2(1.0)
+        V = PotentialSpec(rank=2, const=np.diag([-0.3, 0.5]),
+                          terms=[(ScalarField(_Height()), 0.8 * PAULI_X)])
+        return s2, tangent_bundle(), V
+    s_x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+    V = PotentialSpec(rank=3, const=np.diag([1.0, 0.0, -1.0]),
+                      terms=[(ScalarField(_Sine(2.0, 0, 0.3)), s_x),
+                             (ScalarField(_Sine(1.3, 1)), np.diag([0.0, 0.5, 1.0]))])
+    return E2, None, V
+
+
+def left_point_sum(model, bundle, t, h, i, fn):
+    p = sample_path(model, bundle, model.origin(), t, h, KEY.child(i))
+    return float(np.sum(np.diff(p.times) * fn(p.points[:-1])))
+
+
+@pytest.mark.parametrize("case", ["sphere2_tangent_rank2", "euclidean2_rank3"])
+def test_ensemble_floor_matches_left_point_sums(case):
+    # the engine reads the floor off the step exponential's eigen-data of
+    # W = T^* V T; it must agree with the eigen-solve of V along the path
+    model, bundle, V = fused_case(case)
+    t, h, n = 0.2, 1e-3, 6
+    res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V,
+                       track_floor=True, track_v2norm=True)
+    assert np.all(res.v2_integral[-1] > 0)
+    for i in range(n):
+        floor = left_point_sum(model, bundle, t, h, i, V.scalar_floor)
+        v2 = left_point_sum(model, bundle, t, h, i, V.negative_norm)
+        assert abs(res.floor_integral[-1, i] - floor) < 1e-12
+        assert abs(res.v2_integral[-1, i] - v2) < 1e-12
+
+
+def test_ensemble_honours_declared_floor_fn():
+    model, bundle, V0 = fused_case("sphere2_tangent_rank2")
+    V = PotentialSpec(rank=2, const=V0.const, terms=V0.terms,
+                      floor_fn=_ShiftedFloor(V0, 0.25))
+    t, h, n = 0.2, 1e-3, 6
+    kw = dict(bundle=bundle, track_floor=True, track_v2norm=True)
+    res = run_ensemble(model, model.origin(), t, h, KEY, n, potential=V, **kw)
+    exact = run_ensemble(model, model.origin(), t, h, KEY, n, potential=V0, **kw)
+    # the declared floor lies strictly below the eigenvalue floor and wins
+    assert np.all(res.floor_integral[-1] < exact.floor_integral[-1] - 0.2 * t)
+    assert np.array_equal(res.holonomy, exact.holonomy)
+    for i in range(n):
+        floor = left_point_sum(model, bundle, t, h, i, V.scalar_floor)
+        v2 = left_point_sum(model, bundle, t, h, i, V.negative_norm)
+        assert abs(res.floor_integral[-1, i] - floor) < 1e-12
+        assert abs(res.v2_integral[-1, i] - v2) < 1e-12
 
 
 # -- product-integral truncation -------------------------------------------

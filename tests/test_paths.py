@@ -12,7 +12,7 @@ from fiberflow.paths import (exit_probability, integrate_scalar_along, run_ensem
 from fiberflow.potentials import (angle_form, constant_field,
                                   coulomb_field, harmonic_field, landau_form,
                                   power_field)
-from fiberflow.rng import RngKey
+from fiberflow.rng import RngKey, normals, stream
 
 KEY = RngKey(20240601)
 
@@ -60,6 +60,32 @@ def test_worker_count_invariance():
     b = run_ensemble(e1, np.zeros(1), 0.3, 1e-3, KEY, 600, scalar_fields=(v,), workers=3)
     assert np.array_equal(a.integrals[(0, 1)], b.integrals[(0, 1)])
     assert np.array_equal(a.points, b.points)
+
+
+def test_stream_contract_across_blocks_and_workers():
+    # K * m = 10000 increments per path gives 1600-path blocks, so n = 1700
+    # splits into a full block and a second one starting at i0 = 1600
+    e2 = Euclidean(2)
+    v = harmonic_field(e2, 1.0)
+    a = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,))
+    i = 1650
+    p = sample_path(e2, None, np.zeros(2), 0.5, 1e-4, KEY.child(i))
+    assert np.array_equal(a.points[-1, i], p.points[-1])
+    b = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,), workers=2)
+    assert np.array_equal(a.points, b.points)
+    assert np.array_equal(a.integrals[(0, 1)], b.integrals[(0, 1)])
+
+
+@pytest.mark.parametrize("key, shape", [
+    (RngKey(-12345, 3), (7, 2)),                 # negative seed
+    (RngKey(99, (1 << 64) - 2), (5, 1)),         # stream index wraps past 2**64
+    (RngKey(99, 4), (0, 2)),                     # no steps
+])
+def test_normals_rows_match_streams(key, shape):
+    rows = normals(key, 4, shape)
+    assert rows.shape == (4,) + shape
+    for j in range(4):
+        assert np.array_equal(rows[j], stream(key.child(j)).standard_normal(shape))
 
 
 def test_max_step_invariant_at_conforming_h():
