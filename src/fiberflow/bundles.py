@@ -10,6 +10,12 @@ Three connection kinds cover the catalog:
   magnetic(beta) trivial line bundle with connection d + i*beta; transport
                 along a step is the phase exp(-i * int beta) with the
                 Stratonovich midpoint rule (rank 1).
+
+BundleSpec.step_transport is the single transport entry point: the path
+engine (paths.run_ensemble) multiplies its (..., d, d) step matrices into
+the accumulated transport for every non-trivial bundle, and `--dump-paths`
+writes them per step.  The engine skips the call for trivial bundles,
+whose accumulated transport is the identity.
 """
 
 from __future__ import annotations

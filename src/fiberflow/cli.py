@@ -7,7 +7,9 @@ versioned JSON document: {"schema": 1, "command", "config", ...result...,
 except for wallTimeMs; --workers changes scheduling only, never values.
 
 Exit codes: 0 success, 1 usage/config error, 2 a checked inequality was
-violated (so CI can tell math regressions from plumbing failures).
+violated (so CI can tell math regressions from plumbing failures), 3 a
+numerical failure of the estimator (a RuntimeError such as a non-positive
+log functional or weight underflow), reported as one `error:` line.
 """
 
 from __future__ import annotations
@@ -26,6 +28,7 @@ from .rng import RngKey
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_CHECK_FAILED = 2
+EXIT_NUMERICAL = 3
 
 _COMMON_FLAGS = [
     ("--manifold", {}), ("--bundle-rank", {}), ("--bundle", {}), ("--beta", {}),
@@ -120,26 +123,29 @@ def _estimate_payload(est):
 
 
 def _dump_paths_csv(path, model, bundle, x, t, h, key, count=4):
-    from .paths import sample_path
+    """The first `count` paths of the run, one row per grid point up to the
+    last point inside the domain; each row but a path's last carries the
+    transport of the step leaving it (re;im pairs, row-major)."""
+    from .paths import run_ensemble, time_grid
+    from .rng import normals
 
+    times, _ = time_grid(t, h)
+    K = len(times) - 1
+    res = run_ensemble(model, x, t, h, key, count, bundle=bundle, checkpoints=times[:-1])
+    points = res.points.swapaxes(0, 1)  # (count, K + 1, coord_dim)
+    steps = np.sqrt(np.diff(times))[:, None] * normals(key, count, (K, model.dim))
+    transports = bundle.step_transport(model, points[:, :-1], steps)
     rows = ["path,step,time," + ",".join(f"coord{i}" for i in range(model.coord_dim))
             + ",alive,transport"]
     for j in range(count):
-        p = sample_path(model, bundle, x, t, h, key.child(j))
-        d = p.rank
-        for k, pt in enumerate(p.points):
-            if k < len(p.points) - 1 and p.transports.shape[0] > k:
-                T = p.transports[k]
-                flat = []
-                for a in range(d):
-                    for b in range(d):
-                        flat += [f"{T[a, b].real:.17g}", f"{T[a, b].imag:.17g}"]
-                tcell = ";".join(flat)
-            else:
-                tcell = ""
-            alive = 1 if (p.alive or k < (p.death_index or 0)) else 0
-            coords = ",".join(f"{c:.17g}" for c in pt)
-            rows.append(f"{j},{k},{p.times[k]:.17g},{coords},{alive},{tcell}")
+        n_rows = res.death_step[j] if res.death_step[j] >= 0 else K + 1
+        for k in range(n_rows):
+            tcell = ""
+            if k < n_rows - 1:
+                tcell = ";".join(f"{z.real:.17g};{z.imag:.17g}"
+                                 for z in transports[j, k].ravel())
+            coords = ",".join(f"{c:.17g}" for c in points[j, k])
+            rows.append(f"{j},{k},{times[k]:.17g},{coords},{int(res.alive[k, j])},{tcell}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(rows) + "\n")
 
@@ -512,6 +518,9 @@ def main(argv=None):
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except RuntimeError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     doc = {"schema": 1, "command": ns.command, "config": cfg.echo(), **payload,
            "wallTimeMs": int((time.time() - started) * 1000)}
     _emit(doc, out_path)

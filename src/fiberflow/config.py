@@ -391,7 +391,7 @@ class RunConfig:
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
         if "manifold" in cfg.raw:
             cfg.model = parse_manifold(cfg.raw["manifold"])
-        rank = int(_finite_number("bundle_rank", cfg.raw.get("bundle_rank", "1")))
+        rank = cfg.integer("bundle_rank", default=1)
         if "beta" in cfg.raw and cfg.model is not None:
             cfg.beta = parse_beta(cfg.model, cfg.raw["beta"])
         bundle_kind = cfg.raw.get("bundle", "trivial")
@@ -431,6 +431,8 @@ class RunConfig:
 
     def integer(self, key, default=None, required=False):
         v = self.number(key, default=default, required=required)
+        if v is not None and v != int(v):
+            raise ConfigError(key, f"expected an integer, got {self.raw[key]!r}")
         return None if v is None else int(v)
 
     def values(self, key, default=None, required=False):

@@ -147,10 +147,6 @@ class ManifoldModel:
             )
         return self.exp(x, xi)
 
-    def geodesic_points(self, x, xi, fracs):
-        """Points exp_x(f*xi) for each fraction f (stacked on axis 0)."""
-        return np.stack([self.exp(x, f * np.asarray(xi)) for f in fracs], axis=0)
-
     def geodesic_segment(self, x0, x1, n):
         """n points from x0 to x1 along a minimizing geodesic (inclusive)."""
         raise NotImplementedError

@@ -1,114 +1,50 @@
-"""Pathwise potential holonomy and the operator-norm inequality suite.
+"""The Dyson cross-check and the operator-norm inequality suite.
 
 The weight process solves dV_t = -V_t (transport^{-1} V transport) dt along
-a sampled path.  It is integrated by the exponential-product (Lie-Euler)
-scheme with the left-point rule: each step multiplies by the exact matrix
-exponential of the sampled Hermitian generator.  That choice makes the
-norm inequalities of the continuous theory (bounds a-d below, semigroup
-domination) hold exactly for the discrete product, not just in the limit,
-so they are asserted as hard identities in the tests.
+a sampled path.  The path engine (paths.run_ensemble) integrates it by the
+exponential-product (Lie-Euler) scheme with the left-point rule: each step
+multiplies by the exact matrix exponential of the sampled Hermitian
+generator.  That choice makes the norm inequalities of the continuous
+theory (bounds a-d below, semigroup domination) hold exactly for the
+discrete product, not just in the limit, so they are asserted as hard
+identities in the tests.
 
-The Dyson / product-integral expansion is kept as an independent
-cross-check of the same ODE, and the inequality suite exercises the bound
-set on randomized matrix-valued generators.
+This module holds what checks that scheme from outside: the Dyson /
+product-integral expansion, an independent solution of the same ODE from
+generator samples on a grid, and the inequality suite, which exercises
+the bound set on randomized matrix-valued generators.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+
 import numpy as np
 
 from .matexp import expm_neg_hermitian
-from .paths import PathSample
-from .potentials import PotentialSpec
 from .rng import RngKey, stream
 
 __all__ = [
-    "HolonomyTrace",
-    "evolve_holonomy",
     "product_integral_truncation",
     "appendix_c_check",
     "appendix_c_suite",
 ]
 
-MAX_RANK = 16
 
-
-@dataclass
-class HolonomyTrace:
-    """Grid values of the weight process, its inverse, and the sampled
-    frame generators W_k = transport^{-1} V(B_k) transport."""
-
-    times: np.ndarray
-    values: np.ndarray     # (L, d, d)
-    inverses: np.ndarray   # (L, d, d)
-    frame_fields: np.ndarray  # (L-1, d, d)
-
-    def endpoint(self):
-        return self.values[-1]
-
-
-def _accumulated_transports(path: PathSample, d):
-    """acc_k carrying fiber coordinates at the start to coordinates at
-    point k (acc_0 = identity)."""
-    L = len(path.points)
-    acc = np.zeros((L, d, d), dtype=complex)
-    acc[0] = np.eye(d)
-    for k in range(L - 1):
-        Tk = path.transports[k] if path.transports.shape[0] > k else np.eye(d)
-        acc[k + 1] = Tk @ acc[k]
-    return acc
-
-
-def frame_generators(path: PathSample, V: PotentialSpec, cap=None):
-    """W_k = acc_k^* V(B_k) acc_k at every path vertex."""
-    d = V.rank
-    if d > MAX_RANK:
-        raise ValueError(f"bundle rank {d} exceeds supported maximum {MAX_RANK}")
-    L = len(path.points)
-    Vx = V.matrix(path.points, cap=cap)
-    if not np.all(np.isfinite(Vx)):
-        bad = int(np.flatnonzero(~np.isfinite(Vx.reshape(L, -1)).all(axis=1))[0])
-        raise ValueError(f"potential non-finite at path vertex {bad}")
-    if path.bundle is not None and not path.bundle.trivial_transport:
-        acc = _accumulated_transports(path, d)
-        return np.einsum("kji,kjl,klm->kim", acc.conj(), Vx, acc)
-    return Vx
-
-
-def evolve_holonomy(path: PathSample, V: PotentialSpec, cap=None) -> HolonomyTrace:
-    """Integrate the weight ODE along the path with the exponential-product
-    scheme; values[k+1] = values[k] @ exp(-h W_k), left-point rule."""
-    W = frame_generators(path, V, cap=cap)[:-1]
-    L = W.shape[0] + 1
-    d = V.rank
-    dts = np.diff(path.times[:L])
-    steps, _ = expm_neg_hermitian(W, dts)
-    inv_steps, _ = expm_neg_hermitian(W, -dts)
-    values = np.zeros((L, d, d), dtype=complex)
-    inverses = np.zeros((L, d, d), dtype=complex)
-    values[0] = np.eye(d)
-    inverses[0] = np.eye(d)
-    for k in range(L - 1):
-        values[k + 1] = values[k] @ steps[k]
-        inverses[k + 1] = inv_steps[k] @ inverses[k]
-    return HolonomyTrace(times=path.times[:L], values=values, inverses=inverses,
-                         frame_fields=W)
-
-
-def product_integral_truncation(path: PathSample, V: PotentialSpec, order: int,
-                                cap=None):
+def product_integral_truncation(W, times, order: int):
     """Truncated path-ordered expansion sum_k int_{s_1<=...<=s_k}
     F(s_1)...F(s_k) with F = -W, iterated integrals by nested trapezoid on
-    the path grid.  Cross-checks evolve_holonomy when the L1 norm of F is
-    moderate."""
+    the grid.  W has shape (L, d, d): Hermitian generator samples at the L
+    grid vertices `times`.  Cross-checks the engine's exponential product
+    when the L1 norm of F is moderate."""
     if order < 0 or order > 6:
         raise ValueError("truncation order must be in 0..6")
-    F = -frame_generators(path, V, cap=cap)
-    L = F.shape[0]
-    d = V.rank
-    dts = np.diff(path.times[:L])
+    F = -np.asarray(W, dtype=complex)
+    times = np.asarray(times, dtype=float)
+    L, d, _ = F.shape
+    if len(times) != L:
+        raise ValueError("times must have one entry per generator sample")
+    dts = np.diff(times)
     l1 = float(np.sum(dts * np.linalg.norm(F[:-1], ord=2, axis=(1, 2)))) if L > 1 else 0.0
     if l1 > 5.0:
         raise ValueError(f"L1 norm {l1:.3g} too large for a meaningful truncation (> 5)")

@@ -7,22 +7,26 @@ time-h skeleton of Brownian motion (generator Delta/2).  Paths on open
 subdomains are killed at the first grid point outside (bias O(sqrt(h)),
 resolved by h-refinement in the estimator tests).
 
-Everything an estimator consumes is produced in one vectorized pass:
+This module is the package's one path engine: everything an estimator
+consumes is produced in one vectorized pass over a block of paths:
 endpoints, alive indicators, trapezoid time-integrals of scalar fields
 (with 4-point sub-step sampling and the 1/h cap at declared singular
 points), Stratonovich line integrals of 1-forms (geodesic midpoint rule),
 the potential holonomy (exponential-product integrator, left-point rule),
 the accumulated transport, and left-point integrals of the scalar floor,
-all snapshotted at requested checkpoint times.  Each step evaluates V(x)
-once: the matrix exponential also returns the smallest eigenvalue of the
-transported generator, which is the floor (and gives ||V^(2)||) unless
-the potential declares its own floor_fn.
+all snapshotted at requested checkpoint times.  A checkpoint at every grid
+time gives a whole path, which is how `--dump-paths` and the tests read
+single paths.  Each step evaluates V(x) once: the matrix exponential also
+returns the smallest eigenvalue of the transported generator, which is the
+floor (and gives ||V^(2)||) unless the potential declares its own
+floor_fn.  Every non-trivial bundle is transported through
+BundleSpec.step_transport into one (B, d, d) accumulator.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
 regroup the computation.  A block draws its increments with rng.normals,
-row for row the same numbers as the per-path streams that sample_path
-uses.  Reductions happen in path-index order.
+row for row the same numbers as stream(key.child(i)).standard_normal((K, m)).
+Reductions happen in path-index order.
 """
 
 from __future__ import annotations
@@ -35,16 +39,13 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundles import BundleSpec, stratonovich_increment
-from .geometry import ManifoldModel, OpenSubdomain, Sphere2
+from .geometry import ManifoldModel, OpenSubdomain
 from .matexp import expm_neg_hermitian
 from .potentials import OneForm, PotentialSpec, ScalarField
-from .rng import RngKey, normals, stream
+from .rng import RngKey, normals
+from .rng import stream  # noqa: F401  (bench/layers.py wraps paths.stream by name)
 
 __all__ = [
-    "PathSample",
-    "sample_path",
-    "integrate_scalar_along",
-    "stratonovich_line_integral",
     "EnsembleResult",
     "run_ensemble",
     "exit_probability",
@@ -87,111 +88,6 @@ def time_grid(t, h, checkpoints=()):
             raise ValueError(f"checkpoint {c} not representable on the grid")
         snap_idx.append(i)
     return times, snap_idx
-
-
-# ----------------------------------------------------------------------
-# single-path sampling (the spec-level PathSample contract)
-
-
-@dataclass
-class PathSample:
-    """One discretized path: grid, visited points (up to the last point
-    inside the domain), per-step transports, and the frame increments
-    actually taken."""
-
-    model: ManifoldModel
-    bundle: Optional[BundleSpec]
-    times: np.ndarray
-    points: np.ndarray
-    increments: np.ndarray
-    transports: Optional[np.ndarray]
-    alive: bool
-    death_index: Optional[int] = None
-
-    @property
-    def rank(self):
-        return self.bundle.rank if self.bundle is not None else 1
-
-
-def sample_path(model, bundle, x, t, h, key: RngKey) -> PathSample:
-    """Sample one path; bit-identical to the corresponding ensemble member
-    (same (seed, stream_index) draws the same increments)."""
-    x = np.asarray(x, dtype=float)
-    if not np.all(model.contains(x[None])[0:1]):
-        raise ValueError("start point lies outside the domain")
-    times, _ = time_grid(t, h)
-    K = len(times) - 1
-    m = model.dim
-    g = stream(key)
-    incs = g.standard_normal((K, m))
-    pts = [x]
-    transports = []
-    alive = True
-    death = None
-    cur = x
-    for k in range(K):
-        dt = times[k + 1] - times[k]
-        step = math.sqrt(dt) * incs[k]
-        if bundle is not None and not bundle.trivial_transport:
-            T = bundle.step_transport(model, cur[None], step[None])[0]
-        else:
-            d = bundle.rank if bundle is not None else 1
-            T = np.eye(d, dtype=complex)
-        y = model.exp(cur, step)
-        if not bool(np.all(model.contains(y[None]))):
-            alive = False
-            death = k + 1
-            break
-        pts.append(y)
-        transports.append(T)
-        cur = y
-    return PathSample(
-        model=model,
-        bundle=bundle,
-        times=times,
-        points=np.asarray(pts),
-        increments=incs[: len(pts) - 1],
-        transports=np.asarray(transports) if transports else np.zeros((0, 1, 1), dtype=complex),
-        alive=alive,
-        death_index=death,
-    )
-
-
-def integrate_scalar_along(path: PathSample, v: ScalarField, cap=None):
-    """Trapezoid rule of v over the path vertices; singular fields use
-    4-point sub-step midpoint sampling per step with |v| capped at 1/h."""
-    n = len(path.points)
-    if n <= 1:
-        return 0.0
-    dts = np.diff(path.times[:n])
-    if cap is None:
-        cap = 1.0 / float(np.median(dts))
-    if v.singular:
-        total = 0.0
-        for k in range(n - 1):
-            q = path.model.geodesic_points(path.points[k], path.increments[k] * math.sqrt(dts[k]),
-                                           _SUBSTEP_FRACS)
-            total += dts[k] * float(np.mean(v(q, cap=cap)))
-        return total
-    vals = v(path.points)
-    if not np.all(np.isfinite(vals)):
-        bad = int(np.flatnonzero(~np.isfinite(vals))[0])
-        raise ValueError(f"scalar field {v.name!r} non-finite at step {bad}")
-    return float(np.sum(dts * 0.5 * (vals[:-1] + vals[1:])))
-
-
-def stratonovich_line_integral(path: PathSample, beta: OneForm):
-    """Midpoint (Stratonovich-consistent) line integral of a smooth 1-form."""
-    n = len(path.points)
-    total = 0.0
-    for k in range(n - 1):
-        dt = path.times[k + 1] - path.times[k]
-        step = math.sqrt(dt) * path.increments[k]
-        inc = stratonovich_increment(path.model, beta, path.points[k][None], step[None])
-        if not np.all(np.isfinite(inc)):
-            raise ValueError(f"1-form evaluation failed at step {k}")
-        total += float(inc[0])
-    return total
 
 
 # ----------------------------------------------------------------------
@@ -358,13 +254,9 @@ def _run_block(
         else:
             hol_log = None
             hol = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-    acc_phase = None
     acc = None
     if track_transport and not bundle.trivial_transport:
-        if bundle.kind == "magnetic":
-            acc_phase = np.ones(B, dtype=complex)
-        else:
-            acc = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
+        acc = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
     floor_acc = np.zeros(B) if track_floor else None
     v2_acc = np.zeros(B) if track_v2norm else None
 
@@ -389,12 +281,7 @@ def _run_block(
                 snap_hol[pos] = (np.exp(-hol_log)[:, None, None] * np.eye(1)
                                  if hol is None else hol)
             if snap_acc is not None:
-                if acc is not None:
-                    snap_acc[pos] = acc
-                elif acc_phase is not None:
-                    snap_acc[pos] = acc_phase[:, None, None]
-                else:
-                    snap_acc[pos] = np.eye(d, dtype=complex)
+                snap_acc[pos] = np.eye(d, dtype=complex) if acc is None else acc
             if snap_floor is not None:
                 snap_floor[pos] = floor_acc
             if snap_v2 is not None:
@@ -430,15 +317,12 @@ def _run_block(
             if track_v2norm:
                 v2_new = v2_acc + dt * np.maximum(0.0, -fl)
 
-        # transport along the step
-        if track_transport and not bundle.trivial_transport:
-            if bundle.kind == "magnetic":
-                phase_new = acc_phase * np.exp(
-                    -1j * stratonovich_increment(model, bundle.beta, x, step)
-                )
-            else:
-                ybase, Tk = _sphere_base(model).transport_matrix(x, step)
-                acc_new = Tk.astype(complex) @ acc
+        # transport along the step; at rank 1 the step is a phase, taken
+        # elementwise as acc * Tk (with FMA, complex products are not
+        # bitwise commutative, so the operand order is part of the result)
+        if acc is not None:
+            Tk = bundle.step_transport(model, x, step)
+            acc_new = acc * Tk if d == 1 else Tk @ acc
 
         y = model.exp(x, step)
         if is_domain:
@@ -487,11 +371,8 @@ def _run_block(
             floor_acc = merge(floor_new, floor_acc)
         if track_v2norm:
             v2_acc = merge(v2_new, v2_acc)
-        if track_transport and not bundle.trivial_transport:
-            if bundle.kind == "magnetic":
-                acc_phase = merge(phase_new, acc_phase)
-            else:
-                acc = merge(acc_new, acc, matrix=True)
+        if acc is not None:
+            acc = merge(acc_new, acc, matrix=True)
 
         if all_alive:
             x = y
@@ -513,13 +394,6 @@ def _run_block(
         v2_integral=snap_v2,
         death_step=death,
     )
-
-
-def _sphere_base(model):
-    base = model.base if isinstance(model, OpenSubdomain) else model
-    if not isinstance(base, Sphere2):
-        raise ValueError("tangent transport requires sphere2")
-    return base
 
 
 # ----------------------------------------------------------------------

@@ -4,6 +4,7 @@ The tracer wraps engine functions by name, so renaming one of them breaks
 `bench/run.py --trace 1` without failing any engine test.  This runs a tiny
 rank-3 fk_vector call under the tracer and pins what the fused step
 promises: one V(x) evaluation per step and no separate floor eigen-solve.
+A short tangent_sphere call pins that tangent transport is still timed.
 """
 
 import sys
@@ -34,3 +35,20 @@ def test_traced_rank3_call_evaluates_potential_once_per_step():
     assert m["potentials.matrix_calls"] == steps
     assert m["matexp.matrices"] == steps * n
     assert m["paths.blocks"] == 1
+
+
+def test_traced_tangent_call_attributes_transport():
+    # tangent transport reaches Sphere2.transport_matrix through
+    # BundleSpec.step_transport; the tracer must still see it
+    w = workloads.TangentSphere()
+    c = w.cfg
+    t, h, n = 0.01, w.h, w.n
+    tr = layers.Tracer()
+    with tr.installed():
+        est = fk_vector(c.model, c.bundle, c.potential, c.section, w.x, t, h, n, RngKey(3))
+    assert np.all(np.isfinite(est.value))
+    m = tr.metrics()
+    steps = int(round(t / h))
+    assert m["bundles.transport_s"] > 0
+    assert m["geometry.exp_calls"] == steps
+    assert m["potentials.matrix_calls"] == steps

@@ -1,9 +1,10 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from fiberflow.cli import EXIT_USAGE, main
+from fiberflow.cli import EXIT_NUMERICAL, EXIT_USAGE, main
 from fiberflow.config import (ConfigError, RunConfig, parse_beta, parse_manifold,
                               parse_points, parse_potential, parse_section,
                               read_config_file)
@@ -120,6 +121,31 @@ def test_non_finite_number_names_key(flags, key, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--n", "10.7"], "n"),
+    (["--n", "10", "--bundle-rank", "1.5"], "bundle_rank"),
+])
+def test_non_integral_count_names_key(flags, key, capsys):
+    code = main(["semigroup", *BASE, "--t", "0.1", "--h", "0.01", *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert f"'{key}'" in err and "integer" in err
+    assert "Traceback" not in err
+    assert RunConfig.from_mapping({"n": "1e3"}).integer("n") == 1000
+
+
+def test_numerical_failure_exit_code(capsys):
+    # at t = 400 the log functional of 200 paths is no longer positive
+    code = main(["ground-energy", "--manifold", "euclidean(m=1)", "--potential",
+                 "harmonic(1.0)", "--section", "harmonic_ground(1.0)",
+                 "--t-grid", "1,2,3,400", "--h", "0.5", "--n", "200", "--radius", "8"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
 def test_bad_grammar_exit_code(capsys):
     code = main(["semigroup", "--manifold", "moebius()", "--potential", "harmonic(1.0)",
                  "--section", "constant(1)", "--x", "0", "--t", "0.1"])
@@ -209,6 +235,35 @@ def test_dump_paths_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("path,step,time,coord0,alive,transport")
     assert len(lines) > 100
+
+
+GOLDEN = Path(__file__).parent / "data" / "dump_paths"
+DUMP_CASES = {
+    "euclidean": ["--manifold", "euclidean(m=1)", "--potential", "harmonic(1.0)",
+                  "--section", "gaussian(1.0)", "--x", "0"],
+    "sphere2_tangent": ["--manifold", "sphere2(r=1.0)", "--bundle", "tangent",
+                        "--bundle-rank", "2", "--potential",
+                        "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)",
+                        "--section", "constant(1,0)", "--x", "0,0,1"],
+    "magnetic_landau": ["--manifold", "euclidean(m=2)", "--bundle", "magnetic",
+                        "--beta", "landau(0.9)", "--potential", "harmonic(1.0)",
+                        "--section", "gaussian(1.0)", "--x", "0.1,0.2"],
+    # every path leaves the ball, after 3, 28, 12 and 7 rows
+    "ball_killed": ["--manifold", "ball(euclidean(m=1), r=0.08)", "--potential",
+                    "harmonic(1.0)", "--section", "gaussian(1.0)", "--x", "0",
+                    "--t", "0.05"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(DUMP_CASES))
+def test_dump_paths_golden(case, tmp_path, capsys):
+    # points, alive flags and per-step transports, byte for byte
+    out = tmp_path / "paths.csv"
+    code = main(["semigroup", "--t", "0.01", "--h", "1e-3", "--n", "8", "--seed", "5",
+                 *DUMP_CASES[case], "--dump-paths", str(out)])
+    capsys.readouterr()
+    assert code == 0
+    assert out.read_bytes() == (GOLDEN / f"{case}.csv").read_bytes()
 
 
 def test_out_flag_writes_file(tmp_path, capsys):

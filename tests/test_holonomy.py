@@ -6,9 +6,9 @@ from scipy.linalg import expm
 
 from fiberflow.bundles import tangent_bundle
 from fiberflow.geometry import Euclidean, Sphere2
-from fiberflow.holonomy import (appendix_c_check, appendix_c_suite, evolve_holonomy,
-                                frame_generators, product_integral_truncation)
-from fiberflow.paths import PathSample, run_ensemble, sample_path
+from fiberflow.holonomy import appendix_c_check, appendix_c_suite, product_integral_truncation
+from fiberflow.matexp import expm_neg_hermitian
+from fiberflow.paths import run_ensemble, time_grid
 from fiberflow.potentials import PotentialSpec, ScalarField
 from fiberflow.rng import RngKey
 
@@ -32,51 +32,62 @@ def smooth_matrix_potential(scale=0.7):
                                 (ScalarField(_Sine(1.3, 1)), 0.6 * scale * PAULI_X)])
 
 
-def smooth_curve_path(K, t=1.0):
+def smooth_curve(K, t=1.0):
+    """(times, points) of a deterministic smooth curve in R^2."""
     ts = np.linspace(0.0, t, K + 1)
-    pts = np.stack([ts, np.sin(2.5 * ts)], axis=-1)
-    return PathSample(model=E2, bundle=None, times=ts, points=pts,
-                      increments=np.zeros((K, 2)),
-                      transports=np.zeros((0, 1, 1), dtype=complex),
-                      alive=True, death_index=None)
+    return ts, np.stack([ts, np.sin(2.5 * ts)], axis=-1)
+
+
+def exponential_product(W, times):
+    """Endpoint of the left-point exponential-product scheme for grid
+    samples W of the generator: prod_k exp(-dt_k W_k)."""
+    steps, _ = expm_neg_hermitian(W[:-1], np.diff(times))
+    Y = np.eye(W.shape[-1], dtype=complex)
+    for S in steps:
+        Y = Y @ S
+    return Y
+
+
+def engine_path(model, t, h, key, V, bundle=None):
+    """(times, vertices, result) of the engine's path `key` from the
+    model's origin, with snapshots at every grid time."""
+    times, _ = time_grid(t, h)
+    res = run_ensemble(model, model.origin(), t, h, key, 1, bundle=bundle, potential=V,
+                       checkpoints=times[:-1])
+    return times, res.points[:, 0], res
 
 
 def test_zero_potential_identity():
-    p = sample_path(E2, None, np.zeros(2), 0.2, 1e-3, KEY)
-    tr = evolve_holonomy(p, PotentialSpec.zero(2))
-    assert np.allclose(tr.values, np.eye(2))
-    assert np.allclose(tr.inverses, np.eye(2))
+    _, _, res = engine_path(E2, 0.2, 1e-3, KEY, PotentialSpec.zero(2))
+    values = res.holonomy[:, 0]
+    assert np.allclose(values, np.eye(2))
+    assert np.allclose(np.linalg.inv(values), np.eye(2))
 
 
 def test_constant_scalar_matrix():
-    p = sample_path(E2, None, np.zeros(2), 1.0, 1e-3, KEY)
-    tr = evolve_holonomy(p, PotentialSpec(rank=2, const=0.9 * np.eye(2)))
-    assert np.max(np.abs(tr.endpoint() - math.exp(-0.9) * np.eye(2))) < 1e-12
+    _, _, res = engine_path(E2, 1.0, 1e-3, KEY, PotentialSpec(rank=2, const=0.9 * np.eye(2)))
+    assert np.max(np.abs(res.holonomy[-1, 0] - math.exp(-0.9) * np.eye(2))) < 1e-12
 
 
 def test_constant_hermitian_vs_expm():
     P = np.array([[0.6, 0.2 - 0.1j], [0.2 + 0.1j, -0.4]])
-    p = sample_path(E2, None, np.zeros(2), 1.0, 1e-3, KEY)
-    tr = evolve_holonomy(p, PotentialSpec(rank=2, const=P))
-    assert np.max(np.abs(tr.endpoint() - expm(-P))) < 1e-10
+    _, _, res = engine_path(E2, 1.0, 1e-3, KEY, PotentialSpec(rank=2, const=P))
+    assert np.max(np.abs(res.holonomy[-1, 0] - expm(-P))) < 1e-10
 
 
 def test_trace_invariants():
-    p = sample_path(E2, None, np.zeros(2), 0.5, 1e-3, KEY.child(1))
     V = smooth_matrix_potential()
-    tr = evolve_holonomy(p, V)
-    assert np.allclose(tr.values[0], np.eye(2))
-    # inverses * values = identity
-    err = np.max(np.abs(np.einsum("kij,kjl->kil", tr.inverses, tr.values) - np.eye(2)))
-    assert err < 1e-9
+    times, pts, res = engine_path(E2, 0.5, 1e-3, KEY.child(1), V)
+    values = res.holonomy[:, 0]
+    assert np.allclose(values[0], np.eye(2))
     # discrete domination, every index: ||values[k]|| <= e^{-sum h floor}
-    dts = np.diff(tr.times)
-    floor = V.scalar_floor(p.points[:-1])
+    dts = np.diff(times)
+    floor = V.scalar_floor(pts[:-1])
     partial = np.concatenate([[0.0], np.cumsum(dts * floor)])
-    norms = np.linalg.norm(tr.values, ord=2, axis=(1, 2))
+    norms = np.linalg.norm(values, ord=2, axis=(1, 2))
     assert np.max(norms - np.exp(-partial)) < 1e-9
-    # upper bound a): ||values[k]|| <= e^{sum h ||W||}
-    wn = np.linalg.norm(tr.frame_fields, ord=2, axis=(1, 2))
+    # upper bound a): ||values[k]|| <= e^{sum h ||W||}, W = V without transport
+    wn = np.linalg.norm(V.matrix(pts[:-1]), ord=2, axis=(1, 2))
     upper = np.concatenate([[0.0], np.cumsum(dts * wn)])
     assert np.max(norms - np.exp(upper)) < 1e-9
 
@@ -85,30 +96,27 @@ def test_psd_potential_contraction():
     # W >= 0 everywhere implies ||values[k]|| <= 1 (absc c with c = 0)
     V = PotentialSpec(rank=2, const=0.5 * np.eye(2),
                       terms=[(ScalarField(_Sine(1.0, 0, 1.5)), 0.15 * PAULI_Z)])
-    p = sample_path(E2, None, np.zeros(2), 0.5, 1e-3, KEY.child(2))
-    tr = evolve_holonomy(p, V)
-    norms = np.linalg.norm(tr.values, ord=2, axis=(1, 2))
+    _, _, res = engine_path(E2, 0.5, 1e-3, KEY.child(2), V)
+    norms = np.linalg.norm(res.holonomy[:, 0], ord=2, axis=(1, 2))
     assert np.max(norms) <= 1.0 + 1e-9
 
 
 def test_inverse_growth_bound():
     # ||V_k^{-1} V_K|| <= exp(int ||V^(2)||) over the window (absc d)
-    p = sample_path(E2, None, np.zeros(2), 0.5, 1e-3, KEY.child(3))
     V = smooth_matrix_potential()
-    tr = evolve_holonomy(p, V)
-    dts = np.diff(tr.times)
-    v2 = V.negative_norm(p.points[:-1])
+    times, pts, res = engine_path(E2, 0.5, 1e-3, KEY.child(3), V)
+    hol = res.holonomy[:, 0]
+    dts = np.diff(times)
+    v2 = V.negative_norm(pts[:-1])
     total = np.cumsum((dts * v2)[::-1])[::-1]  # int_{t_k}^{T}
-    K = len(tr.values) - 1
+    K = len(hol) - 1
     for k in range(0, K, 50):
-        win = np.linalg.norm(tr.inverses[k] @ tr.values[K] @ np.eye(2), 2)
-        # inverses[k] @ values[K] realizes V_k^{-1} V_K for the product scheme
+        win = np.linalg.norm(np.linalg.solve(hol[k], hol[K]), 2)
         assert win <= math.exp(total[k]) + 1e-9
 
 
 def test_sphere_bundle_conjugation_hermitian():
     s2 = Sphere2(1.0)
-    p = sample_path(s2, tangent_bundle(), s2.origin(), 0.1, 1e-3, KEY)
 
     class _Z:
         def __call__(self, pts):
@@ -116,13 +124,14 @@ def test_sphere_bundle_conjugation_hermitian():
 
     V = PotentialSpec(rank=2, const=0.2 * np.eye(2),
                       terms=[(ScalarField(_Z()), 0.5 * PAULI_X)])
-    W = frame_generators(p, V)
+    times, pts, res = engine_path(s2, 0.1, 1e-3, KEY, V, bundle=tangent_bundle())
+    acc = res.transport[:, 0]
+    W = np.einsum("kji,kjl,klm->kim", acc.conj(), V.matrix(pts), acc)
     assert np.max(np.abs(W - np.conj(np.transpose(W, (0, 2, 1))))) < 1e-12
-    tr = evolve_holonomy(p, V)
-    dts = np.diff(tr.times)
-    floor = V.scalar_floor(p.points[:-1])
+    dts = np.diff(times)
+    floor = V.scalar_floor(pts[:-1])
     partial = np.concatenate([[0.0], np.cumsum(dts * floor)])
-    norms = np.linalg.norm(tr.values, ord=2, axis=(1, 2))
+    norms = np.linalg.norm(res.holonomy[:, 0], ord=2, axis=(1, 2))
     assert np.max(norms - np.exp(-partial)) < 1e-9
 
 
@@ -158,9 +167,11 @@ def fused_case(name):
     return E2, None, V
 
 
-def left_point_sum(model, bundle, t, h, i, fn):
-    p = sample_path(model, bundle, model.origin(), t, h, KEY.child(i))
-    return float(np.sum(np.diff(p.times) * fn(p.points[:-1])))
+def left_point_sums(model, t, h, n, fn):
+    """Left-point sums of fn along each of the engine's first n paths."""
+    times, _ = time_grid(t, h)
+    res = run_ensemble(model, model.origin(), t, h, KEY, n, checkpoints=times[:-1])
+    return np.sum(np.diff(times)[:, None] * fn(res.points[:-1]), axis=0)
 
 
 @pytest.mark.parametrize("case", ["sphere2_tangent_rank2", "euclidean2_rank3"])
@@ -172,11 +183,11 @@ def test_ensemble_floor_matches_left_point_sums(case):
     res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V,
                        track_floor=True, track_v2norm=True)
     assert np.all(res.v2_integral[-1] > 0)
+    floor = left_point_sums(model, t, h, n, V.scalar_floor)
+    v2 = left_point_sums(model, t, h, n, V.negative_norm)
     for i in range(n):
-        floor = left_point_sum(model, bundle, t, h, i, V.scalar_floor)
-        v2 = left_point_sum(model, bundle, t, h, i, V.negative_norm)
-        assert abs(res.floor_integral[-1, i] - floor) < 1e-12
-        assert abs(res.v2_integral[-1, i] - v2) < 1e-12
+        assert abs(res.floor_integral[-1, i] - floor[i]) < 1e-12
+        assert abs(res.v2_integral[-1, i] - v2[i]) < 1e-12
 
 
 def test_ensemble_honours_declared_floor_fn():
@@ -190,32 +201,31 @@ def test_ensemble_honours_declared_floor_fn():
     # the declared floor lies strictly below the eigenvalue floor and wins
     assert np.all(res.floor_integral[-1] < exact.floor_integral[-1] - 0.2 * t)
     assert np.array_equal(res.holonomy, exact.holonomy)
+    floor = left_point_sums(model, t, h, n, V.scalar_floor)
+    v2 = left_point_sums(model, t, h, n, V.negative_norm)
     for i in range(n):
-        floor = left_point_sum(model, bundle, t, h, i, V.scalar_floor)
-        v2 = left_point_sum(model, bundle, t, h, i, V.negative_norm)
-        assert abs(res.floor_integral[-1, i] - floor) < 1e-12
-        assert abs(res.v2_integral[-1, i] - v2) < 1e-12
+        assert abs(res.floor_integral[-1, i] - floor[i]) < 1e-12
+        assert abs(res.v2_integral[-1, i] - v2[i]) < 1e-12
 
 
 # -- product-integral truncation -------------------------------------------
 
 
 def test_truncation_order_zero_and_one():
-    p = smooth_curve_path(200, t=1.0)
-    V = PotentialSpec(rank=2, const=0.4 * np.eye(2))
-    assert np.allclose(product_integral_truncation(p, V, 0), np.eye(2))
-    t1 = product_integral_truncation(p, V, 1)
+    ts, pts = smooth_curve(200, t=1.0)
+    W = PotentialSpec(rank=2, const=0.4 * np.eye(2)).matrix(pts)
+    assert np.allclose(product_integral_truncation(W, ts, 0), np.eye(2))
+    t1 = product_integral_truncation(W, ts, 1)
     assert np.max(np.abs(t1 - (np.eye(2) - 0.4 * np.eye(2)))) < 1e-10
 
 
 def test_truncation_converges_to_holonomy():
-    p = smooth_curve_path(4000, t=1.0)
-    V = smooth_matrix_potential(scale=0.5)
-    ref = evolve_holonomy(p, V).endpoint()
-    dts = np.diff(p.times)
-    W = frame_generators(p, V)[:-1]
-    l1 = float(np.sum(dts * np.linalg.norm(W, ord=2, axis=(1, 2))))
-    errs = [np.linalg.norm(product_integral_truncation(p, V, n) - ref, 2)
+    ts, pts = smooth_curve(4000, t=1.0)
+    W = smooth_matrix_potential(scale=0.5).matrix(pts)
+    ref = exponential_product(W, ts)
+    dts = np.diff(ts)
+    l1 = float(np.sum(dts * np.linalg.norm(W[:-1], ord=2, axis=(1, 2))))
+    errs = [np.linalg.norm(product_integral_truncation(W, ts, n) - ref, 2)
             for n in (2, 3, 4)]
     assert errs[0] > errs[1] > errs[2]
     # remainder bound of the exponential series at order 4
@@ -224,18 +234,17 @@ def test_truncation_converges_to_holonomy():
 
 
 def test_truncation_guards():
-    p = smooth_curve_path(100)
-    V = PotentialSpec(rank=2, const=9.0 * np.eye(2))
+    ts, pts = smooth_curve(100)
+    W = PotentialSpec(rank=2, const=9.0 * np.eye(2)).matrix(pts)
     with pytest.raises(ValueError, match="too large"):
-        product_integral_truncation(p, V, 4)
+        product_integral_truncation(W, ts, 4)
     with pytest.raises(ValueError, match="order"):
-        product_integral_truncation(p, PotentialSpec.zero(2), 7)
+        product_integral_truncation(np.zeros_like(W), ts, 7)
 
 
 def test_rank_cap():
-    p = smooth_curve_path(10)
     with pytest.raises(ValueError, match="rank"):
-        evolve_holonomy(p, PotentialSpec(rank=17, const=np.zeros((17, 17))))
+        PotentialSpec(rank=17, const=np.zeros((17, 17)))
 
 
 # -- Richardson convergence order -------------------------------------------
@@ -247,7 +256,8 @@ def test_richardson_sequence_second_order():
     V = smooth_matrix_potential()
 
     def endpoint(K):
-        return evolve_holonomy(smooth_curve_path(K), V).endpoint()
+        ts, pts = smooth_curve(K)
+        return exponential_product(V.matrix(pts), ts)
 
     es = {K: endpoint(K) for K in (128, 256, 512, 1024)}
     R = {K: 2 * es[2 * K] - es[K] for K in (128, 256, 512)}

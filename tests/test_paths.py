@@ -4,17 +4,32 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from fiberflow.bundles import magnetic_bundle, tangent_bundle, trivial_bundle
+from fiberflow.bundles import (magnetic_bundle, stratonovich_increment, tangent_bundle,
+                               trivial_bundle)
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.oracle import exit_survival_interval, levy_area_charfn, smeared_coulomb
-from fiberflow.paths import (exit_probability, integrate_scalar_along, run_ensemble,
-                             sample_path, stratonovich_line_integral, time_grid)
+from fiberflow.paths import exit_probability, run_ensemble, time_grid
 from fiberflow.potentials import (angle_form, constant_field,
                                   coulomb_field, harmonic_field, landau_form,
                                   power_field)
 from fiberflow.rng import RngKey, normals, stream
 
 KEY = RngKey(20240601)
+
+
+def frame_steps(key, t, h, m):
+    """Grid and frame steps sqrt(dt) * xi_k of the engine's path `key`."""
+    times, _ = time_grid(t, h)
+    xi = stream(key).standard_normal((len(times) - 1, m))
+    return times, np.sqrt(np.diff(times))[:, None] * xi
+
+
+def engine_path(model, x, t, h, key, **kw):
+    """(times, vertices, frame steps, result) of the engine's path `key`,
+    read from snapshots at every grid time."""
+    times, steps = frame_steps(key, t, h, model.dim)
+    res = run_ensemble(model, x, t, h, key, 1, checkpoints=times[:-1], **kw)
+    return times, res.points[:, 0], steps, res
 
 
 def test_time_grid_merges_checkpoints():
@@ -26,13 +41,15 @@ def test_time_grid_merges_checkpoints():
 
 
 def test_degenerate_grid():
-    p = sample_path(Euclidean(2), None, np.zeros(2), 0.0, 1e-3, KEY)
-    assert p.alive and len(p.points) == 1 and p.transports.shape[0] == 0
+    _, pts, steps, res = engine_path(Euclidean(2), np.zeros(2), 0.0, 1e-3, KEY)
+    assert res.alive.all() and len(pts) == 1 and steps.shape[0] == 0
 
 
 def test_trivial_bundle_transports_identity():
-    p = sample_path(Euclidean(1), trivial_bundle(1), np.zeros(1), 0.05, 1e-3, KEY)
-    assert np.allclose(p.transports, 1.0)
+    e1, b = Euclidean(1), trivial_bundle(1)
+    _, pts, steps, res = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, bundle=b)
+    assert np.allclose(b.step_transport(e1, pts[:-1], steps), 1.0)
+    assert np.allclose(res.transport, 1.0)
 
 
 def test_brownian_variance_identity():
@@ -46,11 +63,12 @@ def test_brownian_variance_identity():
 
 def test_reproducibility_bit_identical():
     e2 = Euclidean(2)
-    a = sample_path(e2, None, np.zeros(2), 0.3, 1e-3, KEY.child(5))
-    b = sample_path(e2, None, np.zeros(2), 0.3, 1e-3, KEY.child(5))
+    a = run_ensemble(e2, np.zeros(2), 0.3, 1e-3, KEY, 32)
+    b = run_ensemble(e2, np.zeros(2), 0.3, 1e-3, KEY, 32)
     assert np.array_equal(a.points, b.points)
-    res = run_ensemble(e2, np.zeros(2), 0.3, 1e-3, KEY, 32)
-    assert np.array_equal(res.points[-1, 5], a.points[-1])
+    # from 0 on R^2 a path is the running sum of its frame steps
+    _, steps = frame_steps(KEY.child(5), 0.3, 1e-3, 2)
+    assert np.array_equal(a.points[-1, 5], np.cumsum(steps, axis=0)[-1])
 
 
 def test_worker_count_invariance():
@@ -69,8 +87,8 @@ def test_stream_contract_across_blocks_and_workers():
     v = harmonic_field(e2, 1.0)
     a = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,))
     i = 1650
-    p = sample_path(e2, None, np.zeros(2), 0.5, 1e-4, KEY.child(i))
-    assert np.array_equal(a.points[-1, i], p.points[-1])
+    _, steps = frame_steps(KEY.child(i), 0.5, 1e-4, 2)
+    assert np.array_equal(a.points[-1, i], np.cumsum(steps, axis=0)[-1])
     b = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,), workers=2)
     assert np.array_equal(a.points, b.points)
     assert np.array_equal(a.integrals[(0, 1)], b.integrals[(0, 1)])
@@ -92,9 +110,9 @@ def test_max_step_invariant_at_conforming_h():
     # h below the (max_step/7)^2 bound keeps every step below max_step
     e2 = Euclidean(2)
     h = (e2.max_step / 7.0) ** 2
-    res = run_ensemble(e2, np.zeros(2), 400 * h, h, KEY, 256)
-    p = sample_path(e2, None, np.zeros(2), 400 * h, h, KEY.child(3))
-    steps = np.linalg.norm(np.diff(p.points, axis=0), axis=-1)
+    times, _ = time_grid(400 * h, h)
+    res = run_ensemble(e2, np.zeros(2), 400 * h, h, KEY, 256, checkpoints=times[:-1])
+    steps = np.linalg.norm(np.diff(res.points, axis=0), axis=-1)
     assert np.max(steps) <= e2.max_step
 
 
@@ -126,17 +144,22 @@ def test_occupation_distribution_sphere():
 
 def test_integrate_constant_exact():
     e1 = Euclidean(1)
-    p = sample_path(e1, None, np.zeros(1), 0.4, 1e-3, KEY)
-    assert integrate_scalar_along(p, constant_field(0.0)) == 0.0
-    assert abs(integrate_scalar_along(p, constant_field(3.0)) - 1.2) < 1e-12
+    res = run_ensemble(e1, np.zeros(1), 0.4, 1e-3, KEY, 1,
+                       scalar_fields=(constant_field(0.0), constant_field(3.0)))
+    assert res.integrals[(0, 1)][-1, 0] == 0.0
+    assert abs(res.integrals[(1, 1)][-1, 0] - 1.2) < 1e-12
 
 
 def test_integrate_singular_capped_matches_engine():
     e3 = Euclidean(3)
     v = coulomb_field(e3, 1.0)
     x = np.array([0.2, 0.0, 0.0])
-    p = sample_path(e3, None, x, 0.02, 1e-3, KEY.child(2))
-    manual = integrate_scalar_along(p, v, cap=1e3)
+    times, steps = frame_steps(KEY.child(2), 0.02, 1e-3, 3)
+    pts = x + np.cumsum(np.concatenate([np.zeros((1, 3)), steps]), axis=0)
+    # v at the midpoints of each step's four quarters, |v| capped at 1e3
+    fracs = np.array([0.125, 0.375, 0.625, 0.875])
+    q = pts[:-1, None, :] + fracs[None, :, None] * steps[:, None, :]
+    manual = float(np.sum(np.diff(times) * np.mean(v(q, cap=1e3), axis=1)))
     res = run_ensemble(e3, x, 0.02, 1e-3, KEY.child(2), 1, scalar_fields=(v,))
     # engine cap is 1/h = 1e3; path index 0 uses stream child(2)+0
     assert abs(res.integrals[(0, 1)][-1, 0] - manual) < 1e-12
@@ -164,24 +187,18 @@ def test_coulomb_path_integral_vs_quadrature():
 
 def test_zero_form():
     e2 = Euclidean(2)
-    p = sample_path(e2, None, np.zeros(2), 0.1, 1e-3, KEY)
-    assert stratonovich_line_integral(p, landau_form(0.0)) == 0.0
+    res = run_ensemble(e2, np.zeros(2), 0.1, 1e-3, KEY, 1, one_form=landau_form(0.0))
+    assert res.line_integral[-1, 0] == 0.0
 
 
 def test_circle_winding_loop_exact():
     # deterministic loop once around the circle picks up exactly 2 pi a
     c = Circle(1.0)
     K = 400
-    dt = 1.0 / K
-    times = np.linspace(0.0, 1.0, K + 1)
     step = 2 * np.pi / K  # frame (= arclength) increment per step
     pts = np.mod(step * np.arange(K + 1), 2 * np.pi)[:, None]
-    p = sample_path(c, None, np.zeros(1), 1.0, dt, KEY)
-    p.times = times
-    p.points = pts
-    p.increments = np.full((K, 1), step / math.sqrt(dt))
     a = 0.7
-    val = stratonovich_line_integral(p, angle_form(a))
+    val = np.sum(stratonovich_increment(c, angle_form(a), pts[:-1], np.full((K, 1), step)))
     assert abs(val - 2 * np.pi * a) < 1e-10
 
 
@@ -200,12 +217,9 @@ def test_path_reversal_antisymmetry():
     # reversing a sampled flat path flips the midpoint-rule line integral
     e2 = Euclidean(2)
     beta = landau_form(0.8)
-    p = sample_path(e2, None, np.array([0.3, -0.2]), 0.2, 1e-3, KEY.child(9))
-    fwd = stratonovich_line_integral(p, beta)
-    q = sample_path(e2, None, p.points[-1], 0.2, 1e-3, KEY.child(9))
-    q.points = p.points[::-1].copy()
-    q.increments = -p.increments[::-1].copy()
-    bwd = stratonovich_line_integral(q, beta)
+    _, pts, steps, _ = engine_path(e2, np.array([0.3, -0.2]), 0.2, 1e-3, KEY.child(9))
+    fwd = np.sum(stratonovich_increment(e2, beta, pts[:-1], steps))
+    bwd = np.sum(stratonovich_increment(e2, beta, pts[::-1][:-1], -steps[::-1]))
     assert abs(fwd + bwd) < 1e-12
 
 
@@ -251,36 +265,41 @@ def test_exit_survival_monotone_in_t():
 def test_dead_paths_are_frozen_and_indexed():
     e1 = Euclidean(1)
     dom = ball(e1, 0.05)
-    res = run_ensemble(dom, np.zeros(1), 0.5, 1e-3, KEY, 500)
+    times, _ = time_grid(0.5, 1e-3)
+    res = run_ensemble(dom, np.zeros(1), 0.5, 1e-3, KEY, 500, checkpoints=times[:-1])
     dead = res.death_step >= 0
     assert dead.any()
     assert np.all(np.abs(res.points[-1][dead]) < 0.05)
-    p = sample_path(dom, None, np.zeros(1), 0.5, 1e-3, KEY.child(0))
-    if not p.alive:
-        assert p.death_index is not None
-        assert len(p.points) == p.death_index
+    # a path is alive at exactly death_step grid points, then frozen
+    for i in np.flatnonzero(dead)[:5]:
+        k = res.death_step[i]
+        assert res.alive[:, i].sum() == k and res.alive[:k, i].all()
+        assert np.all(res.points[k:, i] == res.points[k - 1, i])
 
 
 # -- transports ------------------------------------------------------------
 
 
 def test_sphere_transport_unitary_and_composed():
-    s2 = Sphere2(1.0)
-    p = sample_path(s2, tangent_bundle(), s2.origin(), 0.3, 1e-3, KEY)
-    K = p.transports.shape[0]
-    worst = max(np.max(np.abs(T.conj().T @ T - np.eye(2))) for T in p.transports)
+    s2, b = Sphere2(1.0), tangent_bundle()
+    _, pts, steps, res = engine_path(s2, s2.origin(), 0.3, 1e-3, KEY, bundle=b)
+    transports = b.step_transport(s2, pts[:-1], steps)
+    K = transports.shape[0]
+    worst = max(np.max(np.abs(T.conj().T @ T - np.eye(2))) for T in transports)
     assert worst < 1e-10
     acc = np.eye(2, dtype=complex)
-    for T in p.transports:
+    for T in transports:
         acc = T @ acc
     assert np.max(np.abs(acc.conj().T @ acc - np.eye(2))) < K * 1e-10
+    assert np.max(np.abs(res.transport[-1, 0] - acc)) < 1e-12
 
 
 def test_magnetic_transport_phase_matches_line_integral():
     e2 = Euclidean(2)
     beta = landau_form(0.9)
     b = magnetic_bundle(beta)
-    p = sample_path(e2, b, np.array([0.1, 0.2]), 0.1, 1e-3, KEY.child(4))
-    total = np.prod([T[0, 0] for T in p.transports])
-    line = stratonovich_line_integral(p, beta)
+    res = run_ensemble(e2, np.array([0.1, 0.2]), 0.1, 1e-3, KEY.child(4), 1, bundle=b,
+                       one_form=beta)
+    total = res.transport[-1, 0, 0, 0]
+    line = res.line_integral[-1, 0]
     assert abs(total - np.exp(-1j * line)) < 1e-10
