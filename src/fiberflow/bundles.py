@@ -6,7 +6,7 @@ Three connection kinds cover the catalog:
                 is the identity on every model.
   tangent       complexified tangent bundle of the 2-sphere with the
                 Levi-Civita connection; transport along a geodesic step is
-                the closed-form great-circle rotation (rank 2).
+                the closed-form great-circle rotation, real orthogonal (rank 2).
   magnetic(beta) trivial line bundle with connection d + i*beta; transport
                 along a step is the phase exp(-i * int beta) with the
                 Stratonovich midpoint rule (rank 1).
@@ -76,15 +76,14 @@ class BundleSpec:
             raise ValueError("magnetic 1-forms are supported on flat models and the circle")
 
     def step_transport(self, model: ManifoldModel, x, xi):
-        """Unitary matrices (..., d, d) carrying fiber coordinates at x to
-        fiber coordinates at exp_x(xi) along the geodesic step."""
+        """Unitary (..., d, d) matrices, real for the tangent bundle, carrying fiber
+        coordinates at x to fiber coordinates at exp_x(xi) along the geodesic step."""
         base = model.base if isinstance(model, OpenSubdomain) else model
         if self.kind == "trivial":
             eye = np.eye(self.rank, dtype=complex)
             return np.broadcast_to(eye, np.asarray(xi).shape[:-1] + (self.rank, self.rank))
         if self.kind == "tangent":
-            _, T = base.transport_matrix(x, xi)
-            return T.astype(complex)
+            return base.transport_matrix(x, xi)[1]
         # magnetic: phase e^{-i int beta} with midpoint evaluation
         phase = np.exp(-1j * stratonovich_increment(model, self.beta, x, xi))
         return phase[..., None, None]

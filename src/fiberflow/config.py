@@ -389,6 +389,11 @@ class RunConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
+        # path count, step and time; t = 0 stays valid (paths of one point)
+        for key, need, ok in (("n", ">= 1", lambda v: v >= 1), ("h", "> 0", lambda v: v > 0),
+                              ("t", ">= 0", lambda v: v >= 0)):
+            if key in cfg.raw and not ok(cfg.number(key)):
+                raise ConfigError(key, f"need {key} {need}, got {cfg.raw[key]!r}")
         if "manifold" in cfg.raw:
             cfg.model = parse_manifold(cfg.raw["manifold"])
         rank = cfg.integer("bundle_rank", default=1)

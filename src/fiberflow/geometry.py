@@ -52,6 +52,13 @@ def _as_points(x, coord_dim):
     return x
 
 
+def _cross(a, b):
+    """np.cross of (..., 3) arrays: the same operations, minus its axis handling."""
+    a0, a1, a2 = a[..., 0], a[..., 1], a[..., 2]
+    b0, b1, b2 = b[..., 0], b[..., 1], b[..., 2]
+    return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
+
+
 class ManifoldModel:
     """Base class; concrete models override the geometry primitives."""
 
@@ -369,19 +376,16 @@ class Sphere2(ManifoldModel):
         p = _as_points(p, 3)
         n = p / self.radius
         # reference axis: the coordinate axis least aligned with n
-        a = np.zeros_like(n)
-        idx = np.argmin(np.abs(n), axis=-1)
-        np.put_along_axis(a, idx[..., None], 1.0, axis=-1)
-        e1 = np.cross(a, n)
+        a = (np.argmin(np.abs(n), axis=-1)[..., None] == np.arange(3)).astype(float)
+        e1 = _cross(a, n)
         e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
-        e2 = np.cross(n, e1)
+        e2 = _cross(n, e1)
         return np.stack([e1, e2], axis=-1)
 
-    def exp(self, x, xi):
-        y, _ = self.geodesic_step(x, xi)
-        return y
-
-    def geodesic_step(self, x, xi):
+    def _head(self, x, xi):
+        """The geodesic step exp and transport_matrix share: (x, F, vhat,
+        alpha, y), F = frame(x), vhat the ambient step direction (F's first
+        column for a null step), alpha the angle walked, y the endpoint."""
         x = _as_points(x, 3)
         xi = np.asarray(xi, dtype=float)
         F = self.frame(x)
@@ -390,34 +394,26 @@ class Sphere2(ManifoldModel):
         alpha = norm / self.radius
         small = norm < 1e-300
         vhat = np.where(small, F[..., :, 0], v / np.where(small, 1.0, norm))
-        nhat = x / self.radius
         y = x * np.cos(alpha) + self.radius * vhat * np.sin(alpha)
         y = y * (self.radius / np.linalg.norm(y, axis=-1, keepdims=True))
-        # transported geodesic direction; binormal component preserved
-        that_y = vhat * np.cos(alpha) - nhat * np.sin(alpha)
-        w = np.cross(nhat, vhat)
-        Fy = self.frame(y)
-        amb = (np.sum(v * vhat, axis=-1, keepdims=True) * that_y
-               + np.sum(v * w, axis=-1, keepdims=True) * w)
-        xi_out = np.einsum("...ij,...i->...j", Fy, amb)
-        return y, xi_out
+        return x, F, vhat, alpha, y
+
+    def exp(self, x, xi):
+        return self._head(x, xi)[-1]
+
+    def geodesic_step(self, x, xi):
+        y, T = self.transport_matrix(x, xi)
+        return y, np.einsum("...ij,...j->...i", T, np.asarray(xi, dtype=float))
 
     def transport_matrix(self, x, xi):
-        """2x2 orthogonal matrix carrying frame coefficients at x to frame
-        coefficients at exp_x(xi) by parallel transport along the geodesic."""
-        x = _as_points(x, 3)
-        xi = np.asarray(xi, dtype=float)
-        F = self.frame(x)
-        v = np.einsum("...ij,...j->...i", F, xi)
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
-        alpha = norm / self.radius
-        small = norm < 1e-300
-        vhat = np.where(small, F[..., :, 0], v / np.where(small, 1.0, norm))
+        """(exp_x(xi), T): T is the real 2x2 orthogonal matrix carrying
+        frame coefficients at x to frame coefficients at exp_x(xi) by
+        parallel transport along the geodesic."""
+        x, F, vhat, alpha, y = self._head(x, xi)
         nhat = x / self.radius
-        y = x * np.cos(alpha) + self.radius * vhat * np.sin(alpha)
-        y = y * (self.radius / np.linalg.norm(y, axis=-1, keepdims=True))
+        # transported geodesic direction; binormal component preserved
         that_y = vhat * np.cos(alpha) - nhat * np.sin(alpha)
-        w = np.cross(nhat, vhat)
+        w = _cross(nhat, vhat)
         Fy = self.frame(y)
         # rotation sends vhat -> that_y, w -> w; build columns in target frame
         img1 = np.einsum("...i,...ij->...j", that_y, Fy)

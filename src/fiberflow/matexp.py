@@ -12,13 +12,17 @@ from the same eigen-data.  W = T^* V T, with T the unitary transport, has
 the spectrum of the potential V, so this is V's pointwise floor (exact up
 to rounding), and the path engine uses it instead of solving for V's
 spectrum a second time.
+
+`small_matmul` is the engine's batched product: entry by entry for d <= 3,
+where numpy's stacked complex `matmul` costs several times the arithmetic,
+and `@` above, the same split by rank that the exponential makes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["expm_neg_hermitian"]
+__all__ = ["expm_neg_hermitian", "small_matmul"]
 
 
 def expm_neg_hermitian(W, s):
@@ -34,7 +38,22 @@ def expm_neg_hermitian(W, s):
         return _expm2(W, s)
     lam, U = np.linalg.eigh(W)
     e = np.exp(-s[..., None] * lam)
-    return np.einsum("...ij,...j,...kj->...ik", U, e, U.conj()), lam[..., 0]
+    return small_matmul(U * e[..., None, :], U.conj().swapaxes(-1, -2)), lam[..., 0]
+
+
+def small_matmul(A, C):
+    """A @ C for batches of (..., d, d) matrices, entry by entry for d <= 3."""
+    d = A.shape[-1]
+    if d > 3:
+        return A @ C
+    out = np.empty(np.broadcast_shapes(A.shape, C.shape), dtype=np.result_type(A, C))
+    for i in range(d):
+        for j in range(d):
+            acc = A[..., i, 0] * C[..., 0, j]
+            for k in range(1, d):
+                acc = acc + A[..., i, k] * C[..., k, j]
+            out[..., i, j] = acc
+    return out
 
 
 def _expm2(W, s):

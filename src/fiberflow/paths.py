@@ -20,7 +20,8 @@ single paths.  Each step evaluates V(x) once: the matrix exponential also
 returns the smallest eigenvalue of the transported generator, which is the
 floor (and gives ||V^(2)||) unless the potential declares its own
 floor_fn.  Every non-trivial bundle is transported through
-BundleSpec.step_transport into one (B, d, d) accumulator.
+BundleSpec.step_transport into one (B, d, d) accumulator, real while the
+step matrices are (the tangent bundle) and complex only in its snapshots.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -40,7 +41,7 @@ import numpy as np
 
 from .bundles import BundleSpec, stratonovich_increment
 from .geometry import ManifoldModel, OpenSubdomain
-from .matexp import expm_neg_hermitian
+from .matexp import expm_neg_hermitian, small_matmul
 from .potentials import OneForm, PotentialSpec, ScalarField
 from .rng import RngKey, normals
 from .rng import stream  # noqa: F401  (bench/layers.py wraps paths.stream by name)
@@ -141,6 +142,8 @@ def run_ensemble(
     weights.  x0 is a single start point or an (n_paths, cdim) array of
     per-path starts.  Results depend only on (key.seed, stream offsets,
     n_paths), never on block size or worker count."""
+    if n_paths < 1:
+        raise ValueError(f"need n_paths >= 1, got {n_paths}")
     if bundle is not None:
         bundle.validate_model(model)
     if potential is not None and bundle is not None and potential.rank != bundle.rank:
@@ -256,7 +259,7 @@ def _run_block(
             hol = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
     acc = None
     if track_transport and not bundle.trivial_transport:
-        acc = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
+        acc = np.broadcast_to(np.eye(d), (B, d, d)).copy()  # a complex step promotes it
     floor_acc = np.zeros(B) if track_floor else None
     v2_acc = np.zeros(B) if track_v2norm else None
 
@@ -304,12 +307,10 @@ def _run_block(
                 lam_min = vx
             else:
                 V = potential.matrix(x, cap=cap)
-                if acc is not None:
-                    W = np.einsum("bji,bjk,bkl->bil", acc.conj(), V, acc)
-                else:
-                    W = V
+                W = V if acc is None else small_matmul(acc.conj().swapaxes(1, 2),
+                                                       small_matmul(V, acc))
                 step_exp, lam_min = expm_neg_hermitian(W, dt)
-                hol_new = hol @ step_exp
+                hol_new = small_matmul(hol, step_exp)
             if track_floor or track_v2norm:
                 fl = lam_min if potential.floor_fn is None else potential.scalar_floor(x, cap=cap)
             if track_floor:
@@ -322,7 +323,7 @@ def _run_block(
         # bitwise commutative, so the operand order is part of the result)
         if acc is not None:
             Tk = bundle.step_transport(model, x, step)
-            acc_new = acc * Tk if d == 1 else Tk @ acc
+            acc_new = acc * Tk if d == 1 else small_matmul(Tk, acc)
 
         y = model.exp(x, step)
         if is_domain:

@@ -134,6 +134,20 @@ def test_non_integral_count_names_key(flags, key, capsys):
     assert RunConfig.from_mapping({"n": "1e3"}).integer("n") == 1000
 
 
+@pytest.mark.parametrize("flags, key", [
+    (["--n", "0"], "n"), (["--n", "-5"], "n"), (["--h", "-0.1"], "h"), (["--h", "0"], "h"),
+    (["--t", "-1"], "t"),
+])
+def test_out_of_range_value_names_key(flags, key, capsys):
+    code = main(["semigroup", *BASE, "--t", "0.1", "--h", "0.01", "--n", "10", *flags])
+    err = capsys.readouterr().err
+    assert code == EXIT_USAGE
+    assert err.startswith(f"error: config key '{key}': need {key} ")
+    assert "Traceback" not in err
+    # t = 0 is a valid zero-step run
+    assert RunConfig.from_mapping({"t": "0", "h": "1e-3", "n": "1"}).number("t") == 0.0
+
+
 def test_numerical_failure_exit_code(capsys):
     # at t = 400 the log functional of 200 paths is no longer positive
     code = main(["ground-energy", "--manifold", "euclidean(m=1)", "--potential",

@@ -260,3 +260,47 @@ def test_point_constraints():
     c = Circle(1.0)
     th = c.exp(np.array([6.0]), np.array([1.0]))
     assert 0.0 <= float(th[0]) < 2 * np.pi
+
+
+def _frame_by_np_cross(p, radius):
+    """Sphere2.frame as np.cross computes it: the reference the frame's
+    hand-written cross product must reproduce bit for bit."""
+    n = p / radius
+    a = np.zeros_like(n)
+    np.put_along_axis(a, np.argmin(np.abs(n), axis=-1)[..., None], 1.0, axis=-1)
+    e1 = np.cross(a, n)
+    e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+    return np.stack([e1, np.cross(n, e1)], axis=-1)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_sphere_frame_matches_np_cross_bitwise(axis, radius):
+    s = Sphere2(radius)
+    pts = random_points(s, 400)
+    pts = pts[np.argmin(np.abs(pts), axis=-1) == axis]
+    assert len(pts) > 50
+    F = s.frame(pts)
+    assert F.tobytes() == _frame_by_np_cross(pts, radius).tobytes()
+
+
+def test_sphere_step_methods_share_one_endpoint():
+    s = Sphere2(1.0)
+    x = random_points(s, 64)
+    xi = 0.2 * RNG.standard_normal((64, 2))
+    xi[:4] = 0.0
+    y = s.exp(x, xi)
+    assert np.array_equal(y, s.geodesic_step(x, xi)[0])
+    assert np.array_equal(y, s.transport_matrix(x, xi)[0])
+
+
+def test_sphere_transport_is_real_rotation():
+    s = Sphere2(1.0)
+    x = random_points(s, 64)
+    xi = 0.2 * RNG.standard_normal((64, 2))
+    xi[:4] = 0.0  # the null-step branch
+    _, T = s.transport_matrix(x, xi)
+    assert T.dtype == np.float64
+    assert np.max(np.abs(np.swapaxes(T, -1, -2) @ T - np.eye(2))) < 1e-12
+    assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-12
+    assert np.max(np.abs(T[:4] - np.eye(2))) < 1e-12

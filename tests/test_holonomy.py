@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from fiberflow.bundles import tangent_bundle
 from fiberflow.geometry import Euclidean, Sphere2
 from fiberflow.holonomy import appendix_c_check, appendix_c_suite, product_integral_truncation
-from fiberflow.matexp import expm_neg_hermitian
+from fiberflow.matexp import expm_neg_hermitian, small_matmul
 from fiberflow.paths import run_ensemble, time_grid
 from fiberflow.potentials import PotentialSpec, ScalarField
 from fiberflow.rng import RngKey
@@ -62,6 +62,22 @@ def test_zero_potential_identity():
     values = res.holonomy[:, 0]
     assert np.allclose(values, np.eye(2))
     assert np.allclose(np.linalg.inv(values), np.eye(2))
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 4])
+@pytest.mark.parametrize("batch", [(5,), (2, 3), (0,)])
+@pytest.mark.parametrize("real_left", [True, False], ids=["real-complex", "complex-complex"])
+def test_small_matmul_matches_matmul(d, batch, real_left):
+    rng = np.random.default_rng(100 * d + len(batch))
+    shape = batch + (d, d)
+    A = rng.standard_normal(shape)
+    if not real_left:
+        A = A + 1j * rng.standard_normal(shape)
+    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    got = small_matmul(A, C)
+    assert got.shape == shape
+    assert got.dtype == np.result_type(A, C)
+    np.testing.assert_allclose(got, np.matmul(A, C), rtol=1e-14, atol=0)
 
 
 def test_constant_scalar_matrix():

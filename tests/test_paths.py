@@ -9,10 +9,11 @@ from fiberflow.bundles import (magnetic_bundle, stratonovich_increment, tangent_
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.oracle import exit_survival_interval, levy_area_charfn, smeared_coulomb
 from fiberflow.paths import exit_probability, run_ensemble, time_grid
-from fiberflow.potentials import (angle_form, constant_field,
-                                  coulomb_field, harmonic_field, landau_form,
-                                  power_field)
+from fiberflow.potentials import (PotentialSpec, angle_form, constant_field,
+                                  constant_section, coulomb_field, harmonic_field,
+                                  landau_form, power_field)
 from fiberflow.rng import RngKey, normals, stream
+from fiberflow.semigroup import fk_vector
 
 KEY = RngKey(20240601)
 
@@ -43,6 +44,12 @@ def test_time_grid_merges_checkpoints():
 def test_degenerate_grid():
     _, pts, steps, res = engine_path(Euclidean(2), np.zeros(2), 0.0, 1e-3, KEY)
     assert res.alive.all() and len(pts) == 1 and steps.shape[0] == 0
+
+
+@pytest.mark.parametrize("n_paths", [0, -3])
+def test_run_ensemble_rejects_empty_ensemble(n_paths):
+    with pytest.raises(ValueError, match="n_paths >= 1"):
+        run_ensemble(Euclidean(1), np.zeros(1), 0.1, 0.01, KEY, n_paths)
 
 
 def test_trivial_bundle_transports_identity():
@@ -292,6 +299,37 @@ def test_sphere_transport_unitary_and_composed():
         acc = T @ acc
     assert np.max(np.abs(acc.conj().T @ acc - np.eye(2))) < K * 1e-10
     assert np.max(np.abs(res.transport[-1, 0] - acc)) < 1e-12
+
+
+def test_tangent_step_builds_each_frame_once(monkeypatch):
+    # exp needs frame(x); transport_matrix needs frame(x) and frame(y): a
+    # fourth frame per step means a geodesic is being built twice
+    s2, b = Sphere2(1.0), tangent_bundle()
+    V = PotentialSpec(rank=2, const=np.diag([0.2, 0.5]),
+                      terms=[(harmonic_field(s2, 1.0), np.array([[0.0, 1.0], [1.0, 0.0]]))])
+    calls = []
+    frame = Sphere2.frame
+
+    def counted(self, p):
+        calls.append(1)
+        return frame(self, p)
+
+    monkeypatch.setattr(Sphere2, "frame", counted)
+    t, h, n = 0.02, 1e-3, 64
+    fk_vector(s2, b, V, constant_section([1.0, 0.0], rank=2), s2.origin(), t, h, n, KEY)
+    assert len(calls) <= 3 * round(t / h)
+    monkeypatch.undo()
+    # the engine's accumulated transport is the product of the step matrices
+    times, _ = time_grid(t, h)
+    res = run_ensemble(s2, s2.origin(), t, h, KEY, n, bundle=b, potential=V,
+                       checkpoints=times[:-1])
+    steps = np.sqrt(np.diff(times))[:, None] * normals(KEY, n, (len(times) - 1, 2))
+    transports = b.step_transport(s2, res.points.swapaxes(0, 1)[:, :-1], steps)
+    assert transports.dtype == np.float64  # real rotations, no complex arithmetic
+    acc = np.broadcast_to(np.eye(2), (n, 2, 2))
+    for k in range(len(times) - 1):
+        acc = transports[:, k] @ acc
+        assert np.max(np.abs(res.transport[k + 1] - acc)) < 1e-12
 
 
 def test_magnetic_transport_phase_matches_line_integral():
