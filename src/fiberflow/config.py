@@ -389,10 +389,19 @@ class RunConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
-        # path count, step and time; t = 0 stays valid (paths of one point)
-        for key, need, ok in (("n", ">= 1", lambda v: v >= 1), ("h", "> 0", lambda v: v > 0),
-                              ("t", ">= 0", lambda v: v >= 0)):
-            if key in cfg.raw and not ok(cfg.number(key)):
+        # counts, step, radii, times and every grid entry; t = 0 stays valid
+        # (paths of one point)
+        count = (">= 1", lambda v: v >= 1)
+        positive = ("> 0", lambda v: v > 0)
+        non_negative = (">= 0", lambda v: v >= 0)
+        for key, (need, ok) in (("n", count), ("trials", count), ("k", count), ("h", positive),
+                                ("r", positive), ("radius", positive), ("lam", positive),
+                                ("t", non_negative), ("s", non_negative),
+                                ("t_grid", non_negative), ("s_grid", non_negative)):
+            if key not in cfg.raw:
+                continue
+            v = cfg.values(key) if key.endswith("_grid") else cfg.number(key)
+            if not np.all(ok(v)):
                 raise ConfigError(key, f"need {key} {need}, got {cfg.raw[key]!r}")
         if "manifold" in cfg.raw:
             cfg.model = parse_manifold(cfg.raw["manifold"])

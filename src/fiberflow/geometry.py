@@ -115,27 +115,6 @@ class ManifoldModel:
         """Largest radius for which polar coordinates cover the model."""
         return np.inf
 
-    def unit_directions(self, level=16):
-        """(directions, weights): frame-coefficient unit vectors with
-        weights summing to |S^{dim-1}|."""
-        m = self.dim
-        if m == 1:
-            return np.array([[1.0], [-1.0]]), np.array([1.0, 1.0])
-        if m == 2:
-            ang = 2.0 * np.pi * (np.arange(level) + 0.5) / level
-            dirs = np.stack([np.cos(ang), np.sin(ang)], axis=-1)
-            return dirs, np.full(level, 2.0 * np.pi / level)
-        if m == 3:
-            z, wz = np.polynomial.legendre.leggauss(level)
-            nphi = 2 * level
-            phi = 2.0 * np.pi * (np.arange(nphi) + 0.5) / nphi
-            zz, pp = np.meshgrid(z, phi, indexing="ij")
-            s = np.sqrt(1.0 - zz**2)
-            dirs = np.stack([s * np.cos(pp), s * np.sin(pp), zz], axis=-1).reshape(-1, 3)
-            w = np.repeat(wz, nphi) * (2.0 * np.pi / nphi)
-            return dirs, w
-        raise NotImplementedError("unit directions implemented for dim <= 3")
-
     # -- generic helpers ------------------------------------------------
 
     def exp_step(self, x, xi):
@@ -558,15 +537,6 @@ class HyperbolicPlane(ManifoldModel):
         xi_out = xc * tangent_frame / direction
         return self._xy(y), np.stack([xi_out.real, xi_out.imag], axis=-1)
 
-    def transport_phase(self, x, xi):
-        """Complex unit: rotation applied to frame coefficients by parallel
-        transport along the geodesic step (2d transport is a rotation)."""
-        _, xi_out = self.geodesic_step(x, xi)
-        xc = xi[..., 0] + 1j * xi[..., 1]
-        oc = xi_out[..., 0] + 1j * xi_out[..., 1]
-        r = np.abs(xc)
-        return np.where(r < 1e-300, 1.0 + 0j, oc / np.where(r < 1e-300, 1.0, xc))
-
     def distance(self, x, y):
         z1 = self._z(x)
         z2 = self._z(y)
@@ -690,9 +660,6 @@ class OpenSubdomain(ManifoldModel):
 
     def polar_rmax(self):
         return self.base.polar_rmax()
-
-    def unit_directions(self, level=16):
-        return self.base.unit_directions(level)
 
     def geodesic_segment(self, x0, x1, n):
         return self.base.geodesic_segment(x0, x1, n)

@@ -8,20 +8,24 @@ subdomains are killed at the first grid point outside (bias O(sqrt(h)),
 resolved by h-refinement in the estimator tests).
 
 This module is the package's one path engine: everything an estimator
-consumes is produced in one vectorized pass over a block of paths:
-endpoints, alive indicators, trapezoid time-integrals of scalar fields
-(with 4-point sub-step sampling and the 1/h cap at declared singular
-points), Stratonovich line integrals of 1-forms (geodesic midpoint rule),
-the potential holonomy (exponential-product integrator, left-point rule),
-the accumulated transport, and left-point integrals of the scalar floor,
-all snapshotted at requested checkpoint times.  A checkpoint at every grid
+consumes is produced in one vectorized pass over a block of paths, kept in
+one table of per-path state keyed by EnsembleResult field: endpoints,
+alive indicators, trapezoid time-integrals of scalar fields (with 4-point
+sub-step sampling and the 1/h cap at declared singular points), Stratonovich
+line integrals of 1-forms (geodesic midpoint rule), the potential holonomy
+(exponential-product integrator, left-point rule), the accumulated
+transport, and left-point integrals of the scalar floor and of ||V^(2)||.
+Each step builds its updates out of place, merges them in one loop on the
+paths that stayed inside an open subdomain, and copies the table into the
+snapshot arrays at requested checkpoint times.  A checkpoint at every grid
 time gives a whole path, which is how `--dump-paths` and the tests read
 single paths.  Each step evaluates V(x) once: the matrix exponential also
 returns the smallest eigenvalue of the transported generator, which is the
-floor (and gives ||V^(2)||) unless the potential declares its own
-floor_fn.  Every non-trivial bundle is transported through
-BundleSpec.step_transport into one (B, d, d) accumulator, real while the
-step matrices are (the tangent bundle) and complex only in its snapshots.
+floor (and gives ||V^(2)||, its negative part) unless the potential declares
+its own floor_fn; both integrals exist whenever there is a potential.
+Every non-trivial bundle is transported through BundleSpec.step_transport
+into one (B, d, d) accumulator, real while the step matrices are (the
+tangent bundle) and complex only in its snapshots.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -34,7 +38,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -99,18 +103,19 @@ def time_grid(t, h, checkpoints=()):
 class EnsembleResult:
     """Per-path outputs at each checkpoint time (axis 0 = checkpoints,
     axis 1 = path index).  Dead paths are frozen at their last inside
-    point and excluded from further accumulation."""
+    point and excluded from further accumulation.  A field is None when
+    the run does not ask for it (no one-form, potential or bundle)."""
 
-    snap_times: np.ndarray
-    alive: np.ndarray
-    points: np.ndarray
+    snap_times: np.ndarray                    # (T,)
+    alive: np.ndarray                         # (T, N) bool
+    points: np.ndarray                        # (T, N, coord_dim)
     integrals: dict = field(default_factory=dict)  # (field_idx, stride) -> (T, N)
-    line_integral: Optional[np.ndarray] = None
-    holonomy: Optional[np.ndarray] = None     # (T, N, d, d)
-    transport: Optional[np.ndarray] = None    # (T, N, d, d) accumulated
-    floor_integral: Optional[np.ndarray] = None  # left-point sum of scalar floor
-    v2_integral: Optional[np.ndarray] = None     # left-point sum of ||V^(2)||
-    death_step: Optional[np.ndarray] = None
+    line_integral: Optional[np.ndarray] = None   # (T, N), with a one_form
+    holonomy: Optional[np.ndarray] = None     # (T, N, d, d), with a potential
+    transport: Optional[np.ndarray] = None    # (T, N, d, d) accumulated, with a bundle
+    floor_integral: Optional[np.ndarray] = None  # left-point sum of the scalar floor,
+    v2_integral: Optional[np.ndarray] = None     # and of ||V^(2)||, with a potential
+    death_step: Optional[np.ndarray] = None   # (N,) grid index of exit, -1 if none
 
     @property
     def n_paths(self):
@@ -133,8 +138,6 @@ def run_ensemble(
     strides: Sequence[int] = (1,),
     one_form: Optional[OneForm] = None,
     potential: Optional[PotentialSpec] = None,
-    track_floor: bool = False,
-    track_v2norm: bool = False,
     checkpoints: Sequence[float] = (),
     workers: int = 1,
 ) -> EnsembleResult:
@@ -148,8 +151,6 @@ def run_ensemble(
         bundle.validate_model(model)
     if potential is not None and bundle is not None and potential.rank != bundle.rank:
         raise ValueError("potential rank does not match bundle rank")
-    if (track_floor or track_v2norm) and potential is None:
-        raise ValueError("floor tracking requires a potential")
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = np.broadcast_to(x0, (n_paths, x0.shape[0]))
@@ -176,8 +177,7 @@ def run_ensemble(
     task = dict(
         model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
         scalar_fields=tuple(scalar_fields), strides=strides, one_form=one_form,
-        potential=potential, track_floor=track_floor, track_v2norm=track_v2norm,
-        cap=cap,
+        potential=potential, cap=cap,
     )
     args = [(task, x0[i0:i1], i0) for (i0, i1) in ranges]
     if workers > 1 and len(args) > 1:
@@ -185,7 +185,7 @@ def run_ensemble(
             parts = list(ex.map(_block_worker, args))
     else:
         parts = [_block_worker(a) for a in args]
-    return _concat_results(parts, times, snap_idx)
+    return _concat_results(parts)
 
 
 def _block_worker(arg):
@@ -193,207 +193,140 @@ def _block_worker(arg):
     return _run_block(x0blk, i0, **task)
 
 
-def _concat_results(parts, times, snap_idx):
-    out = parts[0]
-    if len(parts) > 1:
-        join = lambda name: (
-            None if getattr(parts[0], name) is None
-            else np.concatenate([getattr(p, name) for p in parts], axis=1)
-        )
-        out = EnsembleResult(
-            snap_times=parts[0].snap_times,
-            alive=join("alive"),
-            points=join("points"),
-            integrals={k: np.concatenate([p.integrals[k] for p in parts], axis=1)
-                       for k in parts[0].integrals},
-            line_integral=join("line_integral"),
-            holonomy=join("holonomy"),
-            transport=join("transport"),
-            floor_integral=join("floor_integral"),
-            v2_integral=join("v2_integral"),
-            death_step=None if parts[0].death_step is None
-            else np.concatenate([p.death_step for p in parts]),
-        )
-    return out
+def _concat_results(parts):
+    """One result from consecutive blocks: every per-path field joins along
+    its path axis (axis 1, axis 0 for death_step); snap_times is shared."""
+    if len(parts) == 1:
+        return parts[0]
+
+    def join(name, vals):
+        if name == "snap_times" or vals[0] is None:
+            return vals[0]
+        if isinstance(vals[0], dict):
+            return {k: join(k, [v[k] for v in vals]) for k in vals[0]}
+        return np.concatenate(vals, axis=0 if name == "death_step" else 1)
+
+    return EnsembleResult(**{f.name: join(f.name, [getattr(p, f.name) for p in parts])
+                             for f in fields(EnsembleResult)})
 
 
 def _run_block(
     x0, i0, *, model, times, snap_idx, key, bundle, scalar_fields, strides,
-    one_form, potential, track_floor, track_v2norm, cap,
+    one_form, potential, cap,
 ):
     B = x0.shape[0]
     K = len(times) - 1
-    m = model.dim
     dts = np.diff(times)
-    snap_set = {}
+    snap_at = {}
     for pos, idx in enumerate(snap_idx):
-        snap_set.setdefault(idx, []).append(pos)
-    T = len(snap_idx)
+        snap_at.setdefault(idx, []).append(pos)
 
-    incs = normals(key.child(i0), B, (K, m))
+    incs = normals(key.child(i0), B, (K, model.dim))
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
-    track_transport = bundle is not None
-    track_holonomy = potential is not None
-
-    x = x0.copy()
-    alive = np.ones(B, dtype=bool)
-    death = np.full(B, -1, dtype=np.int64)
+    moving = bundle is not None and not bundle.trivial_transport
     is_domain = isinstance(model, OpenSubdomain)
+    death = np.full(B, -1, dtype=np.int64)
 
-    n_f = len(scalar_fields)
-    accs = np.zeros((n_f, len(strides), B))
-    v_prev = np.zeros((n_f, len(strides), B))
+    # per-path state, keyed by EnsembleResult field (scalar integrals by
+    # (field_idx, stride)); a scalar potential's holonomy is the left-point
+    # integral of v until the result is built (it commutes with transport)
+    state = {"alive": np.ones(B, dtype=bool), "points": x0.copy()}
+    v_prev = {}  # trapezoid left values; stale on dead paths, never read there
     for i, f in enumerate(scalar_fields):
-        if not f.singular:
-            v_prev[i, :, :] = f(x, cap=cap)
-    line = np.zeros(B) if one_form is not None else None
-    if track_holonomy:
-        # scalar potentials commute with the (unitary) transport, so the
-        # holonomy reduces to exp of the left-point integral of v
-        if potential.is_scalar:
-            hol_log = np.zeros(B)
-            hol = None
-        else:
-            hol_log = None
-            hol = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-    acc = None
-    if track_transport and not bundle.trivial_transport:
-        acc = np.broadcast_to(np.eye(d), (B, d, d)).copy()  # a complex step promotes it
-    floor_acc = np.zeros(B) if track_floor else None
-    v2_acc = np.zeros(B) if track_v2norm else None
+        v0 = None if f.singular else f(x0, cap=cap)
+        for s in strides:
+            state[(i, s)] = np.zeros(B)
+            v_prev[(i, s)] = v0
+    if one_form is not None:
+        state["line_integral"] = np.zeros(B)
+    if potential is not None:
+        state["holonomy"] = (np.zeros(B) if potential.is_scalar
+                             else np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy())
+        state["floor_integral"] = np.zeros(B)
+        state["v2_integral"] = np.zeros(B)
+    if bundle is not None:
+        # a complex step promotes the real identity; trivial bundles keep it
+        state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
+    snaps = {name: np.zeros((len(snap_idx),) + v.shape,
+                            dtype=complex if name == "transport" else v.dtype)
+             for name, v in state.items()}
 
-    # snapshot storage
-    snap_alive = np.zeros((T, B), dtype=bool)
-    snap_points = np.zeros((T, B, x.shape[1]))
-    snap_ints = np.zeros((n_f, len(strides), T, B))
-    snap_line = np.zeros((T, B)) if one_form is not None else None
-    snap_hol = np.zeros((T, B, d, d), dtype=complex) if track_holonomy else None
-    snap_acc = np.zeros((T, B, d, d), dtype=complex) if track_transport else None
-    snap_floor = np.zeros((T, B)) if track_floor else None
-    snap_v2 = np.zeros((T, B)) if track_v2norm else None
+    def snapshot(idx):
+        for pos in snap_at.get(idx, ()):
+            for name, arr in snaps.items():
+                arr[pos] = state[name]
 
-    def take_snapshot(idx):
-        for pos in snap_set.get(idx, ()):
-            snap_alive[pos] = alive
-            snap_points[pos] = x
-            snap_ints[:, :, pos, :] = accs
-            if snap_line is not None:
-                snap_line[pos] = line
-            if snap_hol is not None:
-                snap_hol[pos] = (np.exp(-hol_log)[:, None, None] * np.eye(1)
-                                 if hol is None else hol)
-            if snap_acc is not None:
-                snap_acc[pos] = np.eye(d, dtype=complex) if acc is None else acc
-            if snap_floor is not None:
-                snap_floor[pos] = floor_acc
-            if snap_v2 is not None:
-                snap_v2[pos] = v2_acc
-
-    take_snapshot(0)
+    snapshot(0)
     for k in range(K):
         dt = dts[k]
-        sqdt = math.sqrt(dt)
-        step = sqdt * incs[:, k, :]
+        x = state["points"]
+        step = math.sqrt(dt) * incs[:, k, :]
+        new = {}
 
         # potential holonomy and left-point integrals use the step start;
         # V(x) is evaluated once, and its floor is the smallest eigenvalue
         # the exponential already solved for (W is a unitary conjugate of
         # V) unless the potential supplies its own floor_fn
-        if track_holonomy:
-            if hol is None:
-                vx = potential.scalar_values(x, cap=cap)
-                hol_log_new = hol_log + dt * vx
-                lam_min = vx
+        if potential is not None:
+            if potential.is_scalar:
+                lam_min = potential.scalar_values(x, cap=cap)
+                new["holonomy"] = state["holonomy"] + dt * lam_min
             else:
-                V = potential.matrix(x, cap=cap)
-                W = V if acc is None else small_matmul(acc.conj().swapaxes(1, 2),
-                                                       small_matmul(V, acc))
+                W = potential.matrix(x, cap=cap)
+                if moving:  # V in the start fibre's frame: acc^H V acc
+                    acc = state["transport"]
+                    W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
                 step_exp, lam_min = expm_neg_hermitian(W, dt)
-                hol_new = small_matmul(hol, step_exp)
-            if track_floor or track_v2norm:
-                fl = lam_min if potential.floor_fn is None else potential.scalar_floor(x, cap=cap)
-            if track_floor:
-                floor_new = floor_acc + dt * fl
-            if track_v2norm:
-                v2_new = v2_acc + dt * np.maximum(0.0, -fl)
+                new["holonomy"] = small_matmul(state["holonomy"], step_exp)
+            fl = lam_min if potential.floor_fn is None else potential.scalar_floor(x, cap=cap)
+            new["floor_integral"] = state["floor_integral"] + dt * fl
+            new["v2_integral"] = state["v2_integral"] + dt * np.maximum(0.0, -fl)
 
         # transport along the step; at rank 1 the step is a phase, taken
         # elementwise as acc * Tk (with FMA, complex products are not
         # bitwise commutative, so the operand order is part of the result)
-        if acc is not None:
+        if moving:
+            acc = state["transport"]
             Tk = bundle.step_transport(model, x, step)
-            acc_new = acc * Tk if d == 1 else small_matmul(Tk, acc)
+            new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
 
-        y = model.exp(x, step)
-        if is_domain:
-            inside = model.contains(y)
-            stepped = alive & inside
-            died = alive & ~inside
-            if np.any(died):
-                death[died] = k + 1
-            all_alive = False
-        else:
-            stepped = alive
-            all_alive = True
-
-        def merge(new, old, matrix=False):
-            if all_alive:
-                return new
-            mask = stepped[:, None, None] if matrix else stepped
-            return np.where(mask, new, old)
+        y = new["points"] = model.exp(x, step)
 
         # scalar field integrals (trapezoid; singular via capped substeps)
         for i, f in enumerate(scalar_fields):
             if f.singular:
-                sub = 0.0
-                for fr in _SUBSTEP_FRACS:
-                    sub = sub + f(model.exp(x, fr * step), cap=cap)
-                contrib = dt * sub / len(_SUBSTEP_FRACS)
-                accs[i, 0] = merge(accs[i, 0] + contrib, accs[i, 0])
-            else:
-                vy = f(y, cap=cap)
-                for si, s in enumerate(strides):
-                    if (k + 1) % s == 0:
-                        contrib = (s * dt) * 0.5 * (v_prev[i, si] + vy)
-                        accs[i, si] = merge(accs[i, si] + contrib, accs[i, si])
-                        v_prev[i, si] = merge(vy, v_prev[i, si])
+                sub = sum(f(model.exp(x, fr * step), cap=cap) for fr in _SUBSTEP_FRACS)
+                new[(i, 1)] = state[(i, 1)] + dt * sub / len(_SUBSTEP_FRACS)
+                continue
+            vy = f(y, cap=cap)
+            for s in strides:
+                if (k + 1) % s == 0:
+                    new[(i, s)] = state[(i, s)] + (s * dt) * 0.5 * (v_prev[(i, s)] + vy)
+                    v_prev[(i, s)] = vy
 
         if one_form is not None:
-            inc = stratonovich_increment(model, one_form, x, step)
-            line = merge(line + inc, line)
+            new["line_integral"] = (state["line_integral"]
+                                    + stratonovich_increment(model, one_form, x, step))
 
-        if track_holonomy:
-            if hol is None:
-                hol_log = merge(hol_log_new, hol_log)
-            else:
-                hol = merge(hol_new, hol, matrix=True)
-        if track_floor:
-            floor_acc = merge(floor_new, floor_acc)
-        if track_v2norm:
-            v2_acc = merge(v2_new, v2_acc)
-        if acc is not None:
-            acc = merge(acc_new, acc, matrix=True)
+        # paths that leave the domain keep their last inside values
+        if is_domain:
+            alive = state["alive"]
+            stepped = alive & model.contains(y)
+            death[alive & ~stepped] = k + 1
+            for name, v in new.items():
+                new[name] = np.where(stepped.reshape((B,) + (1,) * (v.ndim - 1)), v, state[name])
+            new["alive"] = stepped
+        state.update(new)
+        snapshot(k + 1)
 
-        if all_alive:
-            x = y
-        else:
-            x = np.where(stepped[:, None], y, x)
-            alive = stepped
-        take_snapshot(k + 1)
-
+    if potential is not None and potential.is_scalar:
+        snaps["holonomy"] = np.exp(-snaps["holonomy"])[..., None, None].astype(complex)
     return EnsembleResult(
         snap_times=np.asarray([times[i] for i in snap_idx]),
-        alive=snap_alive,
-        points=snap_points,
-        integrals={(i, s): snap_ints[i, si] for i in range(n_f)
-                   for si, s in enumerate(strides)},
-        line_integral=snap_line,
-        holonomy=snap_hol,
-        transport=snap_acc,
-        floor_integral=snap_floor,
-        v2_integral=snap_v2,
+        integrals={name: arr for name, arr in snaps.items() if isinstance(name, tuple)},
         death_step=death,
+        **{name: arr for name, arr in snaps.items() if isinstance(name, str)},
     )
 
 

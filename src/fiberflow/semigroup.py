@@ -95,22 +95,24 @@ def _scalar_field_of(v: PotentialSpec) -> ScalarField:
 # the three Feynman-Kac estimators
 
 
+def _scalar_weights(model, v, x, t, h, n, key: RngKey, beta: Optional[OneForm],
+                    checkpoints, workers):
+    """(run, per-path weights e^{-int v [+ i int beta(dB)]} 1_{t<zeta}) for
+    a single-field scalar potential v: trapezoid rule for v, midpoint rule
+    for the Stratonovich phase."""
+    vf = _scalar_field_of(_as_potential(v))
+    res = run_ensemble(model, x, t, h, key, n, scalar_fields=(vf,), one_form=beta,
+                       checkpoints=checkpoints, workers=workers)
+    exponent = -res.integrals[(0, 1)]
+    if beta is not None:
+        exponent = exponent + 1j * res.line_integral
+    return res, np.exp(exponent) * res.alive
+
+
 def fk_scalar(model, v, f: SectionSpec, x, t, h, n, key: RngKey,
               checkpoints=(), workers=1) -> Estimate:
     """E[e^{-int v} f(B_t) 1_{t<zeta}] with the trapezoid weight rule."""
-    v = _as_potential(v)
-    vf = _scalar_field_of(v)
-    res = run_ensemble(model, x, t, h, key, n, scalar_fields=(vf,),
-                       checkpoints=checkpoints, workers=workers)
-    weights = np.exp(-res.integrals[(0, 1)]) * res.alive
-    samples = weights * f(res.points)
-    mean, se = _reduce(samples[-1])
-    out = Estimate(mean, se, n, h, key.seed, res.alive_fraction(), extras={})
-    if checkpoints:
-        means, ses = zip(*(_reduce(samples[i]) for i in range(samples.shape[0])))
-        out.extras["per_time"] = {"times": res.snap_times.tolist(),
-                                  "value": list(means), "stderr": list(ses)}
-    return out
+    return fk_magnetic(model, None, v, f, x, t, h, n, key, checkpoints, workers)
 
 
 def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n,
@@ -124,7 +126,7 @@ def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n
     if bundle is None:
         bundle = trivial_bundle(d)
     res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       track_floor=True, checkpoints=checkpoints, workers=workers)
+                       checkpoints=checkpoints, workers=workers)
     samples, floor_w, fnorm = _vector_samples(res, f, d)
     if assert_domination:
         _assert_domination(samples, floor_w, fnorm, res.alive)
@@ -170,15 +172,11 @@ def _assert_domination(samples, floor_w, fnorm, alive):
             f"path {idx[1]}: integrator bug")
 
 
-def fk_magnetic(model, beta: OneForm, v, f: SectionSpec, x, t, h, n, key: RngKey,
+def fk_magnetic(model, beta: Optional[OneForm], v, f: SectionSpec, x, t, h, n, key: RngKey,
                 checkpoints=(), workers=1) -> Estimate:
     """E[e^{-int v + i int beta(dB)} f(B_t) 1_{t<zeta}], midpoint rule for
-    the Stratonovich phase."""
-    v = _as_potential(v)
-    vf = _scalar_field_of(v)
-    res = run_ensemble(model, x, t, h, key, n, scalar_fields=(vf,), one_form=beta,
-                       checkpoints=checkpoints, workers=workers)
-    weights = np.exp(-res.integrals[(0, 1)] + 1j * res.line_integral) * res.alive
+    the Stratonovich phase; beta = None is fk_scalar."""
+    res, weights = _scalar_weights(model, v, x, t, h, n, key, beta, checkpoints, workers)
     samples = weights * f(res.points)
     mean, se = _reduce(samples[-1])
     out = Estimate(mean, se, n, h, key.seed, res.alive_fraction(), extras={})
@@ -266,29 +264,15 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     starts, Z = _rejection_starts(model, f1, n, key, radius=radius)
     tmax = float(t_grid[-1])
     cps = t_grid[:-1]
-    if V.is_scalar and beta is None and (bundle is None or bundle.trivial_transport):
-        vf = _scalar_field_of(V)
-        res = run_ensemble(model, starts, tmax, h, key, n, scalar_fields=(vf,),
-                           checkpoints=cps, workers=workers)
-        wts = np.exp(-res.integrals[(0, 1)]) * res.alive
-        f2e = f2(res.points)
+    if beta is not None or (V.is_scalar and (bundle is None or bundle.trivial_transport)):
+        res, wts = _scalar_weights(model, V, starts, tmax, h, n, key, beta, cps, workers)
         f1e = f1(starts)
         phase1 = np.where(np.abs(f1e) > 0, np.conj(f1e) / np.abs(f1e), 1.0)
-        samples = Z * phase1[None, :] * wts * f2e
-    elif beta is not None:
-        vf = _scalar_field_of(V)
-        res = run_ensemble(model, starts, tmax, h, key, n, scalar_fields=(vf,),
-                           one_form=beta, checkpoints=cps, workers=workers)
-        wts = np.exp(-res.integrals[(0, 1)] + 1j * res.line_integral) * res.alive
-        f2e = f2(res.points)
-        f1e = f1(starts)
-        phase1 = np.where(np.abs(f1e) > 0, np.conj(f1e) / np.abs(f1e), 1.0)
-        samples = Z * phase1[None, :] * wts * f2e
+        samples = Z * phase1[None, :] * wts * f2(res.points)
     else:
         d = V.rank
         res = run_ensemble(model, starts, tmax, h, key, n, bundle=bundle,
-                           potential=V, track_floor=True, checkpoints=cps,
-                           workers=workers)
+                           potential=V, checkpoints=cps, workers=workers)
         vec, _, _ = _vector_samples(res, f2, d)
         f1e = f1(starts)
         if f1e.ndim == 1:
@@ -349,8 +333,7 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     if bundle is None:
         bundle = trivial_bundle(d)
     res = run_ensemble(model, x, float(t_nodes[-1]), h, key, n, bundle=bundle,
-                       potential=V, track_floor=True,
-                       checkpoints=t_nodes[:-1], workers=workers)
+                       potential=V, checkpoints=t_nodes[:-1], workers=workers)
     samples, floor_w, fnorm = _vector_samples(res, f, d)
     _assert_domination(samples, floor_w, fnorm, res.alive)
     order = np.argsort(np.argsort(u / lam))  # map node -> checkpoint row
@@ -385,7 +368,7 @@ def domination_check(model, bundle, V, f: SectionSpec, x, t, h, n, key: RngKey,
     if bundle is None:
         bundle = trivial_bundle(d)
     res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       track_floor=True, workers=workers)
+                       workers=workers)
     samples, floor_w, fnorm = _vector_samples(res, f, d)
     snorm = np.abs(samples[-1]) if samples.ndim == 2 else np.linalg.norm(samples[-1], axis=-1)
     rhs = (floor_w * fnorm * res.alive)[-1]
@@ -463,7 +446,7 @@ def smoothing_norm_bound(model, V, t, q, probes, x_grid, h, n, key: RngKey,
     for j, x in enumerate(pts):
         res = run_ensemble(model, x, t, h, key.child(j * n), n,
                            bundle=trivial_bundle(d) if d > 1 else None,
-                           potential=V, track_floor=True, workers=workers)
+                           potential=V, workers=workers)
         for pi, f in enumerate(probes):
             samples, floor_w, fnorm = _vector_samples(res, f, d)
             _assert_domination(samples, floor_w, fnorm, res.alive)
@@ -503,11 +486,10 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
         bundle = trivial_bundle(d)
     outer = run_ensemble(model, x, s, h, key, n_out, bundle=bundle,
                          potential=_as_potential(V_outer) if V_outer is not None else None,
-                         track_floor=V_outer is not None, workers=workers)
+                         workers=workers)
     y = np.repeat(outer.points[-1], n_in, axis=0)
     inner = run_ensemble(model, y, t, h, key.child(INNER_STREAM_GAP), n_out * n_in,
-                         bundle=bundle, potential=V_inner, track_floor=True,
-                         workers=workers)
+                         bundle=bundle, potential=V_inner, workers=workers)
     vec, _, _ = _vector_samples(inner, f, d)
     u = vec[-1].reshape(n_out, n_in, -1).mean(axis=1)  # inner estimates at each y_i
     if outer.holonomy is not None:
@@ -565,7 +547,6 @@ def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
         bundle = trivial_bundle(d)
     # right side: single paths, holonomy window weight
     res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       track_floor=True, track_v2norm=True,
                        checkpoints=[s] if 0.0 < s < t else [], workers=workers)
     snaps = res.snap_times
     si = int(np.argmin(np.abs(snaps - s)))

@@ -4,7 +4,9 @@ The tracer wraps engine functions by name, so renaming one of them breaks
 `bench/run.py --trace 1` without failing any engine test.  This runs a tiny
 rank-3 fk_vector call under the tracer and pins what the fused step
 promises: one V(x) evaluation per step and no separate floor eigen-solve.
-A short tangent_sphere call pins that tangent transport is still timed.
+A short tangent_sphere call pins that tangent transport is still timed, and
+a short exit_probability call that the live-step ratio still reads the
+engine's death steps.
 """
 
 import sys
@@ -17,6 +19,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
+from fiberflow.geometry import Euclidean  # noqa: E402
+from fiberflow.paths import exit_probability  # noqa: E402
 from fiberflow.rng import RngKey  # noqa: E402
 from fiberflow.semigroup import fk_vector  # noqa: E402
 
@@ -52,3 +56,17 @@ def test_traced_tangent_call_attributes_transport():
     assert m["bundles.transport_s"] > 0
     assert m["geometry.exp_calls"] == steps
     assert m["potentials.matrix_calls"] == steps
+
+
+def test_traced_exit_call_counts_live_steps():
+    # the tracer reads paths.live_step_ratio off EnsembleResult.death_step;
+    # from the origin of a ball of radius 0.2, some of 64 paths leave by t
+    t, h, n = 0.05, 1e-3, 64
+    tr = layers.Tracer()
+    with tr.installed():
+        per_start, _, _ = exit_probability(Euclidean(1), np.zeros(1), 0.2, t, h, n, RngKey(3))
+    assert 0 < per_start[-1, 0] < 1
+    m = tr.metrics()
+    assert m["paths.blocks"] == 1
+    assert m["geometry.contains_s"] > 0
+    assert 0 < m["paths.live_step_ratio"] < 1

@@ -136,7 +136,9 @@ def test_non_integral_count_names_key(flags, key, capsys):
 
 @pytest.mark.parametrize("flags, key", [
     (["--n", "0"], "n"), (["--n", "-5"], "n"), (["--h", "-0.1"], "h"), (["--h", "0"], "h"),
-    (["--t", "-1"], "t"),
+    (["--t", "-1"], "t"), (["--trials", "0"], "trials"), (["--k", "0"], "k"),
+    (["--r", "0"], "r"), (["--radius", "-8"], "radius"), (["--t-grid", "0.05,-0.2"], "t_grid"),
+    (["--s-grid", "0.01,-0.1"], "s_grid"), (["--s", "-0.05"], "s"), (["--lambda", "0"], "lam"),
 ])
 def test_out_of_range_value_names_key(flags, key, capsys):
     code = main(["semigroup", *BASE, "--t", "0.1", "--h", "0.01", "--n", "10", *flags])

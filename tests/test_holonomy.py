@@ -196,8 +196,7 @@ def test_ensemble_floor_matches_left_point_sums(case):
     # W = T^* V T; it must agree with the eigen-solve of V along the path
     model, bundle, V = fused_case(case)
     t, h, n = 0.2, 1e-3, 6
-    res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V,
-                       track_floor=True, track_v2norm=True)
+    res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V)
     assert np.all(res.v2_integral[-1] > 0)
     floor = left_point_sums(model, t, h, n, V.scalar_floor)
     v2 = left_point_sums(model, t, h, n, V.negative_norm)
@@ -211,9 +210,8 @@ def test_ensemble_honours_declared_floor_fn():
     V = PotentialSpec(rank=2, const=V0.const, terms=V0.terms,
                       floor_fn=_ShiftedFloor(V0, 0.25))
     t, h, n = 0.2, 1e-3, 6
-    kw = dict(bundle=bundle, track_floor=True, track_v2norm=True)
-    res = run_ensemble(model, model.origin(), t, h, KEY, n, potential=V, **kw)
-    exact = run_ensemble(model, model.origin(), t, h, KEY, n, potential=V0, **kw)
+    res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V)
+    exact = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V0)
     # the declared floor lies strictly below the eigenvalue floor and wins
     assert np.all(res.floor_integral[-1] < exact.floor_integral[-1] - 0.2 * t)
     assert np.array_equal(res.holonomy, exact.holonomy)

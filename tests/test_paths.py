@@ -1,11 +1,15 @@
+import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import fiberflow.paths as paths
 from fiberflow.bundles import (magnetic_bundle, stratonovich_increment, tangent_bundle,
                                trivial_bundle)
+from fiberflow.config import parse_potential
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.oracle import exit_survival_interval, levy_area_charfn, smeared_coulomb
 from fiberflow.paths import exit_probability, run_ensemble, time_grid
@@ -341,3 +345,80 @@ def test_magnetic_transport_phase_matches_line_integral():
     total = res.transport[-1, 0, 0, 0]
     line = res.line_integral[-1, 0]
     assert abs(total - np.exp(-1j * line)) < 1e-10
+
+
+# -- bit-exact golden results ----------------------------------------------
+
+ENSEMBLE_GOLDEN = Path(__file__).parent / "data" / "ensemble"
+ENSEMBLE_CASES = ["sphere2_tangent", "sphere2_ball", "magnetic_ball", "spin1_rank3",
+                  "scalar_magnetic", "strides", "coulomb", "two_blocks"]
+
+
+def ensemble_case(name):
+    """(model, x0, t, n_paths, run_ensemble keywords, block budget or None)
+    of a golden case; every case runs with h = 1e-3, KEY and one checkpoint."""
+    s2, e2 = Sphere2(1.0), Euclidean(2)
+    rank2 = "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)"
+    beta = landau_form(0.9)
+    magnetic = dict(bundle=magnetic_bundle(beta), one_form=beta,
+                    scalar_fields=(harmonic_field(e2, 1.0),))
+    if name == "sphere2_tangent":
+        return s2, s2.origin(), 0.05, 48, dict(
+            bundle=tangent_bundle(), potential=parse_potential(s2, rank2)), None
+    if name == "sphere2_ball":
+        dom = ball(s2, 0.3)
+        return dom, s2.origin(), 0.1, 48, dict(
+            bundle=tangent_bundle(), potential=parse_potential(dom, rank2)), None
+    if name == "magnetic_ball":
+        return ball(e2, 0.3), [0.1, 0.0], 0.1, 48, magnetic, None
+    if name == "spin1_rank3":
+        s_x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+        V = PotentialSpec(rank=3, const=np.diag([1.0, 0.0, -1.0]) + 0.5 * s_x,
+                          terms=[(harmonic_field(e2, 1.0), np.eye(3))])
+        return e2, np.zeros(2), 0.05, 48, dict(bundle=trivial_bundle(3), potential=V), None
+    if name == "scalar_magnetic":
+        c1, dtheta = Circle(1.0), angle_form(0.5)
+        return c1, [0.3], 0.05, 48, dict(
+            bundle=magnetic_bundle(dtheta), one_form=dtheta,
+            potential=PotentialSpec.scalar(harmonic_field(c1, 1.0))), None
+    if name == "strides":
+        e1 = Euclidean(1)
+        return e1, np.zeros(1), 0.05, 48, dict(
+            scalar_fields=(harmonic_field(e1, 1.0), constant_field(0.5)), strides=(1, 2),
+            potential=PotentialSpec.scalar(harmonic_field(e1, 1.0))), None
+    if name == "coulomb":
+        e3 = Euclidean(3)
+        return e3, [0.05, 0.0, 0.0], 0.05, 48, dict(
+            scalar_fields=(coulomb_field(e3, 1.0),),
+            potential=PotentialSpec.scalar(coulomb_field(e3, 1.0))), None
+    # 100 floats of increments per path: blocks of 24 and 16 paths
+    return ball(e2, 0.3), [0.1, 0.0], 0.05, 40, dict(
+        magnetic, potential=PotentialSpec.scalar(harmonic_field(e2, 1.0))), 2400
+
+
+def result_arrays(res):
+    """Every array of an EnsembleResult by name; integrals as integrals_i_s."""
+    out = {}
+    for f in dataclasses.fields(res):
+        v = getattr(res, f.name)
+        if isinstance(v, dict):
+            out.update({f"{f.name}_{i}_{s}": a for (i, s), a in v.items()})
+        elif v is not None:
+            out[f.name] = v
+    return out
+
+
+@pytest.mark.parametrize("case", ENSEMBLE_CASES)
+def test_ensemble_golden(case, monkeypatch):
+    # every result array bit for bit, dtype included, against files the
+    # engine wrote before its state-table rewrite
+    model, x0, t, n, kw, budget = ensemble_case(case)
+    if budget is not None:
+        monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
+    res = run_ensemble(model, x0, t, 1e-3, KEY, n, checkpoints=(0.02,), **kw)
+    got = result_arrays(res)
+    with np.load(ENSEMBLE_GOLDEN / f"{case}.npz") as want:
+        assert sorted(got) == sorted(want.files)
+        for name in want.files:
+            assert got[name].dtype == want[name].dtype, name
+            assert np.array_equal(got[name], want[name]), name

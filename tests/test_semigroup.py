@@ -151,7 +151,7 @@ def test_quadratic_form_domination_shared_seeds():
 
     starts = t2.volume_sample(stream(KEY.child(1 << 50)), 2000)
     res = run_ensemble(t2, starts, 0.4, 1e-3, KEY, 2000, bundle=trivial_bundle(2),
-                       potential=V, track_floor=True)
+                       potential=V)
     fe = f2(res.points[-1])
     samples = np.einsum("nij,nj->ni", res.holonomy[-1], fe)
     fx = f2(starts)
