@@ -8,8 +8,10 @@ except for wallTimeMs; --workers changes scheduling only, never values.
 
 Exit codes: 0 success, 1 usage/config error, 2 a checked inequality was
 violated (so CI can tell math regressions from plumbing failures), 3 a
-numerical failure of the estimator (a RuntimeError such as a non-positive
-log functional or weight underflow), reported as one `error:` line.
+numerical failure (a RuntimeError of the estimator such as a non-positive
+log functional or weight underflow, a potential that returns NaN or +-inf
+away from its declared singular points, or a result that JSON cannot
+encode because it holds NaN or +-inf), reported as one `error:` line.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ import time
 import numpy as np
 
 from .config import ConfigError, RunConfig, read_config_file
+from .potentials import NonFiniteFieldError
 from .rng import RngKey
 
 EXIT_OK = 0
@@ -99,7 +102,9 @@ class _JSONEncoder(json.JSONEncoder):
 
 
 def _emit(doc, out_path):
-    text = json.dumps(doc, cls=_JSONEncoder, indent=2, sort_keys=True)
+    # allow_nan=False: NaN and +-inf are not JSON; raises ValueError
+    # before anything is written
+    text = json.dumps(doc, cls=_JSONEncoder, indent=2, sort_keys=True, allow_nan=False)
     if out_path:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text + "\n")
@@ -515,6 +520,9 @@ def main(argv=None):
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except NonFiniteFieldError as exc:
+        print(f"error: potential: {exc}", file=sys.stderr)
+        return EXIT_NUMERICAL
     except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -523,7 +531,11 @@ def main(argv=None):
         return EXIT_NUMERICAL
     doc = {"schema": 1, "command": ns.command, "config": cfg.echo(), **payload,
            "wallTimeMs": int((time.time() - started) * 1000)}
-    _emit(doc, out_path)
+    try:
+        _emit(doc, out_path)
+    except ValueError as exc:
+        print(f"error: the result holds a non-finite number ({exc})", file=sys.stderr)
+        return EXIT_NUMERICAL
     return EXIT_CHECK_FAILED if failed else EXIT_OK
 
 

@@ -11,7 +11,8 @@ magnetic forms with a small call-expression grammar (EBNF in the README):
     builder    = constant(c) | harmonic(omega) | coulomb(alpha)
                | inverse_square(alpha) | power(coeff,p) | well(depth,r)
     matrix     = matrix(rank=d [, const=H] {, scalar-sum @ H})
-    H          = id | pauli_x | pauli_y | pauli_z | diag(a,b,...)
+    H          = id | pauli_x | pauli_y | pauli_z (rank 2)
+               | spin1_x | spin1_y | spin1_z (rank 3) | diag(a,b,...)
     section    = constant(c[,c2,...]) | gaussian(sigma) | harmonic_ground(omega)
                | fourier(n)
     beta       = dtheta(a) | landau(lam) | constant(b1[,b2,...])
@@ -136,22 +137,26 @@ def parse_manifold(text, key="manifold"):
 # scalar fields and matrix potentials
 
 
+# named generators, each defined at the one rank of its shape: the Pauli
+# matrices and the spin-1 matrices S_x, S_y, S_z
 _HERM_NAMES = {
-    "id": np.eye(2),
     "pauli_x": np.array([[0.0, 1.0], [1.0, 0.0]]),
     "pauli_y": np.array([[0.0, -1.0j], [1.0j, 0.0]]),
     "pauli_z": np.array([[1.0, 0.0], [0.0, -1.0]]),
+    "spin1_x": np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0),
+    "spin1_y": np.array([[0.0, -1.0j, 0.0], [1.0j, 0.0, -1.0j], [0.0, 1.0j, 0.0]]) / math.sqrt(2.0),
+    "spin1_z": np.diag([1.0, 0.0, -1.0]),
 }
 
 
 def _parse_hermitian(text, rank, key):
     text = text.strip()
+    if text == "id":
+        return np.eye(rank)
     if text in _HERM_NAMES:
         H = _HERM_NAMES[text]
-        if text == "id":
-            return np.eye(rank)
-        if rank != 2:
-            raise ConfigError(key, f"{text} requires rank 2")
+        if rank != H.shape[0]:
+            raise ConfigError(key, f"{text} requires rank {H.shape[0]}")
         return H
     if text.startswith("diag"):
         _, args = _split_call(text, key)

@@ -22,6 +22,7 @@ from typing import Callable, Optional, Sequence
 import numpy as np
 
 __all__ = [
+    "NonFiniteFieldError",
     "ScalarField",
     "PotentialSpec",
     "SectionSpec",
@@ -38,6 +39,11 @@ __all__ = [
 ]
 
 KATO_CLASSES = ("bounded", "kato", "locallyKato", "locallyIntegrable")
+
+
+class NonFiniteFieldError(ValueError):
+    """A scalar field returned NaN, or +-inf away from its declared
+    singular points: a numerical failure of the field, not a bad input."""
 
 
 @dataclass
@@ -64,14 +70,19 @@ class ScalarField:
         return len(self.singular_points) > 0
 
     def __call__(self, pts, cap=None):
-        v = np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
+        # NaN and +-inf are reported below, not as numpy warnings
+        try:
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                v = np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
+        except OverflowError:  # Python float arithmetic on the parameters
+            raise NonFiniteFieldError(f"scalar field {self.name!r} overflowed") from None
         if np.any(np.isnan(v)):
             idx = int(np.flatnonzero(np.isnan(np.ravel(v)))[0])
-            raise ValueError(f"scalar field {self.name!r} returned NaN at sample {idx}")
+            raise NonFiniteFieldError(f"scalar field {self.name!r} returned NaN at sample {idx}")
         if not np.all(np.isfinite(v)):
             # infinities at declared singular points are absorbed by the cap
-            if cap is None:
-                raise ValueError(f"scalar field {self.name!r} returned non-finite values")
+            if cap is None or not self.singular:
+                raise NonFiniteFieldError(f"scalar field {self.name!r} returned non-finite values")
             v = np.nan_to_num(v, posinf=cap, neginf=-cap)
         if cap is not None and self.singular:
             v = np.clip(v, -cap, cap)

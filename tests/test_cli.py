@@ -4,11 +4,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from fiberflow import cli
 from fiberflow.cli import EXIT_NUMERICAL, EXIT_USAGE, main
 from fiberflow.config import (ConfigError, RunConfig, parse_beta, parse_manifold,
                               parse_points, parse_potential, parse_section,
                               read_config_file)
 from fiberflow.geometry import Circle, Euclidean, OpenSubdomain, Sphere2
+from fiberflow.potentials import PotentialSpec, harmonic_field
 
 
 def run_cli(args, capsys):
@@ -46,6 +48,29 @@ def test_parse_potential_matrix():
     assert M[0, 1] == pytest.approx(0.5)  # harmonic(1) at |x| = 1 -> 1/2
     with pytest.raises(ConfigError, match="rank"):
         parse_potential(e2, "matrix(const=diag(1,1))")
+
+
+def test_parse_spin1_matrix_is_the_spinor_potential():
+    # C = diag(1,0,-1) + S_x / 2 plus |x|^2/2 I, as the rank-3 benchmark builds it
+    e2 = Euclidean(2)
+    V = parse_potential(e2, "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, "
+                            "harmonic(1.0) @ id)")
+    s_x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    ref = PotentialSpec(rank=3, const=np.diag([1.0, 0.0, -1.0]) + 0.5 * s_x,
+                        terms=[(harmonic_field(e2, 1.0), np.eye(3))])
+    pts = np.array([[0.0, 0.0], [0.3, -1.2], [2.0, 5.0]])
+    assert np.max(np.abs(V.matrix(pts) - ref.matrix(pts))) <= 1e-15
+    S = [parse_potential(e2, f"matrix(rank=3, const=spin1_{a})").const for a in "xyz"]
+    # the spin-1 algebra [S_x, S_y] = i S_z
+    assert np.allclose(S[0] @ S[1] - S[1] @ S[0], 1j * S[2], rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("text", ["matrix(rank=2, const=spin1_z)",
+                                  "matrix(rank=3, harmonic(1.0) @ pauli_x)",
+                                  "matrix(rank=4, harmonic(1.0) @ spin1_y)"])
+def test_named_generator_at_wrong_rank_names_key(text):
+    with pytest.raises(ConfigError, match="'potential'.*requires rank"):
+        parse_potential(Euclidean(2), text)
 
 
 def test_parse_section_and_beta():
@@ -160,6 +185,46 @@ def test_numerical_failure_exit_code(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("potential", ["harmonic(1e200)", "1e308*harmonic(100.0)"])
+def test_non_finite_potential_exit_code(potential, capsys):
+    # omega^2 overflows a float; 1e308 * |x|^2 / 2 * 1e4 is +inf off the origin
+    code = main(["semigroup", "--manifold", "euclidean(m=1)", "--potential", potential,
+                 "--section", "constant(1)", "--x", "0", "--t", "0.1", "--h", "0.01",
+                 "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err.startswith("error: potential: ") and captured.err.count("\n") == 1
+    assert "Traceback" not in captured.err
+
+
+def test_nan_in_document_exit_code(monkeypatch, tmp_path, capsys):
+    # NaN is not JSON: no document, no file, one error line
+    monkeypatch.setattr(cli, "_run_semigroup",
+                        lambda cfg, dump: ({"value": float("nan"), "stderr": np.zeros(2)}, False))
+    out = tmp_path / "res.json"
+    for extra in ([], ["--out", str(out)]):
+        code = main(["semigroup", *BASE, "--t", "0.1", *extra])
+        captured = capsys.readouterr()
+        assert code == EXIT_NUMERICAL
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err
+    assert not out.exists()
+
+
+def test_rank3_semigroup_command(capsys):
+    # the spin-1 grammar reaches the rank-3 exponential; the vector
+    # estimator asserts per-sample domination (exit 3 if it failed)
+    code, doc = run_cli(["semigroup", "--manifold", "euclidean(m=2)", "--bundle-rank", "3",
+                         "--potential", "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, "
+                                        "harmonic(1.0) @ id)",
+                         "--section", "constant(1,1,1)", "--x", "0,0", "--t", "0.1",
+                         "--h", "1e-3", "--n", "400", "--seed", "3"], capsys)
+    assert code == 0
+    assert doc["estimator"] == "vector" and len(doc["value"]["re"]) == 3
 
 
 def test_bad_grammar_exit_code(capsys):

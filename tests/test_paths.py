@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
+import fiberflow.matexp as matexp
 import fiberflow.paths as paths
 from fiberflow.bundles import (magnetic_bundle, stratonovich_increment, tangent_bundle,
                                trivial_bundle)
@@ -13,7 +14,7 @@ from fiberflow.config import parse_potential
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.oracle import exit_survival_interval, levy_area_charfn, smeared_coulomb
 from fiberflow.paths import exit_probability, run_ensemble, time_grid
-from fiberflow.potentials import (PotentialSpec, angle_form, constant_field,
+from fiberflow.potentials import (PotentialSpec, ScalarField, angle_form, constant_field,
                                   constant_section, coulomb_field, harmonic_field,
                                   landau_form, power_field)
 from fiberflow.rng import RngKey, normals, stream
@@ -422,3 +423,44 @@ def test_ensemble_golden(case, monkeypatch):
         for name in want.files:
             assert got[name].dtype == want[name].dtype, name
             assert np.array_equal(got[name], want[name]), name
+
+
+# -- rank-3 eigh fallback along paths -----------------------------------------
+
+
+def _expm_by_eigh(W, s):
+    """The rank-3 step as eigendecomposition alone: U e^{-s lambda} U^H."""
+    lam, U = np.linalg.eigh(W)
+    e = np.exp(-np.asarray(s, dtype=float)[..., None] * lam)
+    return (U * e[..., None, :]) @ U.conj().swapaxes(-1, -2), lam[..., 0]
+
+
+def test_rank3_fallback_rows_along_crossing_paths(monkeypatch):
+    # V(x) = U diag(x1, -x1, 2) U^H: the two lowest eigenvalues cross on
+    # x1 = 0, where the trigonometric eigenvalues hand rows to eigh
+    e2 = Euclidean(2)
+    Z = np.random.default_rng(5).normal(size=(3, 3, 2)) @ np.array([1.0, 1j])
+    U = np.linalg.qr(Z)[0]
+    x1 = ScalarField(lambda p: p[..., 0], class_tag="locallyKato", name="x1")
+    V = PotentialSpec(rank=3, const=U @ np.diag([0.0, 0.0, 2.0]) @ U.conj().T,
+                      terms=[(x1, U @ np.diag([1.0, -1.0, 0.0]) @ U.conj().T)])
+    t, h, n = 0.05, 1e-3, 64
+    rows = []
+    eigh_rows = matexp._expm_eigh
+    monkeypatch.setattr(matexp, "_expm_eigh",
+                        lambda W, s: (rows.append(len(W)), eigh_rows(W, s))[1])
+
+    # fk_vector asserts per-sample domination to 1e-9 on every path
+    fk_vector(e2, trivial_bundle(3), V, constant_section((1.0, 1.0, 1.0), rank=3), np.zeros(2),
+              t, h, n, KEY)
+    total = n * int(round(t / h))
+    assert 0 < sum(rows) < total // 2
+
+    rows.clear()
+    kw = dict(bundle=trivial_bundle(3), potential=V, checkpoints=(0.02,))
+    got = run_ensemble(e2, np.zeros(2), t, h, KEY, n, **kw)
+    assert 0 < sum(rows) < total // 2
+    monkeypatch.setattr(paths, "expm_neg_hermitian", _expm_by_eigh)
+    want = run_ensemble(e2, np.zeros(2), t, h, KEY, n, **kw)
+    assert np.max(np.abs(got.holonomy - want.holonomy)) <= 1e-12
+    assert np.max(np.abs(got.floor_integral - want.floor_integral)) <= 1e-12
