@@ -15,7 +15,8 @@ spectrum is narrow, a series (McCurdy, Ng & Parlett, Math. Comp. 43
 exponent is <= 0.  Where two eigenvalues nearly coincide the arccosine
 loses half the digits, so rows with 1 - |r| < _R_GUARD (r the cosine of
 three times Smith's angle) go through eigh instead; rows are independent,
-so the rest of the batch is unaffected.
+so the rest of the batch is unaffected, and a batch with no closed-form
+row goes to eigh whole.
 
 `expm_neg_hermitian` returns lambda_min(W) next to the exponential, taken
 from the same eigen-data.  W = T^* V T, with T the unitary transport, has
@@ -106,7 +107,8 @@ def _expm2(W, s):
 
 
 def _eig3(W):
-    """(l1, l2 - l1, l3 - l1, ok) for Hermitian 3x3 W, l1 <= l2 <= l3, by
+    """(l1, l2 - l1, l3 - l1, ok, moduli) for Hermitian 3x3 W, l1 <= l2 <= l3,
+    moduli the squared moduli |W01|^2, |W02|^2, |W12|^2, by
     the trigonometric form: with q = tr W / 3, p^2 = tr (W - q)^2 / 6 and
     r = det((W - q) / p) / 2, the eigenvalues are q + 2p cos(phi + 2k pi/3),
     phi = acos(r) / 3.  The gaps come from sines of phi, not as differences
@@ -132,7 +134,7 @@ def _eig3(W):
     cs, sn = np.cos(phi), np.sin(phi)
     # cos(phi + 2pi/3), and sqrt(3) sin(phi + pi/3) for l3 - l1
     l1 = q - p * (cs + math.sqrt(3.0) * sn)
-    return l1, 2.0 * math.sqrt(3.0) * p * sn, p * (3.0 * cs + math.sqrt(3.0) * sn), ok
+    return l1, 2.0 * math.sqrt(3.0) * p * sn, p * (3.0 * cs + math.sqrt(3.0) * sn), ok, (xx, yy, zz)
 
 
 def _phi1(u):
@@ -147,11 +149,8 @@ def _dd2(u, v):
     by the widest gap whose terms are all <= 1; below, the series
     sum_n h_n(u, v) / (n + 2)!, h_n the complete symmetric polynomials."""
     small = np.abs(v) < _SERIES_BELOW
-    if np.all(small):
-        return _dd2_series(u, v)
     vs = np.where(small, -1.0, v)
-    out = (np.exp(u) * _phi1(vs - u) - _phi1(u)) / vs
-    return np.where(small, _dd2_series(u, v), out) if np.any(small) else out
+    return np.where(small, _dd2_series(u, v), (np.exp(u) * _phi1(vs - u) - _phi1(u)) / vs)
 
 
 def _dd2_series(u, v):
@@ -168,7 +167,10 @@ def _expm3(W, s):
     batch = W.shape[:-2]
     W = W.reshape(-1, 3, 3)
     s = np.broadcast_to(s, batch).reshape(-1)
-    l1, d2, d3, ok = _eig3(W)
+    l1, d2, d3, ok, (xx, yy, zz) = _eig3(W)
+    if not np.any(ok):  # no closed-form row: skip its work
+        out, l1 = _expm_eigh(W, s)
+        return out.reshape(batch + (3, 3)), l1.reshape(batch)
     u, v = -s * d2, -s * d3
     g1 = -s * _phi1(u)
     g2 = s * s * _dd2(u, v)
@@ -177,7 +179,6 @@ def _expm3(W, s):
     e = np.exp(-s * l1)
     a = [W[:, i, i].real - l1 for i in range(3)]
     x, y, z = W[:, 0, 1], W[:, 0, 2], W[:, 1, 2]
-    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
     out = np.empty(W.shape, dtype=np.result_type(W, float))
     # (A (A - d2))_ii = a_i (a_i - d2) + sum over k != i of |W_ik|^2
     for i, rest in enumerate((xx + yy, xx + zz, yy + zz)):

@@ -57,6 +57,13 @@ def test_degenerate_and_near_degenerate_spectra(diag):
     _check(_conjugated(diag, 64), 0.7)
 
 
+def test_mixed_batches_pick_the_branch_per_row():
+    # eigh-fallback rows beside closed-form rows, then series rows of the
+    # divided difference beside quotient rows
+    _check(np.concatenate([_conjugated((0.0, 1e-9, 1.0), 32), _random_hermitian(32)]), 0.7)
+    _check(_random_hermitian(64), np.repeat([1e-4, 0.5], 32))
+
+
 @pytest.mark.parametrize("c", [0.3, -2.5, 0.0])
 def test_multiple_of_identity(c):
     W = np.broadcast_to(c * np.eye(3), (4, 3, 3)).astype(complex)

@@ -455,6 +455,8 @@ def test_rank3_fallback_rows_along_crossing_paths(monkeypatch):
               t, h, n, KEY)
     total = n * int(round(t / h))
     assert 0 < sum(rows) < total // 2
+    # and in batches where the other rows take the closed form
+    assert any(0 < r < n for r in rows)
 
     rows.clear()
     kw = dict(bundle=trivial_bundle(3), potential=V, checkpoints=(0.02,))

@@ -2,18 +2,19 @@
 """Alternating parent/change runs of bench/run.py, summarised as BENCH_<n>.json.
 
     python3 tools/bench_pairs.py --parent DIR --change DIR --workload NAME \\
-        --seeds 9101-9110 [--seconds 25] [--trace-seed 7] --out BENCH_<n>.json
+        --seeds 9101-9110 [--trace-seed 7] --out BENCH_<n>.json
 
 The two directories are checkouts of the parent commit and of the change
 (for example unpacked with `git archive`); each runs its own bench/ and
-src/.  Pair i runs seed i on both sides, the parent first on even i and
-the change first on odd i.  The workload's entry in --out records, for each
-end-to-end metric of BENCHMARK.json: every run, each side's median and
-quartiles, how many pairs the change won (ties count for neither side),
-the ratio of the medians and the parent's interquartile range, plus the
-attempted and failed operations of each side.  --trace-seed adds one
---trace 1 run per side with its per-layer split.  --out is updated in
-place, one workload per call, so workloads can be measured separately.
+src/.  Every run lasts BENCHMARK.json's run_seconds, the length the
+benchmark itself uses.  Pair i runs seed i on both sides, the parent first
+on even i and the change first on odd i.  The workload's entry in --out
+records, for each end-to-end metric of BENCHMARK.json: every run, each
+side's median and quartiles, how many pairs the change won (ties count for
+neither side), the ratio of the medians and the parent's interquartile
+range, plus the attempted and failed operations of each side.  --trace-seed
+adds one --trace 1 run per side with its per-layer split.  --out is updated
+in place, one workload per call, so workloads can be measured separately.
 """
 
 import argparse
@@ -51,13 +52,11 @@ def main(argv=None):
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--workload", required=True)
     ap.add_argument("--seeds", required=True, type=seed_range, help="first-last, inclusive")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="run length; BENCHMARK.json's run_seconds by default")
     ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--out", required=True, type=Path)
     a = ap.parse_args(argv)
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = a.seconds if a.seconds is not None else spec["run_seconds"]
+    seconds = spec["run_seconds"]
     sides = {"parent": a.parent, "change": a.change}
     runs = {side: [] for side in sides}
     env = None
