@@ -373,7 +373,7 @@ def _auto_grid(model, n):
 _CONFIG_KEYS = ("manifold", "bundle_rank", "bundle", "beta", "potential", "section",
                 "section2", "t", "h", "n", "seed", "workers", "x", "x_grid",
                 "t_grid", "s", "s_grid", "q", "lam", "k", "r", "radius",
-                "trials", "out", "format", "dump_paths")
+                "trials", "out", "dump_paths")
 
 
 @dataclass
@@ -428,18 +428,11 @@ class RunConfig:
             if cfg.potential.rank != rank and "bundle_rank" in cfg.raw:
                 raise ConfigError("bundle_rank",
                                   f"rank {rank} != potential rank {cfg.potential.rank}")
-        if "section" in cfg.raw and cfg.model is not None:
-            r = cfg.potential.rank if cfg.potential is not None else rank
-            cfg.section = parse_section(cfg.model, cfg.raw["section"], rank=r)
-        if "section2" in cfg.raw and cfg.model is not None:
-            r = cfg.potential.rank if cfg.potential is not None else rank
-            cfg.section2 = parse_section(cfg.model, cfg.raw["section2"], rank=r)
+        r = cfg.potential.rank if cfg.potential is not None else rank
+        for key in ("section", "section2"):
+            if key in cfg.raw and cfg.model is not None:
+                setattr(cfg, key, parse_section(cfg.model, cfg.raw[key], rank=r, key=key))
         return cfg
-
-    def require_model(self):
-        if self.model is None:
-            raise ConfigError("manifold", "required value missing")
-        return self.model
 
     def number(self, key, default=None, required=False):
         if key not in self.raw:
@@ -484,14 +477,18 @@ def _finite_number(key, text):
 
 def read_config_file(path):
     """key = value lines; '#' comments; keys use underscores or dashes."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except OSError as exc:
+        raise ConfigError("config", f"cannot read {path!r}: {exc.strerror or exc}") from None
     out = {}
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}", "expected key = value")
-            k, v = line.split("=", 1)
-            out[k.strip().replace("-", "_")] = v.strip()
+    for ln, line in enumerate(lines, 1):
+        line = line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ConfigError(f"{path}:{ln}", "expected key = value")
+        k, v = line.split("=", 1)
+        out[k.strip().replace("-", "_")] = v.strip()
     return out

@@ -37,6 +37,7 @@ __all__ = [
     "fk_scalar",
     "fk_vector",
     "fk_magnetic",
+    "fk_estimate",
     "ground_energy",
     "resolvent_apply",
     "domination_check",
@@ -187,6 +188,23 @@ def fk_magnetic(model, beta: Optional[OneForm], v, f: SectionSpec, x, t, h, n, k
     return out
 
 
+def _scalar_weighted(V: PotentialSpec, bundle, beta) -> bool:
+    """Whether a scalar weight carries the run: a magnetic 1-form, or a
+    scalar potential on a bundle without transport."""
+    return beta is not None or (V.is_scalar and (bundle is None or bundle.trivial_transport))
+
+
+def fk_estimate(model, bundle: Optional[BundleSpec], beta: Optional[OneForm], V,
+                f: SectionSpec, x, t, h, n, key: RngKey, workers=1):
+    """("magnetic" | "scalar" | "vector", Estimate): the Feynman-Kac
+    estimator the inputs call for, by the rule ground_energy applies."""
+    V = _as_potential(V)
+    if not _scalar_weighted(V, bundle, beta):
+        return "vector", fk_vector(model, bundle, V, f, x, t, h, n, key, workers=workers)
+    est = fk_magnetic(model, beta, V, f, x, t, h, n, key, workers=workers)
+    return ("scalar" if beta is None else "magnetic"), est
+
+
 # ----------------------------------------------------------------------
 # ground-state energy from the long-time log decay
 
@@ -264,7 +282,7 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     starts, Z = _rejection_starts(model, f1, n, key, radius=radius)
     tmax = float(t_grid[-1])
     cps = t_grid[:-1]
-    if beta is not None or (V.is_scalar and (bundle is None or bundle.trivial_transport)):
+    if _scalar_weighted(V, bundle, beta):
         res, wts = _scalar_weights(model, V, starts, tmax, h, n, key, beta, cps, workers)
         f1e = f1(starts)
         phase1 = np.where(np.abs(f1e) > 0, np.conj(f1e) / np.abs(f1e), 1.0)

@@ -1,4 +1,8 @@
 import json
+import os
+import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -126,11 +130,55 @@ def test_semigroup_command(capsys):
     assert 0.5 < doc["value"] < 0.8
 
 
-def test_missing_required_flag_names_key(capsys):
-    code = main(["semigroup", *BASE, "--n", "100"])
-    err = capsys.readouterr().err
-    assert code == 1
-    assert "'t'" in err
+@pytest.mark.parametrize("command, n, h", [
+    ("semigroup", 10000, 2e-4), ("ground-energy", 100000, 1e-3), ("resolvent", 5000, 1e-3),
+    ("domination", 10000, 2e-4), ("smoothing", 1000, 2e-4), ("identity-check", 10000, 3e-4),
+    ("continuity-scan", 1500, 2e-4), ("kato-check", None, 2.5e-4), ("exit-time", 10000, 2e-4),
+])
+def test_command_defaults(command, n, h):
+    # h = max(1e-3 t, 1e-6), or 1e-3 (s + t) on identity-check, unless fixed
+    cfg = RunConfig.from_mapping({
+        "manifold": "euclidean(m=1)", "potential": "harmonic(1.0)", "section": "gaussian(1.0)",
+        "t": "0.2", "s": "0.1", "x": "0", "x_grid": "0", "t_grid": "0.1,0.2,0.3,0.4",
+        "lam": "1", "r": "1", "seed": "0"})
+    run = cli._Run(cli.COMMANDS[command], cfg)
+    assert run.n == n and run.h == pytest.approx(h, rel=1e-12)
+
+
+def _without(argv, key):
+    flag = "--lambda" if key == "lam" else "--" + key.replace("_", "-")
+    i = argv.index(flag)
+    return argv[:i] + argv[i + 2:]
+
+
+@pytest.mark.parametrize("command, key", [
+    ("semigroup", "t"), ("resolvent", "section"), ("resolvent", "potential"),
+    ("domination", "section"), ("domination", "potential"), ("identity-check", "section"),
+    ("identity-check", "potential"), ("continuity-scan", "section"),
+    ("continuity-scan", "potential"), ("ground-energy", "potential"), ("exit-time", "x"),
+    ("kato-check", "potential"),
+])
+def test_missing_required_flag_names_key(command, key, capsys):
+    # each command's golden argv less one key the command requires
+    argv = next(argv for argv in CLI_CASES.values() if argv[0] == command)
+    code = main(_without(argv, key))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == f"error: config key '{key}': required value missing\n"
+
+
+@pytest.mark.parametrize("flag, key", [("--config", "config"), ("--out", "out"),
+                                       ("--dump-paths", "dump_paths")])
+def test_unreachable_file_names_key(flag, key, tmp_path, capsys):
+    missing = tmp_path / "no-such-dir"
+    code = main(["semigroup", *BASE, "--t", "0.01", "--n", "10", flag, str(missing / "f")])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key '{key}': ")
+    assert captured.err.count("\n") == 1
+    assert not missing.exists()
 
 
 @pytest.mark.parametrize("flags, key", [
@@ -202,8 +250,8 @@ def test_non_finite_potential_exit_code(potential, capsys):
 
 def test_nan_in_document_exit_code(monkeypatch, tmp_path, capsys):
     # NaN is not JSON: no document, no file, one error line
-    monkeypatch.setattr(cli, "_run_semigroup",
-                        lambda cfg, dump: ({"value": float("nan"), "stderr": np.zeros(2)}, False))
+    monkeypatch.setitem(cli.COMMANDS, "semigroup", cli.COMMANDS["semigroup"]._replace(
+        run=lambda cfg, run: ({"value": float("nan"), "stderr": np.zeros(2)}, False)))
     out = tmp_path / "res.json"
     for extra in ([], ["--out", str(out)]):
         code = main(["semigroup", *BASE, "--t", "0.1", *extra])
@@ -354,3 +402,89 @@ def test_out_flag_writes_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out.read_text())
     assert doc["command"] == "semigroup"
+
+
+def test_cli_import_loads_no_estimator():
+    # the benchmark's set-up probe imports fiberflow.cli; estimator modules
+    # and scipy load inside the runners
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, fiberflow.cli; print(' '.join(sorted(m for m in sys.modules "
+             "if m.split('.')[0] in ('fiberflow', 'scipy'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == ["fiberflow", "fiberflow.bundles", "fiberflow.cli", "fiberflow.config",
+                      "fiberflow.geometry", "fiberflow.potentials", "fiberflow.rng"]
+
+
+CLI_GOLDEN = Path(__file__).parent / "data" / "cli"
+R2 = "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)"
+E1 = ["--manifold", "euclidean(m=1)", "--potential", "harmonic(1.0)"]
+CLI_CASES = {
+    "semigroup_scalar": ["semigroup", *E1, "--section", "gaussian(1.0)", "--x", "0",
+                         "--t", "0.2", "--h", "1e-3", "--n", "2000", "--seed", "3"],
+    "semigroup_tangent": ["semigroup", "--manifold", "sphere2(r=1.0)", "--bundle", "tangent",
+                          "--bundle-rank", "2", "--potential", R2, "--section", "constant(1,0)",
+                          "--x", "0,0,1", "--t", "0.1", "--n", "500", "--seed", "5"],
+    "semigroup_magnetic": ["semigroup", "--manifold", "euclidean(m=2)", "--bundle", "magnetic",
+                           "--beta", "landau(0.9)", "--potential", "harmonic(1.0)",
+                           "--section", "gaussian(1.0)", "--x", "0.1,0.2", "--t", "0.1",
+                           "--n", "1000"],
+    "semigroup_ball": ["semigroup", "--manifold", "ball(euclidean(m=1), r=0.3)",
+                       "--potential", "harmonic(1.0)", "--section", "gaussian(1.0)",
+                       "--x", "0", "--t", "0.1", "--n", "1000"],
+    "ground_energy_scalar": ["ground-energy", *E1, "--section", "harmonic_ground(1.0)",
+                             "--t-grid", "0.2,0.4,0.6,0.8,1.0", "--h", "1e-2", "--n", "2000",
+                             "--radius", "8"],
+    "ground_energy_magnetic": ["ground-energy", "--manifold", "euclidean(m=2)", "--bundle",
+                               "magnetic", "--beta", "landau(0.9)", "--potential",
+                               "harmonic(1.0)", "--section", "gaussian(1.0)",
+                               "--t-grid", "0.2,0.4,0.6,0.8,1.0", "--h", "1e-2",
+                               "--n", "2000", "--radius", "4"],
+    "ground_energy_vector": ["ground-energy", "--manifold", "euclidean(m=2)", "--bundle-rank",
+                             "2", "--potential", R2, "--section", "constant(1,1)",
+                             "--t-grid", "0.2,0.4,0.6,0.8,1.0", "--h", "1e-2", "--n", "2000",
+                             "--radius", "3"],
+    "domination_rank2": ["domination", "--manifold", "euclidean(m=2)", "--bundle-rank", "2",
+                         "--potential", R2, "--section", "constant(1,1)", "--x", "0,0",
+                         "--t", "0.2", "--n", "1000"],
+    "domination_tangent": ["domination", "--manifold", "sphere2(r=1.0)", "--bundle", "tangent",
+                           "--bundle-rank", "2", "--potential", R2, "--section",
+                           "constant(1,0)", "--x", "0,0,1", "--t", "0.2", "--n", "1000"],
+    "identity_rank2": ["identity-check", "--manifold", "euclidean(m=2)", "--bundle-rank", "2",
+                       "--potential", R2, "--section", "constant(1,1)", "--x", "0,0",
+                       "--s", "0.05", "--t", "0.1", "--h", "1e-2", "--n", "400"],
+    "identity_default_h": ["identity-check", *E1, "--section", "gaussian(1.0)", "--x", "0",
+                           "--s", "0.02", "--t", "0.03", "--n", "100", "--seed", "8"],
+    "exit_time": ["exit-time", "--manifold", "euclidean(m=1)", "--x", "0", "--r", "0.5",
+                  "--t", "0.2", "--h", "1e-3", "--n", "2000", "--t-grid", "0.05,0.1"],
+    "exit_time_x_grid": ["exit-time", "--manifold", "euclidean(m=2)", "--x-grid",
+                         "0,0; 0.2,0.1", "--r", "0.5", "--t", "0.1", "--n", "500",
+                         "--seed", "9"],
+    "resolvent": ["resolvent", *E1, "--section", "gaussian(1.0)", "--x", "0", "--lambda", "1.0",
+                  "--k", "2", "--h", "1e-2", "--n", "500", "--seed", "4"],
+    "smoothing_heat": ["smoothing", "--manifold", "sphere2(r=1.0)", "--t", "0.5", "--seed", "2"],
+    "smoothing_potential": ["smoothing", "--manifold", "sphere2(r=1.0)", "--potential",
+                            "harmonic(1.0)", "--t", "0.2", "--h", "1e-2", "--n", "100",
+                            "--trials", "3", "--seed", "2"],
+    "continuity_scan": ["continuity-scan", "--manifold", "ball(euclidean(m=2), r=1.0)",
+                        "--potential", "harmonic(1.0)", "--section", "constant(1)",
+                        "--x-grid", "auto:32", "--t", "0.1", "--h", "2e-2", "--n", "40",
+                        "--seed", "6"],
+    "kato_check": ["kato-check", "--manifold", "euclidean(m=3)", "--potential", "coulomb(0.5)",
+                   "--seed", "3"],
+    "kato_check_khasminskii": ["kato-check", "--manifold", "euclidean(m=3)", "--potential",
+                               "coulomb(0.5)", "--n", "200", "--h", "1e-3", "--seed", "3"],
+    # no --seed: the run takes FIBERFLOW_SEED or 0
+    "validate_appendix_c": ["validate", "appendix-c", "--trials", "10"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_CASES))
+def test_cli_document_golden(case, monkeypatch, capsys):
+    # the whole document but wallTimeMs, byte for byte
+    monkeypatch.delenv("FIBERFLOW_SEED", raising=False)
+    code = main(CLI_CASES[case])
+    text = re.sub(r',\n  "wallTimeMs": \d+', "", capsys.readouterr().out)
+    assert code == 0
+    assert text == (CLI_GOLDEN / f"{case}.json").read_text(encoding="utf-8")
