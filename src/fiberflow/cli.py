@@ -46,7 +46,7 @@ _COMMON_FLAGS = [
     ("--potential", {}), ("--section", {}), ("--section2", {}),
     ("--t", {}), ("--h", {}), ("--n", {}), ("--seed", {}), ("--workers", {}),
     ("--x", {}), ("--x-grid", {}), ("--t-grid", {}), ("--s", {}), ("--s-grid", {}),
-    ("--q", {}), ("--lambda", {"dest": "lam"}), ("--k", {}), ("--r", {}),
+    ("--lambda", {"dest": "lam"}), ("--k", {}), ("--r", {}),
     ("--radius", {}), ("--trials", {}), ("--out", {}), ("--dump-paths", {}),
     ("--config", {}),
 ]
@@ -227,8 +227,6 @@ def _run_smoothing(cfg: RunConfig, run: _Run):
     from .semigroup import heat_pq_norm_check, smoothing_norm_bound
 
     t, model = run.t, cfg.model
-    qv = cfg.raw.get("q", "inf")
-    q = np.inf if qv in ("inf", "oo") else float(qv)
     probes_pq = _random_probes(model, 6, run.key.seed)
     pq = heat_pq_norm_check(model, t, [p.fn for p in probes_pq])
     payload = {"heat_pq": pq}
@@ -241,10 +239,10 @@ def _run_smoothing(cfg: RunConfig, run: _Run):
         sup_v2 = float(np.max(cfg.potential.negative_norm(model.quadrature(24)[0])))
         kc = khasminskii_constants(model, None, strategy="sup_norm",
                                    sup_bound=max(2.0 * sup_v2, 1e-12))
-        pts, w = model.quadrature(8)
+        pts, _ = model.quadrature(8)
         grid = pts[:: max(1, len(pts) // 32)][:32]
         probes = _random_probes(model, cfg.integer("trials", default=20), run.key.seed)
-        rep = smoothing_norm_bound(model, cfg.potential, t, q, probes, (grid, None),
+        rep = smoothing_norm_bound(model, cfg.potential, t, probes, grid,
                                    h, n, run.key, kc, workers=run.workers)
         payload["interacting_bound"] = rep
         failed = failed or not rep["passed"]

@@ -40,6 +40,8 @@ from .potentials import (OneForm, PotentialSpec, ScalarField, SectionSpec,
 __all__ = ["ConfigError", "parse_manifold", "parse_potential", "parse_section",
            "parse_beta", "parse_points", "RunConfig"]
 
+_MAX_WORKERS = 64  # fixed, so that whether a config is valid does not depend on the host
+
 
 class ConfigError(ValueError):
     """Configuration error naming the offending key."""
@@ -160,7 +162,7 @@ def _parse_hermitian(text, rank, key):
         return H
     if text.startswith("diag"):
         _, args = _split_call(text, key)
-        vals = [_num(v, key) for v in _split_top_level(args)]
+        vals = [_finite_number(key, v) for v in _split_top_level(args)]
         if len(vals) != rank:
             raise ConfigError(key, f"diag(...) needs {rank} entries")
         return np.diag(vals)
@@ -372,7 +374,7 @@ def _auto_grid(model, n):
 
 _CONFIG_KEYS = ("manifold", "bundle_rank", "bundle", "beta", "potential", "section",
                 "section2", "t", "h", "n", "seed", "workers", "x", "x_grid",
-                "t_grid", "s", "s_grid", "q", "lam", "k", "r", "radius",
+                "t_grid", "s", "s_grid", "lam", "k", "r", "radius",
                 "trials", "out", "dump_paths")
 
 
@@ -394,14 +396,16 @@ class RunConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
-        # counts, step, radii, times and every grid entry; t = 0 stays valid
-        # (paths of one point)
+        # counts, workers, step, radii, times and every grid entry; t = 0
+        # stays valid (paths of one point)
         count = (">= 1", lambda v: v >= 1)
         positive = ("> 0", lambda v: v > 0)
         non_negative = (">= 0", lambda v: v >= 0)
-        for key, (need, ok) in (("n", count), ("trials", count), ("k", count), ("h", positive),
-                                ("r", positive), ("radius", positive), ("lam", positive),
-                                ("t", non_negative), ("s", non_negative),
+        for key, (need, ok) in (("n", count), ("trials", count), ("k", count),
+                                ("workers", (f"in 1..{_MAX_WORKERS}",
+                                             lambda v: 1 <= v <= _MAX_WORKERS)),
+                                ("h", positive), ("r", positive), ("radius", positive),
+                                ("lam", positive), ("t", non_negative), ("s", non_negative),
                                 ("t_grid", non_negative), ("s_grid", non_negative)):
             if key not in cfg.raw:
                 continue

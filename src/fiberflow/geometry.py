@@ -111,10 +111,6 @@ class ManifoldModel:
         coordinates around any point, sigma = unit-sphere measure."""
         raise NotImplementedError
 
-    def polar_rmax(self):
-        """Largest radius for which polar coordinates cover the model."""
-        return np.inf
-
     # -- generic helpers ------------------------------------------------
 
     def exp_step(self, x, xi):
@@ -244,9 +240,6 @@ class Circle(ManifoldModel):
 
     def polar_jacobian(self, r):
         return np.ones_like(np.asarray(r, dtype=float))
-
-    def polar_rmax(self):
-        return np.pi * self.radius
 
     def geodesic_segment(self, x0, x1, n):
         d = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
@@ -464,9 +457,6 @@ class Sphere2(ManifoldModel):
     def polar_jacobian(self, r):
         return self.radius * np.sin(np.asarray(r, dtype=float) / self.radius)
 
-    def polar_rmax(self):
-        return np.pi * self.radius
-
     def geodesic_segment(self, x0, x1, n):
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
@@ -657,9 +647,6 @@ class OpenSubdomain(ManifoldModel):
 
     def polar_jacobian(self, r):
         return self.base.polar_jacobian(r)
-
-    def polar_rmax(self):
-        return self.base.polar_rmax()
 
     def geodesic_segment(self, x0, x1, n):
         return self.base.geodesic_segment(x0, x1, n)

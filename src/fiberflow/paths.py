@@ -59,6 +59,7 @@ __all__ = [
 
 _SUBSTEP_FRACS = (0.125, 0.375, 0.625, 0.875)
 _BLOCK_BUDGET = 16_000_000  # floats of Gaussian increments held per block
+_GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not grow with the grid
 
 
 def time_grid(t, h, checkpoints=()):
@@ -179,7 +180,7 @@ def run_ensemble(
         scalar_fields=tuple(scalar_fields), strides=strides, one_form=one_form,
         potential=potential, cap=cap,
     )
-    args = [(task, x0[i0:i1], i0) for (i0, i1) in ranges]
+    args = [(task, x0[i0:i1], i0, np.geterr()) for (i0, i1) in ranges]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_block_worker, args))
@@ -189,8 +190,22 @@ def run_ensemble(
 
 
 def _block_worker(arg):
-    task, x0blk, i0 = arg
-    return _run_block(x0blk, i0, **task)
+    task, x0blk, i0, errstate = arg
+    with np.errstate(**errstate):  # the caller's, whatever process runs the block
+        return _run_block(x0blk, i0, **task)
+
+
+def _grid_reduce(run, reduce, grid, n, key: RngKey):
+    """reduce(run(starts, key)), one path per row of starts, over a start
+    grid whose point j owns paths [j n, (j+1) n): groups of whole points,
+    of at most _GRID_PATHS paths (one point at least), run keyed at their
+    first path, so they draw the streams of one run on np.repeat(grid, n,
+    axis=0).  reduce returns arrays whose last axis is its group's points;
+    they join along it."""
+    per = max(1, _GRID_PATHS // n)
+    parts = [reduce(run(np.repeat(grid[j0:j0 + per], n, axis=0), key.child(j0 * n)))
+             for j0 in range(0, len(grid), per)]
+    return [np.concatenate(a, axis=-1) for a in zip(*parts)]
 
 
 def _concat_results(parts):
@@ -337,7 +352,8 @@ def _run_block(
 def exit_probability(model, starts, r, t, h, n_paths, key: RngKey,
                      center=None, checkpoints=(), workers=1):
     """P{t < first exit time from the geodesic ball K_r(center)} for each
-    start point; also reports the infimum over the start set.
+    start point; also reports the infimum over the start set.  Start j owns
+    paths [j n_paths, (j+1) n_paths) of one grid run (_grid_reduce).
 
     Returns (per_start, stderr, inf_over_starts) where per_start has shape
     (n_checkpoints_or_1, n_starts)."""
@@ -350,14 +366,10 @@ def exit_probability(model, starts, r, t, h, n_paths, key: RngKey,
     if r <= dmax:
         raise ValueError(f"ball radius r={r:g} must exceed max start distance {dmax:g}")
     domain = make_ball(base, r, center=c)
-    fracs = []
-    errs = []
-    for j, x in enumerate(starts):
-        res = run_ensemble(domain, x, t, h, key.child(j * n_paths), n_paths,
-                           checkpoints=checkpoints, workers=workers)
-        a = res.alive.astype(float)
-        fracs.append(a.mean(axis=1))
-        errs.append(np.sqrt(np.maximum(a.mean(axis=1) * (1 - a.mean(axis=1)), 0.0) / n_paths))
-    per_start = np.stack(fracs, axis=1)
-    stderr = np.stack(errs, axis=1)
+    per_start, = _grid_reduce(
+        lambda x0, k: run_ensemble(domain, x0, t, h, k, len(x0), checkpoints=checkpoints,
+                                   workers=workers),
+        lambda res: (res.alive.astype(float).reshape(len(res.snap_times), -1, n_paths)
+                     .mean(axis=2),), starts, n_paths, key)
+    stderr = np.sqrt(np.maximum(per_start * (1 - per_start), 0.0) / n_paths)
     return per_start, stderr, per_start.min(axis=1)

@@ -223,9 +223,11 @@ def _hermitize(a):
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("potential matrices must be square")
+    if not np.all(np.isfinite(a)):
+        raise ValueError("potential matrix has a non-finite entry")
     if np.max(np.abs(a - a.conj().T)) > 1e-12 * max(1.0, np.max(np.abs(a))):
         raise ValueError("potential matrix is not Hermitian")
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * a + 0.5 * a.conj().T  # halves first: no overflow near the float maximum
 
 
 @dataclass

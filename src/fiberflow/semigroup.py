@@ -3,14 +3,24 @@
 Estimators produce a Monte Carlo `Estimate` (value, standard error, sample
 count, discretization echo).  Scalar weights use the trapezoid/sub-step
 time integral of the potential; vector weights use the exponential-product
-holonomy and the accumulated transport.  Every vector estimator also
-carries the left-point integral of the scalar floor, and asserts the
+holonomy and the accumulated transport.  Every vector run is built by one
+helper, which also carries the left-point integral of the scalar floor and
+turns an overflowing potential into NonFiniteFieldError (any other
+non-finite sample is a RuntimeError); every vector estimator asserts the
 per-sample domination inequality
 
     || holonomy * transport^{-1} f ||  <=  exp(-int floor) * ||f(B_t)||
 
-on every run: for the product integrator this is an identity up to matrix
-exponential tolerance, so a violation is a bug, not noise.
+on every sample, up to DOMINATION_TOL * (1 + exp(-int floor) ||f(B_t)||):
+for the product integrator this is an identity up to matrix exponential
+tolerance, so a violation is a bug, not noise.  domination_check counts
+the samples that break the same rule.
+
+A supremum over a start grid is one grid run (paths._grid_reduce) on the
+grid's points, each repeated n times: point j owns paths [j n, (j+1) n),
+which draw the streams a run of n paths keyed key.child(j n) would draw.
+The run goes in groups of whole points, reduced per point as each group
+ends, so its memory does not grow with the grid.
 
 Comparisons (semigroup identity, perturbation formula, h-refinement,
 domination) share paths wherever the two sides admit common randomness,
@@ -28,9 +38,9 @@ import numpy as np
 from .bundles import BundleSpec, trivial_bundle
 from .geometry import OpenSubdomain
 from .kato import KhasminskiiConstants
-from .paths import run_ensemble
-from .potentials import OneForm, PotentialSpec, ScalarField, SectionSpec
-from .rng import RngKey
+from .paths import _grid_reduce, run_ensemble
+from .potentials import NonFiniteFieldError, OneForm, PotentialSpec, ScalarField, SectionSpec
+from .rng import RngKey, stream
 
 __all__ = [
     "Estimate",
@@ -117,60 +127,15 @@ def fk_scalar(model, v, f: SectionSpec, x, t, h, n, key: RngKey,
 
 
 def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n,
-              key: RngKey, checkpoints=(), workers=1,
-              assert_domination=True) -> Estimate:
+              key: RngKey, checkpoints=(), workers=1) -> Estimate:
     """E[V_t transport_t^{-1} f(B_t) 1_{t<zeta}] with the holonomy weight;
     also records the scalar comparison weight e^{-int floor} per sample and
     asserts the per-sample domination inequality."""
-    V = _as_potential(V)
-    d = V.rank
-    if bundle is None:
-        bundle = trivial_bundle(d)
-    res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       checkpoints=checkpoints, workers=workers)
-    samples, floor_w, fnorm = _vector_samples(res, f, d)
-    if assert_domination:
-        _assert_domination(samples, floor_w, fnorm, res.alive)
-    mean, se = _reduce(samples[-1])
-    out = Estimate(mean, se, n, h, key.seed, res.alive_fraction(),
-                   extras={"floor_weight_mean": float((floor_w[-1] * res.alive[-1]).mean())})
-    if checkpoints:
-        means, ses = zip(*(_reduce(samples[i]) for i in range(samples.shape[0])))
-        out.extras["per_time"] = {"times": res.snap_times.tolist(),
-                                  "value": [np.asarray(mv).tolist() for mv in means],
-                                  "stderr": [np.asarray(sv).tolist() for sv in ses]}
-    return out
-
-
-def _vector_samples(res, f: SectionSpec, d):
-    """Per-checkpoint samples V_t acc^H f(B_t) (zeroed on dead paths),
-    plus the floor weights e^{-int floor} and ||f(B_t)||."""
-    fe = f(res.points)  # (T, N) or (T, N, d)
-    if d == 1 and fe.ndim == 2:
-        fe = fe[..., None]
-    if res.transport is not None:
-        pulled = np.einsum("tnji,tnj->tni", res.transport.conj(), fe)
-    else:
-        pulled = fe
-    samples = np.einsum("tnij,tnj->tni", res.holonomy, pulled)
-    samples = samples * res.alive[..., None]
-    floor_w = np.exp(-res.floor_integral)
-    fnorm = np.linalg.norm(fe, axis=-1)
-    if d == 1:
-        samples = samples[..., 0]
-    return samples, floor_w, fnorm
-
-
-def _assert_domination(samples, floor_w, fnorm, alive):
-    snorm = np.abs(samples) if samples.ndim == 2 else np.linalg.norm(samples, axis=-1)
-    rhs = floor_w * fnorm * alive
-    margin = snorm - rhs
-    worst = float(margin.max(initial=0.0))
-    if worst > DOMINATION_TOL * (1.0 + float(np.abs(rhs).max(initial=0.0))):
-        idx = np.unravel_index(int(np.argmax(margin)), margin.shape)
-        raise RuntimeError(
-            f"per-sample domination violated by {worst:.3e} at checkpoint {idx[0]}, "
-            f"path {idx[1]}: integrator bug")
+    res = _vector_run(model, bundle, V, x, t, h, n, key, checkpoints, workers)
+    samples, lhs, rhs = _vector_samples(res, f(res.points))
+    _assert_domination(lhs, rhs)
+    floor_w = np.exp(-res.floor_integral[-1]) * res.alive[-1]
+    return _estimate(samples, res, h, key, floor_weight_mean=float(floor_w.mean()))
 
 
 def fk_magnetic(model, beta: Optional[OneForm], v, f: SectionSpec, x, t, h, n, key: RngKey,
@@ -178,14 +143,91 @@ def fk_magnetic(model, beta: Optional[OneForm], v, f: SectionSpec, x, t, h, n, k
     """E[e^{-int v + i int beta(dB)} f(B_t) 1_{t<zeta}], midpoint rule for
     the Stratonovich phase; beta = None is fk_scalar."""
     res, weights = _scalar_weights(model, v, x, t, h, n, key, beta, checkpoints, workers)
-    samples = weights * f(res.points)
+    return _estimate(weights * f(res.points), res, h, key)
+
+
+def _estimate(samples, res, h, key: RngKey, **extras) -> Estimate:
+    """Estimate of the last checkpoint's samples, plus a per_time record of
+    every checkpoint when the run has more than one."""
     mean, se = _reduce(samples[-1])
-    out = Estimate(mean, se, n, h, key.seed, res.alive_fraction(), extras={})
-    if checkpoints:
-        means, ses = zip(*(_reduce(samples[i]) for i in range(samples.shape[0])))
+    out = Estimate(mean, se, res.n_paths, h, key.seed, res.alive_fraction(), extras=extras)
+    if len(res.snap_times) > 1:
+        means, ses = zip(*(_reduce(s) for s in samples))
         out.extras["per_time"] = {"times": res.snap_times.tolist(),
-                                  "value": list(means), "stderr": list(ses)}
+                                  "value": [np.asarray(mv).tolist() for mv in means],
+                                  "stderr": [np.asarray(sv).tolist() for sv in ses]}
     return out
+
+
+def _vector_run(model, bundle, V, x, t, h, n, key: RngKey, checkpoints=(), workers=1):
+    """run_ensemble for a vector estimator: V coerced (None is the free
+    flow), a trivial bundle of V's rank when none is given.  A potential
+    whose matrices or exponentials overflow raises NonFiniteFieldError."""
+    if V is not None:
+        V = _as_potential(V)
+    if bundle is None:
+        bundle = trivial_bundle(V.rank)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
+                           checkpoints=checkpoints, workers=workers)
+    if V is not None and not (np.all(np.isfinite(res.holonomy))
+                              and np.all(np.isfinite(res.floor_integral))):
+        raise NonFiniteFieldError(f"{V.name!r} overflowed: the holonomy or the floor "
+                                  "integral is not finite")
+    return res
+
+
+def _weighted(holonomy, transport, fe, alive):
+    """holonomy transport^H fe on live paths, 0 on dead ones, over any
+    leading (checkpoint, path) axes."""
+    pulled = np.einsum("...ji,...j->...i", transport.conj(), fe)
+    return np.einsum("...ij,...j->...i", holonomy, pulled) * alive[..., None]
+
+
+def _squeeze(samples):
+    """Rank-1 samples as scalars."""
+    return samples[..., 0] if samples.shape[-1] == 1 else samples
+
+
+def _vector_samples(res, fe):
+    """(samples, lhs, rhs) per checkpoint and path from the section values
+    fe = f(res.points): samples V_t acc^H f(B_t) (zeroed on dead paths),
+    their fibre norms lhs and the floor side rhs = e^{-int floor} ||f(B_t)||
+    of the domination inequality."""
+    fe = fe.reshape(*res.alive.shape, -1)
+    samples = _weighted(res.holonomy, res.transport, fe, res.alive)
+    lhs = np.abs(samples[..., 0]) if samples.shape[-1] == 1 else np.linalg.norm(samples, axis=-1)
+    rhs = np.exp(-res.floor_integral) * np.linalg.norm(fe, axis=-1) * res.alive
+    if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(rhs))):
+        raise RuntimeError("non-finite vector samples: the transport, a path or the section "
+                           "overflowed")
+    return _squeeze(samples), lhs, rhs
+
+
+def _domination_margin(lhs, rhs):
+    """Per-sample margins lhs - rhs, and which of them break domination:
+    margin > DOMINATION_TOL * (1 + |rhs|)."""
+    margin = lhs - rhs
+    return margin, margin > DOMINATION_TOL * (1.0 + np.abs(rhs))
+
+
+def _assert_domination(lhs, rhs, bound="per-sample domination"):
+    margin, bad = _domination_margin(lhs, rhs)
+    if np.any(bad):
+        idx = np.unravel_index(int(np.argmax(np.where(bad, margin, -np.inf))), margin.shape)
+        where = f"checkpoint {idx[0]}, path {idx[1]}" if margin.ndim == 2 else f"path {idx[0]}"
+        raise RuntimeError(f"{bound} violated by {margin[idx]:.3e} at {where}: integrator bug")
+
+
+def _per_start(res, f: SectionSpec, n):
+    """(||mean||, max stderr) per start point of the last-checkpoint samples
+    of f on a grid run, domination asserted; point j owns paths
+    [j n, (j+1) n)."""
+    samples, lhs, rhs = _vector_samples(res, f(res.points))
+    _assert_domination(lhs, rhs)
+    s = samples[-1].reshape(samples.shape[1] // n, n, -1)  # (points, n, fibre)
+    mean, se = _reduce(np.moveaxis(s, 1, 0))
+    return np.linalg.norm(mean, axis=-1), se.max(axis=-1)
 
 
 def _scalar_weighted(V: PotentialSpec, bundle, beta) -> bool:
@@ -213,35 +255,27 @@ def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
     """Start points distributed as |f1| dvol / Z, by rejection from the
     uniform measure on the model (compact) or on a ball of the given
     radius (noncompact); returns (points, Z estimate)."""
-    rng_stream = key.child(INNER_STREAM_GAP)
-    from .rng import stream as _stream
-
-    rng = _stream(rng_stream)
+    rng = stream(key.child(INNER_STREAM_GAP))
     if f1.norm_bound is None:
         raise ValueError("rejection sampling needs f1.norm_bound")
     bound = f1.norm_bound
-    pts = []
-    target = n
-    tries = 0
-    vol = None
-    is_compact = True
     try:
         model.quadrature(8)
+        is_compact = True
     except NotImplementedError:
         is_compact = False
-    if not is_compact:
         if radius is None:
-            raise ValueError("noncompact model: supply a sampling radius for f1")
-        vol = (2.0 * radius) ** model.dim
+            raise ValueError("noncompact model: supply a sampling radius for f1") from None
+
     def fiber_norm(pts_):
         vals = np.asarray(f1(pts_))
         return np.abs(vals) if vals.ndim == pts_.ndim - 1 else np.linalg.norm(vals, axis=-1)
 
-    while len(pts) < target:
-        tries += 1
-        if tries > 4000:
+    m = max(1024, n)
+    kept, count = [], 0
+    while count < n:
+        if len(kept) == 4000:
             raise RuntimeError("rejection sampling failed; f1 too peaked for the box")
-        m = max(1024, target)
         if is_compact:
             cand = model.volume_sample(rng, m)
         else:
@@ -249,21 +283,16 @@ def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
         dens = fiber_norm(cand)
         if np.any(dens > bound * (1 + 1e-9)):
             raise ValueError("f1 exceeds its declared norm bound")
-        keep = cand[rng.uniform(0.0, bound, size=m) < dens]
-        pts.append(keep)
-        pts_flat = np.concatenate(pts)
-        if len(pts_flat) >= target:
-            pts = [pts_flat[:target]]
-            break
-    pts = pts[0]
+        kept.append(cand[rng.uniform(0.0, bound, size=m) < dens])
+        count += len(kept[-1])
+    pts = np.concatenate(kept)[:n]
     if is_compact:
         qpts, qw = model.quadrature(64)
         Z = float(np.sum(qw * fiber_norm(qpts)))
     else:
         # plain Monte Carlo normalization over the box
-        m = 200000
-        cand = rng.uniform(-radius, radius, size=(m, model.coord_dim))
-        Z = float(np.mean(fiber_norm(cand)) * vol)
+        cand = rng.uniform(-radius, radius, size=(200000, model.coord_dim))
+        Z = float(np.mean(fiber_norm(cand)) * (2.0 * radius) ** model.dim)
     return pts, Z
 
 
@@ -288,19 +317,14 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
         phase1 = np.where(np.abs(f1e) > 0, np.conj(f1e) / np.abs(f1e), 1.0)
         samples = Z * phase1[None, :] * wts * f2(res.points)
     else:
-        d = V.rank
-        res = run_ensemble(model, starts, tmax, h, key, n, bundle=bundle,
-                           potential=V, checkpoints=cps, workers=workers)
-        vec, _, _ = _vector_samples(res, f2, d)
-        f1e = f1(starts)
-        if f1e.ndim == 1:
-            f1e = f1e[:, None]
+        res = _vector_run(model, bundle, V, starts, tmax, h, n, key, cps, workers)
+        vec, lhs, rhs = _vector_samples(res, f2(res.points))
+        _assert_domination(lhs, rhs)
+        f1e = f1(starts).reshape(n, -1)
         norm1 = np.linalg.norm(f1e, axis=-1)
         dirn = np.where(norm1[:, None] > 0, f1e / np.maximum(norm1, 1e-300)[:, None], 0.0)
-        samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec)
-    means, ses = zip(*(_reduce(samples[i]) for i in range(samples.shape[0])))
-    means = np.asarray(means)
-    ses = np.asarray(ses)
+        samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec.reshape(len(vec), n, -1))
+    means, ses = map(np.asarray, zip(*(_reduce(s) for s in samples)))
     vals = means.real
     if np.any(vals <= 0):
         raise RuntimeError("log-functional non-positive; shrink t_max or raise n")
@@ -346,14 +370,9 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     keep = w >= 1e-14 * w.max()  # far nodes carry no weight but dominate cost
     u, w = u[keep], w[keep]
     t_nodes = np.sort(u / lam)
-    V = _as_potential(V)
-    d = V.rank
-    if bundle is None:
-        bundle = trivial_bundle(d)
-    res = run_ensemble(model, x, float(t_nodes[-1]), h, key, n, bundle=bundle,
-                       potential=V, checkpoints=t_nodes[:-1], workers=workers)
-    samples, floor_w, fnorm = _vector_samples(res, f, d)
-    _assert_domination(samples, floor_w, fnorm, res.alive)
+    res = _vector_run(model, bundle, V, x, float(t_nodes[-1]), h, n, key, t_nodes[:-1], workers)
+    samples, lhs, rhs = _vector_samples(res, f(res.points))
+    _assert_domination(lhs, rhs)
     order = np.argsort(np.argsort(u / lam))  # map node -> checkpoint row
     gam = math.gamma(k)
     coeffs = w / (lam**k * gam)
@@ -365,7 +384,7 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     extras = {"t_nodes": t_nodes.tolist(), "tail_share": tail_share}
     if tail_share > 0.05:
         extras["diverging_tail"] = True
-    scalar_ref = np.tensordot(coeffs, (floor_w * res.alive * fnorm)[order], axes=(0, 0))
+    scalar_ref = np.tensordot(coeffs, rhs[order], axes=(0, 0))
     extras["floor_resolvent_mean"] = float(scalar_ref.mean(axis=0))
     snorm = np.abs(per_path) if per_path.ndim == 1 else np.linalg.norm(per_path, axis=-1)
     extras["per_sample_resolvent_domination_margin"] = float((snorm - scalar_ref).max())
@@ -381,19 +400,12 @@ def domination_check(model, bundle, V, f: SectionSpec, x, t, h, n, key: RngKey,
     """Per-sample and averaged semigroup domination against the scalar
     floor, on shared paths.  The per-sample inequality is exact for the
     product integrator; the averaged inequality is reported with errors."""
-    V = _as_potential(V)
-    d = V.rank
-    if bundle is None:
-        bundle = trivial_bundle(d)
-    res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       workers=workers)
-    samples, floor_w, fnorm = _vector_samples(res, f, d)
-    snorm = np.abs(samples[-1]) if samples.ndim == 2 else np.linalg.norm(samples[-1], axis=-1)
-    rhs = (floor_w * fnorm * res.alive)[-1]
-    margins = snorm - rhs
-    viol = int(np.sum(margins > DOMINATION_TOL * (1.0 + np.abs(rhs))))
-    lhs_mean, lhs_se = _reduce(snorm)
-    rhs_mean, rhs_se = _reduce(rhs)
+    res = _vector_run(model, bundle, V, x, t, h, n, key, workers=workers)
+    _, lhs, rhs = _vector_samples(res, f(res.points))
+    margins, bad = _domination_margin(lhs[-1], rhs[-1])
+    viol = int(np.sum(bad))
+    lhs_mean, lhs_se = _reduce(lhs[-1])
+    rhs_mean, rhs_se = _reduce(rhs[-1])
     return {
         "passed": viol == 0,
         "violations": viol,
@@ -419,7 +431,6 @@ def heat_pq_norm_check(model, t, probes, pairs=((1, 2), (2, 2), (2, np.inf), (1,
     # kernel matrix via the model's closed form (homogeneous: distance only)
     gram = model.heat_kernel(t, pts[:, None, :], pts[None, :, :])
     results = []
-    ok = True
     for probe in probes:
         fv = np.asarray(probe(pts))
         Ptf = gram @ (w * fv)
@@ -428,11 +439,10 @@ def heat_pq_norm_check(model, t, probes, pairs=((1, 2), (2, 2), (2, np.inf), (1,
             nq = _lp_norm(Ptf, w, q)
             bound = Ct ** ((1.0 / p) - (1.0 / q if np.isfinite(q) else 0.0))
             passed = nq <= bound * np_ + tol * max(1.0, bound * np_)
-            ok = ok and passed
             results.append({"p": p, "q": (None if not np.isfinite(q) else q),
                             "ratio": float(nq / np_), "bound": float(bound),
                             "passed": bool(passed)})
-    return {"passed": ok, "C_t": Ct, "pairs": results}
+    return {"passed": all(r["passed"] for r in results), "C_t": Ct, "pairs": results}
 
 
 def _lp_norm(vals, w, p):
@@ -442,50 +452,28 @@ def _lp_norm(vals, w, p):
     return float(np.sum(w * a**p) ** (1.0 / p))
 
 
-def smoothing_norm_bound(model, V, t, q, probes, x_grid, h, n, key: RngKey,
+def smoothing_norm_bound(model, V, t, probes, x_grid, h, n, key: RngKey,
                          constants: KhasminskiiConstants, workers=1):
     """Eq-u1-style bound check: for L2-normalized probes f,
-    ||e^{-tH(V)} f||_q <= sqrt(2) C_t^{1/2 - 1/q} e^{t D} + 3 se with
+    ||e^{-tH(V)} f||_inf <= sqrt(2) C_t^{1/2} e^{t D} + 3 se with
     D = C(2|V^(2)|)/2 realized through the Khas'minskii exponent of the
-    doubled negative part.  q = inf maximizes over the x-grid; q = 2 uses
-    the grid quadrature weights."""
-    V = _as_potential(V)
-    d = V.rank
+    doubled negative part; the sup norm is the maximum over x_grid."""
     for f in probes:
         if f.l2_norm is None or abs(f.l2_norm - 1.0) > 1e-6:
             raise ValueError("probes must be L2-normalized (l2_norm == 1)")
     Ct = float(model.sup_heat_kernel(t))
     D = constants.cv / 2.0
-    bound = math.sqrt(2.0) * Ct ** (0.5 - (1.0 / q if np.isfinite(q) else 0.0)) * math.exp(t * D)
-    pts, w = x_grid
+    bound = math.sqrt(2.0) * Ct ** 0.5 * math.exp(t * D)
     # one path set per grid point, shared by every probe
-    vals = np.zeros((len(probes), len(pts)))
-    ses = np.zeros((len(probes), len(pts)))
-    for j, x in enumerate(pts):
-        res = run_ensemble(model, x, t, h, key.child(j * n), n,
-                           bundle=trivial_bundle(d) if d > 1 else None,
-                           potential=V, workers=workers)
-        for pi, f in enumerate(probes):
-            samples, floor_w, fnorm = _vector_samples(res, f, d)
-            _assert_domination(samples, floor_w, fnorm, res.alive)
-            mean, se = _reduce(samples[-1])
-            vals[pi, j] = float(np.linalg.norm(np.atleast_1d(mean)))
-            ses[pi, j] = float(np.max(np.atleast_1d(se)))
-    rows = []
-    ok = True
-    for pi in range(len(probes)):
-        if np.isfinite(q):
-            norm_q = float(np.sum(w * vals[pi] ** q) ** (1.0 / q))
-            se_q = float(np.max(ses[pi]))
-        else:
-            jmax = int(np.argmax(vals[pi]))
-            norm_q = float(vals[pi, jmax])
-            se_q = float(ses[pi, jmax])
-        passed = norm_q <= bound + 3.0 * se_q
-        ok = ok and passed
-        rows.append({"probe": pi, "norm_q": norm_q, "stderr": se_q, "passed": bool(passed)})
-    return {"passed": ok, "bound": bound, "C_t": Ct, "D": D, "rows": rows,
-            "q": (None if not np.isfinite(q) else q)}
+    vals, ses = _grid_reduce(
+        lambda x0, k: _vector_run(model, None, V, x0, t, h, len(x0), k, workers=workers),
+        lambda res: np.stack([_per_start(res, f, n) for f in probes], axis=1),
+        np.asarray(x_grid, dtype=float), n, key)
+    rows = [{"probe": pi, "norm_q": float(vals[pi, j]), "stderr": float(ses[pi, j]),
+             "passed": bool(vals[pi, j] <= bound + 3.0 * ses[pi, j])}
+            for pi, j in enumerate(np.argmax(vals, axis=1))]
+    return {"passed": all(r["passed"] for r in rows), "bound": bound, "C_t": Ct, "D": D,
+            "rows": rows, "q": None}
 
 
 # ----------------------------------------------------------------------
@@ -502,27 +490,16 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     d = V_inner.rank
     if bundle is None:
         bundle = trivial_bundle(d)
-    outer = run_ensemble(model, x, s, h, key, n_out, bundle=bundle,
-                         potential=_as_potential(V_outer) if V_outer is not None else None,
-                         workers=workers)
+    outer = _vector_run(model, bundle, V_outer, x, s, h, n_out, key, workers=workers)
     y = np.repeat(outer.points[-1], n_in, axis=0)
-    inner = run_ensemble(model, y, t, h, key.child(INNER_STREAM_GAP), n_out * n_in,
-                         bundle=bundle, potential=V_inner, workers=workers)
-    vec, _, _ = _vector_samples(inner, f, d)
+    inner = _vector_run(model, bundle, V_inner, y, t, h, n_out * n_in,
+                        key.child(INNER_STREAM_GAP), workers=workers)
+    vec, lhs, rhs = _vector_samples(inner, f(inner.points))
+    _assert_domination(lhs, rhs)
     u = vec[-1].reshape(n_out, n_in, -1).mean(axis=1)  # inner estimates at each y_i
-    if outer.holonomy is not None:
-        W = outer.holonomy[-1]
-    else:
-        W = np.broadcast_to(np.eye(d, dtype=complex), (n_out, d, d))
-    if outer.transport is not None:
-        pulled = np.einsum("nji,nj->ni", outer.transport[-1].conj(), u)
-    else:
-        pulled = u
-    samples = np.einsum("nij,nj->ni", W, pulled)
-    samples = samples * outer.alive[-1][:, None]
-    if d == 1:
-        samples = samples[..., 0]
-    return samples
+    W = (np.broadcast_to(np.eye(d, dtype=complex), (n_out, d, d)) if outer.holonomy is None
+         else outer.holonomy[-1])
+    return _squeeze(_weighted(W, outer.transport[-1], u, outer.alive[-1]))
 
 
 def semigroup_identity_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
@@ -533,22 +510,11 @@ def semigroup_identity_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
     V = _as_potential(V)
     _require_kato_decomposable(model, V)
     one = fk_vector(model, bundle, V, f, x, s + t, h, n, key, workers=workers)
-    if s == 0.0:
-        two_value, two_se = one.value, one.stderr
-        exact = True
-    else:
-        n_out, n_in = _split_budget(n)
-        samples = _nested_samples(model, bundle, V, V, s, t, x, n_out, n_in, h, key,
-                                  f, workers=workers)
-        two_value, two_se = _reduce(samples)
-        exact = False
-    diff = np.max(np.abs(np.atleast_1d(one.value - two_value)))
-    tol = 3.0 * math.hypot(float(np.max(np.atleast_1d(one.stderr))),
-                           float(np.max(np.atleast_1d(two_se))))
-    return {"passed": bool(diff <= tol or exact), "difference": float(diff),
-            "tolerance_3se": float(tol), "one_shot": _to_jsonable(one.value),
-            "nested": _to_jsonable(two_value), "exact_degenerate": exact,
-            "seed": key.seed, "h": h, "n": n}
+    exact = bool(s == 0.0)
+    two_value, two_se = (one.value, one.stderr) if exact else _reduce(_nested_samples(
+        model, bundle, V, V, s, t, x, *_split_budget(n), h, key, f, workers=workers))
+    return _three_se_report(("one_shot", one.value, one.stderr), ("nested", two_value, two_se),
+                            exact, key, h, n)
 
 
 def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
@@ -560,50 +526,37 @@ def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
         raise ValueError("need 0 <= s <= t")
     V = _as_potential(V)
     _require_kato_decomposable(model, V)
-    d = V.rank
-    if bundle is None:
-        bundle = trivial_bundle(d)
     # right side: single paths, holonomy window weight
-    res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
-                       checkpoints=[s] if 0.0 < s < t else [], workers=workers)
-    snaps = res.snap_times
-    si = int(np.argmin(np.abs(snaps - s)))
-    fe = f(res.points[-1])
-    if d == 1 and fe.ndim == 1:
-        fe = fe[:, None]
-    if res.transport is not None:
-        pulled = np.einsum("nji,nj->ni", res.transport[-1].conj(), fe)
-    else:
-        pulled = fe
+    res = _vector_run(model, bundle, V, x, t, h, n, key, [s] if 0.0 < s < t else [], workers)
+    fe = f(res.points)
+    _assert_domination(*_vector_samples(res, fe)[1:])
     Vt = res.holonomy[-1]
-    Vs = res.holonomy[si] if s > 0 else np.broadcast_to(np.eye(d, dtype=complex), Vt.shape)
-    window = np.linalg.solve(Vs, Vt) if s > 0 else Vt
-    rhs_samples = np.einsum("nij,nj->ni", window, pulled) * res.alive[-1][:, None]
+    si = int(np.argmin(np.abs(res.snap_times - s)))
+    window = np.linalg.solve(res.holonomy[si], Vt) if s > 0 else Vt
+    rhs_samples = _weighted(window, res.transport[-1], fe[-1].reshape(n, -1), res.alive[-1])
     if f.norm_bound is not None:
-        cap_rhs = np.exp(res.v2_integral[-1]) * f.norm_bound * res.alive[-1]
-        worst = float((np.linalg.norm(rhs_samples, axis=-1) - cap_rhs).max())
-        if worst > DOMINATION_TOL * (1.0 + float(cap_rhs.max(initial=0.0))):
-            raise RuntimeError(f"perturbation integrand bound violated by {worst:.3e}")
-    rhs_samples = rhs_samples[..., 0] if d == 1 else rhs_samples
-    rhs_value, rhs_se = _reduce(rhs_samples)
-    exact = False
-    if s == 0.0 or s == t:
-        # degenerate windows collapse to a one-shot estimator on the same
-        # streams: V_0^{-1} V_t = V_t, and V_t^{-1} V_t = 1
-        lhs_value, lhs_se = rhs_value, rhs_se
-        exact = True
-    else:
-        n_out, n_in = _split_budget(n)
-        samples = _nested_samples(model, bundle, None, V, s, t - s, x, n_out, n_in,
-                                  h, key, f, workers=workers)
-        lhs_value, lhs_se = _reduce(samples)
-    diff = np.max(np.abs(np.atleast_1d(lhs_value - rhs_value)))
-    tol = 3.0 * math.hypot(float(np.max(np.atleast_1d(lhs_se))),
-                           float(np.max(np.atleast_1d(rhs_se))))
-    return {"passed": bool(diff <= tol or exact), "difference": float(diff),
-            "tolerance_3se": float(tol), "left": _to_jsonable(lhs_value),
-            "right": _to_jsonable(rhs_value), "exact_degenerate": exact,
-            "seed": key.seed, "h": h, "n": n}
+        cap = np.exp(res.v2_integral[-1]) * f.norm_bound * res.alive[-1]
+        _assert_domination(np.linalg.norm(rhs_samples, axis=-1), cap,
+                           "perturbation integrand bound")
+    rhs_value, rhs_se = _reduce(_squeeze(rhs_samples))
+    # degenerate windows collapse to a one-shot estimator on the same
+    # streams: V_0^{-1} V_t = V_t, and V_t^{-1} V_t = 1
+    exact = bool(s == 0.0 or s == t)
+    lhs_value, lhs_se = (rhs_value, rhs_se) if exact else _reduce(_nested_samples(
+        model, bundle, None, V, s, t - s, x, *_split_budget(n), h, key, f, workers=workers))
+    return _three_se_report(("left", lhs_value, lhs_se), ("right", rhs_value, rhs_se),
+                            exact, key, h, n)
+
+
+def _three_se_report(a, b, exact, key: RngKey, h, n):
+    """Whether the estimates a = (name, value, stderr) and b agree within 3
+    combined standard errors; exact marks two sides on identical streams."""
+    (name_a, value_a, se_a), (name_b, value_b, se_b) = a, b
+    diff = float(np.max(np.abs(np.atleast_1d(value_a - value_b))))
+    tol = 3.0 * math.hypot(float(np.max(np.atleast_1d(se_a))), float(np.max(np.atleast_1d(se_b))))
+    return {"passed": bool(diff <= tol or exact), "difference": diff, "tolerance_3se": tol,
+            name_a: _to_jsonable(value_a), name_b: _to_jsonable(value_b),
+            "exact_degenerate": exact, "seed": key.seed, "h": h, "n": n}
 
 
 def _split_budget(n):
@@ -647,54 +600,41 @@ def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
     if len(grid) < 32:
         raise ValueError("continuity scan needs a grid of at least 32 points")
-    d = V.rank
     s_grid = np.sort(np.asarray(s_grid, dtype=float))
-    # (i) holonomy deviation sup over grid, shared paths per x
-    sup_dev = np.zeros(len(s_grid))
-    for j, x in enumerate(grid):
-        res = run_ensemble(model, x, float(s_grid[-1]), h, key.child(j * n), n,
-                           bundle=bundle, potential=V,
-                           checkpoints=s_grid[:-1], workers=workers)
-        eye = np.eye(d)
-        dev = res.holonomy - eye
-        if d == 1:
-            dn = np.abs(dev[..., 0, 0])
-        else:
-            dn = np.linalg.norm(dev, ord=2, axis=(-2, -1))
-        sup_dev = np.maximum(sup_dev, np.mean(dn**2 * res.alive, axis=1))
+
+    def deviation(res):  # E||1 - V_s||^2 per s and grid point
+        dev = res.holonomy - np.eye(V.rank)
+        dn = np.abs(dev[..., 0, 0]) if V.rank == 1 else np.linalg.norm(dev, ord=2, axis=(-2, -1))
+        return ((dn**2 * res.alive).reshape(len(s_grid), -1, n).mean(axis=2),)
+
+    # (i) holonomy deviation sup over grid; point j owns paths [j n, (j+1) n)
+    sup_dev = _grid_reduce(lambda x0, k: _vector_run(model, bundle, V, x0, float(s_grid[-1]), h,
+                                                     len(x0), k, s_grid[:-1], workers),
+                           deviation, grid, n, key)[0].max(axis=1)
     mono = bool(np.all(np.diff(sup_dev) >= -1e-12))
     small = bool(sup_dev[0] < decay_target)
     # (ii) modulus of continuity under refinement: a geodesic segment
-    # between the grid extremes, sampled at spacing delta and delta/2 with
-    # common random numbers (same streams at every start point)
+    # between the grid extremes, sampled at spacing delta and, every other
+    # point, 2 delta, with common random numbers (the same key at every point)
     dists = model.distance(grid, grid[0])
     x_far = grid[int(np.argmax(dists))]
     seg = model.geodesic_segment(grid[0], x_far, 17)
-    mod = {}
-    for label, pts_seg in (("fine", seg), ("coarse", seg[::2])):
-        vals = []
-        for x in pts_seg:
-            est = fk_vector(model, bundle, V, f, x, t, h, max(200, n // 4),
-                            key, workers=workers)  # same key: common random numbers
-            vals.append(np.atleast_1d(est.value))
-        vals = np.asarray(vals)
-        mod[label] = float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=-1)))
+    fine = np.asarray([np.atleast_1d(fk_vector(model, bundle, V, f, x, t, h, max(200, n // 4),
+                                               key, workers=workers).value) for x in seg])
+    mod = {label: float(np.max(np.linalg.norm(np.diff(vals, axis=0), axis=-1)))
+           for label, vals in (("fine", fine), ("coarse", fine[::2]))}
     ratio = mod["coarse"] / max(mod["fine"], 1e-300)
     ratio_ok = 1.0 <= ratio <= 4.0
-    # (iii) global bound
+    # (iii) global bound, on streams past part (i)'s first 64 points
     bound = None
     bound_ok = True
     if constants is not None and f.l2_norm is not None:
         Ct = float(model.sup_heat_kernel(t))
         bound = math.sqrt(2.0 * math.exp(constants.cv * t) * Ct) * f.l2_norm
-        worst = 0.0
-        for j, x in enumerate(grid):
-            est = fk_vector(model, bundle, V, f, x, t, h, n, key.child((j + 64) * n),
-                            workers=workers)
-            mag = float(np.linalg.norm(np.atleast_1d(est.value)))
-            se = float(np.max(np.atleast_1d(est.stderr)))
-            worst = max(worst, mag - 3.0 * se)
-        bound_ok = worst <= bound
+        mags, ses = _grid_reduce(
+            lambda x0, k: _vector_run(model, bundle, V, x0, t, h, len(x0), k, workers=workers),
+            lambda res: _per_start(res, f, n), grid, n, key.child(64 * n))
+        bound_ok = max(0.0, float(np.max(mags - 3.0 * ses))) <= bound
     return {
         "passed": bool(mono and small and ratio_ok and bound_ok),
         "holonomy_deviation": {"s": s_grid.tolist(), "sup_E_norm_sq": sup_dev.tolist(),

@@ -160,8 +160,7 @@ def test_criterion_07_smoothing_norms():
     probes = _random_probes(s2, 20, 13)
     pts, _ = s2.quadrature(8)
     grid = pts[:: max(1, len(pts) // 32)][:32]
-    rep = smoothing_norm_bound(s2, V, t, np.inf, probes, (grid, None), 5e-4,
-                               1500, KEY, kc)
+    rep = smoothing_norm_bound(s2, V, t, probes, grid, 5e-4, 1500, KEY, kc)
     ok = pq["passed"] and rep["passed"]
     report(7, ok, f"heat p,q-norm bounds on sphere2 (4 pairs, 1e-6): "
                   f"{pq['passed']}; L2->Linf bound sqrt(2) C_t^(1/2) e^(tD) with "

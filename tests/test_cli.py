@@ -8,10 +8,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from fiberflow import cli
-from fiberflow.cli import EXIT_NUMERICAL, EXIT_USAGE, main
-from fiberflow.config import (ConfigError, RunConfig, parse_beta, parse_manifold,
-                              parse_points, parse_potential, parse_section,
+from fiberflow import cli, paths
+from fiberflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from fiberflow.config import (_MAX_WORKERS, ConfigError, RunConfig, parse_beta,
+                              parse_manifold, parse_points, parse_potential, parse_section,
                               read_config_file)
 from fiberflow.geometry import Circle, Euclidean, OpenSubdomain, Sphere2
 from fiberflow.potentials import PotentialSpec, harmonic_field
@@ -212,6 +212,9 @@ def test_non_integral_count_names_key(flags, key, capsys):
     (["--t", "-1"], "t"), (["--trials", "0"], "trials"), (["--k", "0"], "k"),
     (["--r", "0"], "r"), (["--radius", "-8"], "radius"), (["--t-grid", "0.05,-0.2"], "t_grid"),
     (["--s-grid", "0.01,-0.1"], "s_grid"), (["--s", "-0.05"], "s"), (["--lambda", "0"], "lam"),
+    # one 10-path block: a missing workers check would still start no process
+    (["--workers", "0"], "workers"), (["--workers", "-2"], "workers"),
+    (["--workers", str(_MAX_WORKERS + 1)], "workers"),
 ])
 def test_out_of_range_value_names_key(flags, key, capsys):
     code = main(["semigroup", *BASE, "--t", "0.1", "--h", "0.01", "--n", "10", *flags])
@@ -246,6 +249,35 @@ def test_non_finite_potential_exit_code(potential, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: potential: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("workers, n", [("1", "10"), ("2", "8200")])  # 1 block, 2 blocks
+@pytest.mark.parametrize("potential, x", [
+    ("matrix(rank=2, const=diag(1e300,1), 1e300*harmonic(1.0) @ id)", "0.5,0"),
+    ("matrix(rank=2, const=diag(-1e308,0))", "0,0"),  # holonomy e^{+1e306}
+])
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_overflowing_matrix_potential_exit_code(potential, x, workers, n, capfd):
+    # capfd also holds what worker processes write
+    code = main(["semigroup", "--manifold", "euclidean(m=2)", "--bundle-rank", "2",
+                 "--potential", potential, "--section", "constant(1)", "--x", x,
+                 "--t", "0.1", "--h", "0.01", "--n", n, "--workers", workers])
+    captured = capfd.readouterr()
+    assert code == EXIT_NUMERICAL
+    assert captured.out == ""
+    assert captured.err.startswith("error: potential: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_huge_diagonal_potential_is_finite(capsys):
+    # its Hermitian part no longer overflows, and e^{-t 1e308} = 0 is exact
+    code = main(["semigroup", "--manifold", "euclidean(m=2)", "--bundle-rank", "3",
+                 "--potential", "matrix(rank=3, const=diag(1e308,0,-1))",
+                 "--section", "constant(1)", "--x", "0,0", "--t", "0.1", "--h", "0.01",
+                 "--n", "10"])
+    captured = capsys.readouterr()
+    assert code == EXIT_OK and captured.err == ""
+    assert json.loads(captured.out)["value"]["re"] == pytest.approx([0.0, 1.0, np.exp(0.1)])
 
 
 def test_nan_in_document_exit_code(monkeypatch, tmp_path, capsys):
@@ -458,6 +490,10 @@ CLI_CASES = {
                            "--s", "0.02", "--t", "0.03", "--n", "100", "--seed", "8"],
     "exit_time": ["exit-time", "--manifold", "euclidean(m=1)", "--x", "0", "--r", "0.5",
                   "--t", "0.2", "--h", "1e-3", "--n", "2000", "--t-grid", "0.05,0.1"],
+    # 3 x 600 paths of 10^4 steps: one run whose 1600-path blocks split a start
+    "exit_time_three_starts": ["exit-time", "--manifold", "euclidean(m=1)", "--x-grid",
+                               "0; 0.1; -0.2", "--r", "0.5", "--t", "0.1", "--h", "1e-5",
+                               "--n", "600", "--t-grid", "0.02,0.05", "--seed", "2"],
     "exit_time_x_grid": ["exit-time", "--manifold", "euclidean(m=2)", "--x-grid",
                          "0,0; 0.2,0.1", "--r", "0.5", "--t", "0.1", "--n", "500",
                          "--seed", "9"],
@@ -471,6 +507,11 @@ CLI_CASES = {
                         "--potential", "harmonic(1.0)", "--section", "constant(1)",
                         "--x-grid", "auto:32", "--t", "0.1", "--h", "2e-2", "--n", "40",
                         "--seed", "6"],
+    # harmonic_ground has an L2 norm, so part (iii), the global bound, runs
+    "continuity_scan_well": ["continuity-scan", "--manifold", "ball(euclidean(m=1), r=1.0)",
+                             "--potential", "well(0.5,0.3)", "--section",
+                             "harmonic_ground(1.0)", "--x-grid", "auto:32", "--t", "0.1",
+                             "--h", "2e-2", "--n", "40", "--seed", "6"],
     "kato_check": ["kato-check", "--manifold", "euclidean(m=3)", "--potential", "coulomb(0.5)",
                    "--seed", "3"],
     "kato_check_khasminskii": ["kato-check", "--manifold", "euclidean(m=3)", "--potential",
@@ -487,4 +528,21 @@ def test_cli_document_golden(case, monkeypatch, capsys):
     code = main(CLI_CASES[case])
     text = re.sub(r',\n  "wallTimeMs": \d+', "", capsys.readouterr().out)
     assert code == 0
+    assert text == (CLI_GOLDEN / f"{case}.json").read_text(encoding="utf-8")
+
+
+GRID_CASES = ("continuity_scan", "continuity_scan_well", "exit_time_three_starts",
+              "kato_check_khasminskii", "smoothing_potential")
+
+
+@pytest.mark.parametrize("points", [1, 3])
+@pytest.mark.parametrize("case", GRID_CASES)
+def test_grid_groups_keep_goldens(case, points, monkeypatch, capsys):
+    # a start grid run in groups of 1 or 3 whole points draws the streams of
+    # one run: the document does not change
+    argv = CLI_CASES[case]
+    monkeypatch.setattr(paths, "_GRID_PATHS", points * int(argv[argv.index("--n") + 1]))
+    monkeypatch.delenv("FIBERFLOW_SEED", raising=False)
+    assert main(argv) == 0
+    text = re.sub(r',\n  "wallTimeMs": \d+', "", capsys.readouterr().out)
     assert text == (CLI_GOLDEN / f"{case}.json").read_text(encoding="utf-8")

@@ -16,6 +16,13 @@ def test_free_circle_ground_zero():
     assert abs(grid_ground_energy(op)) < 1e-10
 
 
+def test_circle_ground_energy_reproducible():
+    # ARPACK starts from a fixed vector: the two-fold degenerate flux-1/2
+    # ground level comes out as the same float on every call
+    op = circle_operator(1.0, 256, flux=0.5)
+    assert grid_ground_energy(op) == grid_ground_energy(op)
+
+
 def test_harmonic_ground_half():
     build = lambda n: interval_operator(-10.0, 10.0, n, lambda x: 0.5 * x**2)
     e = richardson_ground_energy(build, 1024)

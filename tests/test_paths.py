@@ -251,6 +251,18 @@ def test_exit_time_requires_radius_above_start():
         exit_probability(Euclidean(1), np.array([[0.9]]), 0.5, 0.1, 1e-3, 100, KEY)
 
 
+def test_exit_probability_grid_run_matches_per_start_runs():
+    # start j of the one run draws the streams of n paths keyed key.child(j n)
+    starts, n = np.array([[0.0], [0.1], [-0.2]]), 300
+    per, se, inf = exit_probability(Euclidean(1), starts, 0.5, 0.05, 1e-3, n, KEY,
+                                    checkpoints=[0.02])
+    for j, x in enumerate(starts):
+        pj, sj, _ = exit_probability(Euclidean(1), x, 0.5, 0.05, 1e-3, n, KEY.child(j * n),
+                                     checkpoints=[0.02])
+        assert np.array_equal(per[:, j], pj[:, 0]) and np.array_equal(se[:, j], sj[:, 0])
+    assert np.array_equal(inf, per.min(axis=1)) and per.shape == (2, 3)
+
+
 def test_exit_survival_near_one_for_small_t():
     per, se, inf = exit_probability(Euclidean(2), np.zeros((1, 2)), 0.5, 1e-4,
                                     1e-6, 2000, KEY)

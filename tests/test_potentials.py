@@ -20,6 +20,18 @@ def random_matrix_potential():
                          terms=[(harmonic_field(E2, 1.0), 0.4 * pz)])
 
 
+def test_hermitian_part_exact_and_overflow_free():
+    rng = np.random.default_rng(5)
+    a = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    a = a + a.conj().T + 1e-14 * rng.standard_normal((3, 3))  # Hermitian up to rounding
+    V = PotentialSpec(rank=3, const=a, terms=[])
+    assert np.array_equal(V.const, 0.5 * (a + a.conj().T))
+    big = PotentialSpec(rank=3, const=np.diag([1e308, 0.0, -1.0]), terms=[])
+    assert np.array_equal(big.const, np.diag([1e308, 0.0, -1.0]))
+    with pytest.raises(ValueError, match="non-finite"):
+        PotentialSpec(rank=2, const=np.diag([np.inf, 0.0]), terms=[])
+
+
 def test_eigen_split_reconstructs_matrix():
     V = random_matrix_potential()
     plus, minus = V.eigen_split(PTS)

@@ -1,18 +1,22 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
-from fiberflow.bundles import trivial_bundle
+from fiberflow import paths
+from fiberflow.bundles import magnetic_bundle, trivial_bundle
+from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
 from fiberflow.geometry import Circle, Euclidean, FlatTorus, Sphere2
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
 from fiberflow.paths import run_ensemble
-from fiberflow.potentials import (PotentialSpec, ScalarField, angle_form, constant_field,
-                                  constant_section, gaussian_section, harmonic_field,
-                                  harmonic_ground_section, landau_form, spinor_section)
+from fiberflow.potentials import (PotentialSpec, ScalarField, SectionSpec, angle_form,
+                                  constant_field, constant_section, gaussian_section,
+                                  harmonic_field, harmonic_ground_section, landau_form,
+                                  spinor_section)
 from fiberflow.rng import RngKey
-from fiberflow.semigroup import (domination_check, fk_magnetic, fk_scalar, fk_vector,
-                                 ground_energy, heat_pq_norm_check,
+from fiberflow.semigroup import (_assert_domination, domination_check, fk_magnetic,
+                                 fk_scalar, fk_vector, ground_energy, heat_pq_norm_check,
                                  perturbation_formula_check, resolvent_apply,
                                  semigroup_identity_check)
 
@@ -141,6 +145,64 @@ def test_domination_random_hermitian_field():
     assert rep["passed"] and rep["violations"] == 0
 
 
+SATURATED = PotentialSpec(rank=2, const=np.zeros((2, 2)),
+                          terms=[(harmonic_field(E2, 1.0), np.eye(2))])
+SATURATED_ARGV = ["--manifold", "euclidean(m=2)", "--bundle-rank", "2", "--potential",
+                  "matrix(rank=2, harmonic(1.0) @ id)", "--section", "constant(1,0)",
+                  "--x", "0,0", "--t", "0.2", "--h", "1e-3", "--n", "200"]
+
+
+def _inflate_step_exponentials(monkeypatch, factor=1.0 + 1e-6):
+    # a deliberately wrong integrator: every step exponential grows by factor
+    exact = paths.expm_neg_hermitian
+
+    def inflated(W, dt):
+        step, lam_min = exact(W, dt)
+        return step * factor, lam_min
+
+    monkeypatch.setattr(paths, "expm_neg_hermitian", inflated)
+
+
+def test_domination_assert_fires_on_broken_integrator(monkeypatch):
+    # V = v I saturates domination, so 200 steps of 1e-6 excess break it
+    f2 = constant_section([1.0, 0.0], rank=2)
+    args = (E2, trivial_bundle(2), SATURATED, f2, np.zeros(2), 0.2, 1e-3, 200, KEY)
+    fk_vector(*args)
+    _inflate_step_exponentials(monkeypatch)
+    with pytest.raises(RuntimeError, match="per-sample domination violated"):
+        fk_vector(*args)
+
+
+def test_broken_integrator_exit_codes(monkeypatch, capsys):
+    for command, code in (("semigroup", EXIT_OK), ("domination", EXIT_OK)):
+        assert main([command, *SATURATED_ARGV]) == code
+    capsys.readouterr()
+    _inflate_step_exponentials(monkeypatch)
+    assert main(["semigroup", *SATURATED_ARGV]) == EXIT_NUMERICAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: per-sample domination violated")
+    assert main(["domination", *SATURATED_ARGV]) == EXIT_CHECK_FAILED
+    doc = json.loads(capsys.readouterr().out)
+    assert not doc["passed"] and doc["violations"] > 0
+
+
+def test_domination_tolerance_is_per_sample():
+    # a grid run mixes floor sides of every size: 5e-9 over a floor side of
+    # 0 breaks domination even next to a sample whose floor side is 1e3
+    rhs = np.array([[1e3, 0.0]])
+    _assert_domination(np.array([[1e3, 5e-10]]), rhs)
+    with pytest.raises(RuntimeError, match="checkpoint 0, path 1"):
+        _assert_domination(np.array([[1e3, 5e-9]]), rhs)
+
+
+def test_non_finite_vector_samples_raise():
+    # NaN > tolerance is False: a NaN sample would pass the domination count
+    f = SectionSpec(rank=2, fn=lambda x: np.full(x.shape[:-1] + (2,), np.nan, dtype=complex))
+    with pytest.raises(RuntimeError, match="non-finite vector samples"):
+        domination_check(E2, trivial_bundle(2), SATURATED, f, np.zeros(2), 0.1, 1e-2, 10, KEY)
+
+
 def test_quadratic_form_domination_shared_seeds():
     # Re<sample_V f, f(x)> <= scalar-floor sample on |f||f(x)|, start points
     # from the volume measure on the torus
@@ -188,6 +250,15 @@ def test_ground_energy_ordering_vector_vs_floor():
 
 
 # -- harmonic-oscillator benchmark, resolvents, identities -------------------
+
+
+def test_ground_energy_rank1_vector_branch():
+    # a transporting rank-1 bundle without a 1-form takes the vector branch;
+    # its rank-1 samples used to break the projection onto f1
+    f = gaussian_section(E2, 1.0)
+    out = ground_energy(E2, harmonic_field(E2, 1.0), f, f, [0.1, 0.2, 0.3, 0.4], 1e-2, 200,
+                        KEY, bundle=magnetic_bundle(landau_form(0.5)), radius=3)
+    assert np.isfinite(out["energy"]) and out["n"] == 200
 
 
 def test_ground_energy_needs_enough_grid():
