@@ -1,25 +1,15 @@
 """Plain-text specification grammars and the run configuration.
 
 The CLI and config files name geometries, potentials, sections and
-magnetic forms with a small call-expression grammar (EBNF in the README):
-
-    manifold   = "euclidean(m=3)" | "circle(r=1.0)" | "torus(l=6.28,6.28)"
-               | "sphere2(r=1.0)" | "hyperbolic()" | "ball(<manifold>, r=1.0)"
-    potential  = scalar-sum | matrix(...)
-    scalar-sum = term { ("+"|"-") term }
-    term       = [NUM "*"] builder | NUM
-    builder    = constant(c) | harmonic(omega) | coulomb(alpha)
-               | inverse_square(alpha) | power(coeff,p) | well(depth,r)
-    matrix     = matrix(rank=d [, const=H] {, scalar-sum @ H})
-    H          = id | pauli_x | pauli_y | pauli_z (rank 2)
-               | spin1_x | spin1_y | spin1_z (rank 3) | diag(a,b,...)
-    section    = constant(c[,c2,...]) | gaussian(sigma) | harmonic_ground(omega)
-               | fourier(n)
-    beta       = dtheta(a) | landau(lam) | constant(b1[,b2,...])
-
-Unknown keys or names are rejected with the offending key named.  A parsed
-RunConfig echoes back as canonical key=value text that re-parses to an
-identical configuration.
+magnetic forms with a small call-expression grammar, whose EBNF is in the
+README.  Each builder declares its parameters in a table, name ->
+(builder, ((param, default, kind), ...)), and one binder, `_call`, reads
+every call against it: arguments by position, then by keyword, each number
+read, checked and converted by its kind.  The terms of a scalar sum join
+with "+" only: a negative weight goes in the coefficient (harmonic(1) +
+-1), and harmonic(1) - 1 is rejected.  Unknown keys, names or arguments
+are rejected with the offending key named.  A parsed RunConfig echoes back
+as canonical key=value text that re-parses to an identical configuration.
 """
 
 from __future__ import annotations
@@ -33,14 +23,18 @@ import numpy as np
 
 from . import geometry, potentials
 from .bundles import BundleSpec, magnetic_bundle, tangent_bundle, trivial_bundle
-from .potentials import (OneForm, PotentialSpec, ScalarField, SectionSpec,
-                         angle_form, constant_form, constant_section,
-                         gaussian_section, harmonic_ground_section, landau_form)
+from .potentials import (OneForm, PotentialSpec, ScalarField, SectionSpec, angle_form,
+                         constant_form, constant_section, gaussian_section,
+                         harmonic_ground_section, landau_form)
 
 __all__ = ["ConfigError", "parse_manifold", "parse_potential", "parse_section",
            "parse_beta", "parse_points", "RunConfig"]
 
-_MAX_WORKERS = 64  # fixed, so that whether a config is valid does not depend on the host
+# fixed, so that whether a config is valid does not depend on the host
+_MAX_WORKERS = 64
+_MAX_DIM = 32      # dimensions of a manifold
+_MAX_GRID = 4096   # points of auto:<n>
+_MAX_STEPS = 10**7  # steps of a given h
 
 
 class ConfigError(ValueError):
@@ -73,66 +67,97 @@ def _split_top_level(s, seps=","):
             cur = []
         else:
             cur.append(ch)
-    if cur or parts:
-        parts.append("".join(cur))
+    parts.append("".join(cur))
     return [p.strip() for p in parts if p.strip()]
 
 
-def _call_args(argstr, key):
-    """Positional numbers and key=value pairs."""
-    pos, kw = [], {}
-    for item in _split_top_level(argstr):
-        if "=" in item and re.match(r"^[a-zA-Z_][a-zA-Z0-9_]*\s*=", item):
-            k, v = item.split("=", 1)
-            kw[k.strip()] = v.strip()
-        else:
-            pos.append(item)
-    return pos, kw
-
-
-def _num(text, key):
+def _finite_number(key, text):
     try:
-        return float(text)
+        v = float(text)
     except ValueError:
         raise ConfigError(key, f"expected a number, got {text!r}") from None
+    if not math.isfinite(v):
+        raise ConfigError(key, f"expected a finite number, got {text!r}")
+    return v
+
+
+def _integer(key, text):
+    v = _finite_number(key, text)
+    if v != int(v):
+        raise ConfigError(key, f"expected an integer, got {text!r}")
+    return int(v)
+
+
+# argument kinds: (reader(key, text), whether the parameter takes a list)
+NUM, INT, TEXT = (_finite_number, False), (_integer, False), (lambda key, text: text, False)
+NUMS = (_finite_number, True)
+MANIFOLD = (lambda key, text: parse_manifold(text, key), False)
+
+
+def _call(text, key, table, *lead):
+    """builder(*lead, *args) for the call `text`, bound to the parameters of
+    its table row; a default of ... marks a required one.  Bare arguments
+    take the parameters in order until the first keyword; a trailing list
+    parameter takes every further one, so torus(l=1,2) keeps both periods.
+    Unknown, repeated, surplus and missing arguments and a ValueError of the
+    builder are errors naming `key`."""
+    name, args = _split_call(text, key)
+    if name not in table:
+        raise ConfigError(key, f"unknown {name!r}; expected one of {', '.join(table)}")
+    builder, params = table[name]
+    names = [p for p, _, _ in params]
+    bound, keyword = {}, False
+    for item in _split_top_level(args):
+        kw = re.match(r"([a-zA-Z_]\w*)\s*=(.*)", item, re.S)
+        if kw:
+            param, item, keyword = kw.group(1), kw.group(2).strip(), True
+            if param not in names:
+                raise ConfigError(key, f"{name}() has no argument {param!r}")
+            if param in bound:
+                raise ConfigError(key, f"{name}() got {param!r} twice")
+            bound[param] = [item]
+        elif not keyword and len(bound) < len(params):
+            bound[names[len(bound)]] = [item]
+        elif params and params[-1][2][1]:
+            bound.setdefault(names[-1], []).append(item)
+        else:
+            raise ConfigError(key, f"{name}() takes {len(params)} argument(s), not {item!r}")
+    values = []
+    for param, default, (read, many) in params:
+        if param not in bound:
+            if default is ...:
+                raise ConfigError(key, f"{name}() needs argument {param!r}")
+            values.append(default)
+        else:
+            got = [read(key, v) for v in bound[param]]
+            values.append(got if many else got[0])
+    try:
+        return builder(*lead, *values)
+    except ConfigError:
+        raise
+    except ValueError as exc:
+        raise ConfigError(key, f"{text.strip()}: {exc}") from None
 
 
 # ----------------------------------------------------------------------
 # manifolds
 
 
+_MANIFOLDS = {
+    "euclidean": (geometry.Euclidean, (("m", ..., INT),)),
+    "circle": (geometry.Circle, (("r", 1.0, NUM),)),
+    "torus": (geometry.FlatTorus, (("l", ..., NUMS),)),
+    "sphere2": (geometry.Sphere2, (("r", 1.0, NUM),)),
+    "hyperbolic": (geometry.HyperbolicPlane, ()),
+    "ball": (geometry.ball, (("base", ..., MANIFOLD), ("r", ..., NUM))),
+}
+
+
 def parse_manifold(text, key="manifold"):
-    name, args = _split_call(text, key)
-    pos, kw = _call_args(args, key)
-    if name == "euclidean":
-        m = kw.get("m", pos[0] if pos else None)
-        if m is None:
-            raise ConfigError(key, "euclidean needs m")
-        return geometry.Euclidean(int(float(m)))
-    if name == "circle":
-        r = _num(kw.get("r", pos[0] if pos else "1.0"), key)
-        return geometry.Circle(r)
-    if name == "torus":
-        vals = kw.get("l")
-        items = _split_top_level(vals) if vals else pos
-        if not items:
-            raise ConfigError(key, "torus needs periods l=...")
-        return geometry.FlatTorus([_num(v, key) for v in items])
-    if name == "sphere2":
-        r = _num(kw.get("r", pos[0] if pos else "1.0"), key)
-        return geometry.Sphere2(r)
-    if name == "hyperbolic":
-        return geometry.HyperbolicPlane()
-    if name == "ball":
-        if not pos:
-            raise ConfigError(key, "ball needs a base manifold")
-        base = parse_manifold(pos[0], key)
-        r = _num(kw.get("r", pos[1] if len(pos) > 1 else None), key) \
-            if (kw.get("r") or len(pos) > 1) else None
-        if r is None:
-            raise ConfigError(key, "ball needs a radius r")
-        return geometry.ball(base, r)
-    raise ConfigError(key, f"unknown manifold kind {name!r}")
+    model = _call(text, key, _MANIFOLDS)
+    if model.dim > _MAX_DIM:
+        raise ConfigError(key, f"need at most {_MAX_DIM} dimensions, got {model.dim}")
+    return model
 
 
 # ----------------------------------------------------------------------
@@ -155,54 +180,25 @@ def _parse_hermitian(text, rank, key):
     text = text.strip()
     if text == "id":
         return np.eye(rank)
-    if text in _HERM_NAMES:
-        H = _HERM_NAMES[text]
-        if rank != H.shape[0]:
-            raise ConfigError(key, f"{text} requires rank {H.shape[0]}")
-        return H
-    if text.startswith("diag"):
-        _, args = _split_call(text, key)
-        vals = [_finite_number(key, v) for v in _split_top_level(args)]
-        if len(vals) != rank:
-            raise ConfigError(key, f"diag(...) needs {rank} entries")
-        return np.diag(vals)
-    raise ConfigError(key, f"unknown Hermitian matrix {text!r}")
+    H = _HERM_NAMES.get(text)
+    if H is None:
+        if not text.startswith("diag"):
+            raise ConfigError(key, f"unknown Hermitian matrix {text!r}")
+        H = _call(text, key, {"diag": (np.diag, (("d", ..., NUMS),))})
+    if len(H) != rank:
+        raise ConfigError(key, f"{text} requires rank {len(H)}")
+    return H
 
 
-def _parse_scalar_term(model, text, key):
-    text = text.strip()
-    m = re.match(r"^([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*\*\s*(.+)$", text)
-    coeff = 1.0
-    if m and re.match(r"^[a-zA-Z_]", m.group(2).strip()):
-        coeff = float(m.group(1))
-        text = m.group(2).strip()
-    if re.match(r"^[-+]?[0-9.eE]+$", text):
-        return coeff * float(text), None
-    name, args = _split_call(text, key)
-    pos, kw = _call_args(args, key)
-
-    def arg(i, name_, default=None):
-        if name_ in kw:
-            return _num(kw[name_], key)
-        if len(pos) > i:
-            return _num(pos[i], key)
-        if default is None:
-            raise ConfigError(key, f"{name} needs argument {name_}")
-        return default
-
-    if name == "constant":
-        return coeff * arg(0, "c"), None
-    if name == "harmonic":
-        return coeff, potentials.harmonic_field(model, arg(0, "omega", 1.0))
-    if name == "coulomb":
-        return coeff, potentials.coulomb_field(model, arg(0, "alpha", 1.0))
-    if name == "inverse_square":
-        return coeff, potentials.inverse_square_field(model, arg(0, "alpha", 1.0))
-    if name == "power":
-        return coeff, potentials.power_field(model, arg(0, "coeff"), arg(1, "p"))
-    if name == "well":
-        return coeff, potentials.well_field(model, arg(0, "depth", 1.0), arg(1, "r", 1.0))
-    raise ConfigError(key, f"unknown potential builder {name!r}")
+# constant(c) is a number; a term's coefficient multiplies it into the sum's constant
+_FIELDS = {
+    "constant": (lambda model, c: c, (("c", ..., NUM),)),
+    "harmonic": (potentials.harmonic_field, (("omega", 1.0, NUM),)),
+    "coulomb": (potentials.coulomb_field, (("alpha", 1.0, NUM),)),
+    "inverse_square": (potentials.inverse_square_field, (("alpha", 1.0, NUM),)),
+    "power": (potentials.power_field, (("coeff", ..., NUM), ("p", ..., NUM))),
+    "well": (potentials.well_field, (("depth", 1.0, NUM), ("r", 1.0, NUM))),
+}
 
 
 class _ScaledSum:
@@ -220,56 +216,52 @@ class _ScaledSum:
 
 
 def _parse_scalar_sum(model, text, key) -> ScalarField:
-    # top-level '+' separates terms; negative weights go in the coefficient
-    terms = _split_top_level(text, seps="+")
-    const = 0.0
-    parts = []
-    for term in terms:
-        c, f = _parse_scalar_term(model, term, key)
-        if f is None:
-            const += c
+    const, parts = 0.0, []
+    for term in _split_top_level(text, seps="+"):
+        m = re.fullmatch(r"([-+]?[\d.]+(?:[eE][-+]?\d+)?)\s*\*\s*([a-zA-Z_].*)", term, re.S)
+        coeff, term = (_finite_number(key, m.group(1)), m.group(2)) if m else (1.0, term)
+        value = (_finite_number(key, term) if re.fullmatch(r"[-+]?[0-9.eE]+", term)
+                 else _call(term, key, _FIELDS, model))
+        if isinstance(value, ScalarField):
+            parts.append((coeff, value))
         else:
-            parts.append((c, f))
+            const += coeff * value
     if not parts:
         return potentials.constant_field(const)
     if len(parts) == 1 and const == 0.0 and parts[0][0] == 1.0:
         return parts[0][1]
-    tags = [f.class_tag for _, f in parts]
-    order = {t: i for i, t in enumerate(potentials.KATO_CLASSES)}
-    tag = max(tags, key=lambda t: order[t])
+    tag = max((f.class_tag for _, f in parts), key=potentials.KATO_CLASSES.index)
     sing = tuple(p for _, f in parts for p in f.singular_points)
     return ScalarField(_ScaledSum(const, parts), class_tag=tag, singular_points=sing,
                        name=text.strip())
 
 
+def _matrix_term(key, text):
+    expr, at, herm = text.rpartition("@")
+    if not at:
+        raise ConfigError(key, f"expected a matrix(...) term scalar-sum @ H, got {text!r}")
+    return expr, herm
+
+
+def _matrix_potential(model, key, text, rank, const, terms):
+    if not 1 <= rank <= PotentialSpec.MAX_RANK:
+        raise ValueError(f"need rank in 1..{PotentialSpec.MAX_RANK}")
+    return PotentialSpec(rank=rank, const=None if const is None
+                         else _parse_hermitian(const, rank, key),
+                         terms=[(_parse_scalar_sum(model, expr, key),
+                                 _parse_hermitian(herm, rank, key)) for expr, herm in terms],
+                         name=text)
+
+
+_MATRIX = {"matrix": (_matrix_potential, (("rank", ..., INT), ("const", None, TEXT),
+                                          ("terms", (), (_matrix_term, True))))}
+
+
 def parse_potential(model, text, key="potential") -> PotentialSpec:
     text = text.strip()
     if text.startswith("matrix"):
-        name, args = _split_call(text, key)
-        items = _split_top_level(args)
-        rank = None
-        const = None
-        terms = []
-        for item in items:
-            if item.startswith("rank"):
-                rank = int(float(item.split("=", 1)[1]))
-            elif item.startswith("const"):
-                const = item.split("=", 1)[1].strip()
-            elif "@" in item:
-                expr, herm = item.rsplit("@", 1)
-                terms.append((expr.strip(), herm.strip()))
-            else:
-                raise ConfigError(key, f"unexpected matrix(...) item {item!r}")
-        if rank is None:
-            raise ConfigError(key, "matrix(...) needs rank=d")
-        cmat = np.zeros((rank, rank)) if const is None else _parse_hermitian(const, rank, key)
-        built = []
-        for expr, herm in terms:
-            f = _parse_scalar_sum(model, expr, key)
-            built.append((f, _parse_hermitian(herm, rank, key)))
-        return PotentialSpec(rank=rank, const=cmat, terms=built, name=text)
-    f = _parse_scalar_sum(model, text, key)
-    return PotentialSpec.scalar(f, name=text)
+        return _call(text, key, _MATRIX, model, key, text)
+    return PotentialSpec.scalar(_parse_scalar_sum(model, text, key), name=text)
 
 
 # ----------------------------------------------------------------------
@@ -284,40 +276,56 @@ class _FourierSection:
         return np.exp(1j * self.n * np.asarray(pts)[..., 0])
 
 
+def _constant_section(model, rank, c):
+    if len(c) not in (1, rank):
+        raise ValueError(f"a constant section needs 1 or {rank} components")
+    return constant_section(c * (rank // len(c)), rank=rank)  # one component fills every slot
+
+
+# every section builder takes (model, rank); all but constant are scalar
+_SECTIONS = {
+    "constant": (_constant_section, (("c", (1.0,), NUMS),)),
+    "gaussian": (lambda model, rank, sigma: gaussian_section(model, sigma),
+                 (("sigma", 1.0, NUM),)),
+    "harmonic_ground": (lambda model, rank, omega: harmonic_ground_section(omega),
+                        (("omega", 1.0, NUM),)),
+    "fourier": (lambda model, rank, n: SectionSpec.scalar(_FourierSection(n), norm_bound=1.0,
+                                                          name=f"fourier({n})"),
+                (("n", 1, INT),)),
+}
+
+
 def parse_section(model, text, rank=1, key="section") -> SectionSpec:
-    name, args = _split_call(text, key)
-    pos, kw = _call_args(args, key)
-    if name == "constant":
-        vals = [_num(v, key) for v in pos] or [1.0]
-        if len(vals) not in (1, rank):
-            raise ConfigError(key, f"constant section needs 1 or {rank} components")
-        if rank > 1 and len(vals) == 1:
-            vals = vals * rank
-        return constant_section(vals if rank > 1 else vals[0], rank=rank)
-    if rank != 1:
-        raise ConfigError(key, f"section {name!r} is scalar; bundle rank is {rank}")
-    if name == "gaussian":
-        sigma = _num(kw.get("sigma", pos[0] if pos else "1.0"), key)
-        return gaussian_section(model, sigma)
-    if name == "harmonic_ground":
-        omega = _num(kw.get("omega", pos[0] if pos else "1.0"), key)
-        return harmonic_ground_section(omega)
-    if name == "fourier":
-        n = int(_num(kw.get("n", pos[0] if pos else "1"), key))
-        return SectionSpec.scalar(_FourierSection(n), norm_bound=1.0, name=text)
-    raise ConfigError(key, f"unknown section {name!r}")
+    section = _call(text, key, _SECTIONS, model, rank)
+    if section.rank != rank:
+        raise ConfigError(key, f"section {text.strip()!r} is scalar; bundle rank is {rank}")
+    return section
+
+
+def _on_chart(model, beta):
+    """beta, if the model carries its Stratonovich line integrals (flat
+    models and the circle) and has its chart dimension."""
+    magnetic_bundle(beta).validate_model(model)
+    if beta.dim != model.dim:
+        raise ValueError(f"{beta.dim} chart components; the model has dimension {model.dim}")
+    return beta
+
+
+def _angle_form(model, a):
+    if not isinstance(getattr(model, "base", model), geometry.Circle):  # or a subdomain
+        raise ValueError("dtheta is a 1-form on the circle")
+    return angle_form(a)
+
+
+_FORMS = {
+    "dtheta": (_angle_form, (("a", 0.0, NUM),)),
+    "landau": (lambda model, lam: _on_chart(model, landau_form(lam)), (("lam", 0.0, NUM),)),
+    "constant": (lambda model, b: _on_chart(model, constant_form(b)), (("b", ..., NUMS),)),
+}
 
 
 def parse_beta(model, text, key="beta") -> OneForm:
-    name, args = _split_call(text, key)
-    pos, kw = _call_args(args, key)
-    if name == "dtheta":
-        return angle_form(_num(kw.get("a", pos[0] if pos else "0.0"), key))
-    if name == "landau":
-        return landau_form(_num(kw.get("lam", pos[0] if pos else "0.0"), key))
-    if name == "constant":
-        return constant_form([_num(v, key) for v in pos])
-    raise ConfigError(key, f"unknown 1-form {name!r}")
+    return _call(text, key, _FORMS, model)
 
 
 def parse_points(model, text, key="x"):
@@ -325,15 +333,19 @@ def parse_points(model, text, key="x"):
     or 'auto:<n>' for a model-default compact grid."""
     text = text.strip()
     if text.startswith("auto:"):
-        n = int(text.split(":", 1)[1])
+        n = _integer(key, text[len("auto:"):])
+        if not 1 <= n <= _MAX_GRID:
+            raise ConfigError(key, f"need auto:<n> with n in 1..{_MAX_GRID}, got {n}")
         return _auto_grid(model, n)
     pts = []
     for chunk in _split_top_level(text, seps=";"):
-        coords = [_num(v, key) for v in _split_top_level(chunk)]
+        coords = [_finite_number(key, v) for v in _split_top_level(chunk)]
         if len(coords) != model.coord_dim:
             raise ConfigError(key, f"point {chunk!r} has {len(coords)} coords, "
                               f"model needs {model.coord_dim}")
         pts.append(coords)
+    if not pts:
+        raise ConfigError(key, "no points given")
     arr = np.asarray(pts, dtype=float)
     if not np.all(model.contains(arr)):
         raise ConfigError(key, "a point lies outside the domain")
@@ -348,23 +360,18 @@ def _auto_grid(model, n):
         th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return th[:, None]
     if isinstance(base, geometry.FlatTorus):
+        # the first n points, in row-major order, of the k^dim midpoint lattice
         k = int(np.ceil(n ** (1.0 / base.dim)))
-        pts, _ = base.quadrature(k)
-        return pts[:n]
-    if isinstance(base, geometry.Sphere2):
-        rng = np.random.default_rng(0)
-        return base.volume_sample(rng, n)
+        cells = np.stack(np.unravel_index(np.arange(n), (k,) * base.dim), axis=-1)
+        return (cells + 0.5) / k * base.periods
     rng = np.random.default_rng(0)
+    if isinstance(base, geometry.Sphere2):
+        return base.volume_sample(rng, n)
     dirs = rng.standard_normal((n, base.coord_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    rmax = 0.7
-    if isinstance(model, geometry.OpenSubdomain):
-        radii = np.linspace(0.05, rmax, n)
-        pts = dirs * radii[:, None]
-        if isinstance(base, geometry.HyperbolicPlane):
-            pts = np.tanh(radii / 2.0)[:, None] * dirs
-        return pts
-    radii = np.linspace(0.05, rmax, n)
+    radii = np.linspace(0.05, 0.7, n)
+    if model is not base and isinstance(base, geometry.HyperbolicPlane):
+        radii = np.tanh(radii / 2.0)
     return dirs * radii[:, None]
 
 
@@ -404,6 +411,8 @@ class RunConfig:
         for key, (need, ok) in (("n", count), ("trials", count), ("k", count),
                                 ("workers", (f"in 1..{_MAX_WORKERS}",
                                              lambda v: 1 <= v <= _MAX_WORKERS)),
+                                ("bundle_rank", (f"in 1..{PotentialSpec.MAX_RANK}",
+                                                 lambda v: 1 <= v <= PotentialSpec.MAX_RANK)),
                                 ("h", positive), ("r", positive), ("radius", positive),
                                 ("lam", positive), ("t", non_negative), ("s", non_negative),
                                 ("t_grid", non_negative), ("s_grid", non_negative)):
@@ -412,71 +421,64 @@ class RunConfig:
             v = cfg.values(key) if key.endswith("_grid") else cfg.number(key)
             if not np.all(ok(v)):
                 raise ConfigError(key, f"need {key} {need}, got {cfg.raw[key]!r}")
-        if "manifold" in cfg.raw:
-            cfg.model = parse_manifold(cfg.raw["manifold"])
+        if "h" in cfg.raw:  # the longest run of any command, in steps of h
+            span = max([cfg.number("t", default=0.0) + cfg.number("s", default=0.0),
+                        *cfg.values("t_grid", default=()), *cfg.values("s_grid", default=())])
+            if span > _MAX_STEPS * cfg.number("h"):
+                raise ConfigError("h", f"need at most {_MAX_STEPS} steps of h up to {span:g}")
         rank = cfg.integer("bundle_rank", default=1)
-        if "beta" in cfg.raw and cfg.model is not None:
-            cfg.beta = parse_beta(cfg.model, cfg.raw["beta"])
+        if "manifold" not in cfg.raw:
+            return cfg
+        model = cfg.model = parse_manifold(cfg.raw["manifold"])
+        if "beta" in cfg.raw:
+            cfg.beta = parse_beta(model, cfg.raw["beta"])
         bundle_kind = cfg.raw.get("bundle", "trivial")
-        if cfg.model is not None:
-            if cfg.beta is not None and bundle_kind == "magnetic":
-                cfg.bundle = magnetic_bundle(cfg.beta)
-            elif bundle_kind == "tangent":
-                cfg.bundle = tangent_bundle()
-            elif bundle_kind == "trivial":
-                cfg.bundle = trivial_bundle(rank)
-            else:
-                raise ConfigError("bundle", f"unknown bundle kind {bundle_kind!r}")
-        if "potential" in cfg.raw and cfg.model is not None:
-            cfg.potential = parse_potential(cfg.model, cfg.raw["potential"])
+        bundles = {"trivial": lambda: trivial_bundle(rank), "tangent": tangent_bundle,
+                   "magnetic": lambda: magnetic_bundle(cfg.beta)}
+        if bundle_kind not in bundles:
+            raise ConfigError("bundle", f"unknown bundle kind {bundle_kind!r}")
+        if bundle_kind == "magnetic" and cfg.beta is None:
+            raise ConfigError("beta", "required value missing")
+        cfg.bundle = bundles[bundle_kind]()
+        try:
+            cfg.bundle.validate_model(model)
+        except ValueError as exc:
+            raise ConfigError("bundle", str(exc)) from None
+        if "potential" in cfg.raw:
+            cfg.potential = parse_potential(model, cfg.raw["potential"])
             if cfg.potential.rank != rank and "bundle_rank" in cfg.raw:
                 raise ConfigError("bundle_rank",
                                   f"rank {rank} != potential rank {cfg.potential.rank}")
         r = cfg.potential.rank if cfg.potential is not None else rank
         for key in ("section", "section2"):
-            if key in cfg.raw and cfg.model is not None:
-                setattr(cfg, key, parse_section(cfg.model, cfg.raw[key], rank=r, key=key))
+            if key in cfg.raw:
+                setattr(cfg, key, parse_section(model, cfg.raw[key], rank=r, key=key))
         return cfg
 
-    def number(self, key, default=None, required=False):
+    def _read(self, key, default, required, read):
+        """read(key, text) of the key's value; the default if it is missing."""
         if key not in self.raw:
             if required:
                 raise ConfigError(key, "required value missing")
             return default
-        return _finite_number(key, self.raw[key])
+        return read(key, self.raw[key])
+
+    def number(self, key, default=None, required=False):
+        return self._read(key, default, required, _finite_number)
 
     def integer(self, key, default=None, required=False):
-        v = self.number(key, default=default, required=required)
-        if v is not None and v != int(v):
-            raise ConfigError(key, f"expected an integer, got {self.raw[key]!r}")
-        return None if v is None else int(v)
+        return self._read(key, default, required, _integer)
 
     def values(self, key, default=None, required=False):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(key, "required value missing")
-            return default
-        return np.asarray([_finite_number(key, v) for v in _split_top_level(self.raw[key])])
+        return self._read(key, default, required, lambda key, text: np.asarray(
+            [_finite_number(key, v) for v in _split_top_level(text)]))
 
     def points(self, key, required=False):
-        if key not in self.raw:
-            if required:
-                raise ConfigError(key, "required value missing")
-            return None
-        return parse_points(self.model, self.raw[key], key=key)
+        return self._read(key, None, required,
+                          lambda key, text: parse_points(self.model, text, key=key))
 
     def echo(self):
         return dict(sorted(self.raw.items()))
-
-
-def _finite_number(key, text):
-    try:
-        v = float(text)
-    except ValueError:
-        raise ConfigError(key, f"expected a number, got {text!r}") from None
-    if not math.isfinite(v):
-        raise ConfigError(key, f"expected a finite number, got {text!r}")
-    return v
 
 
 def read_config_file(path):

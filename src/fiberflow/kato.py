@@ -322,14 +322,11 @@ def khasminskii_constants(model, f: ScalarField, x_grid=None, target=0.45,
         return kato_sup_integral(model, f, s, x_grid, refine_check=False)["value"]
 
     s = 1.0
-    for _ in range(60):
-        if C(s) < target:
-            break
+    while (c0 := C(s)) >= target:
         s *= 0.5
         if s < s_min:
             raise ValueError("no t0 with small sup integral found above s_min; "
                              "potential not Kato-tractable at this resolution")
-    c0 = C(s)
     return KhasminskiiConstants(t0=s, c_at_t0=c0, cv=math.log(1.0 / (1.0 - c0)) / s)
 
 

@@ -426,7 +426,8 @@ class OneForm:
     """Real smooth 1-form, given by its chart components; the Stratonovich
     line integral along sampled paths uses the geodesic-midpoint rule."""
 
-    components: Callable  # chart point -> (..., m) components
+    components: Callable  # chart point -> (..., dim) components
+    dim: int              # the chart dimension the form is defined on
     name: str = "beta"
 
     def pair(self, mid_chart, d_chart):
@@ -454,13 +455,13 @@ class _LandauComponents:
 
 
 def constant_form(coeffs):
-    return OneForm(_ConstComponents(coeffs), name="constant_form")
+    return OneForm(_ConstComponents(coeffs), len(coeffs), name="constant_form")
 
 
 def angle_form(a):
     """a * dtheta on the circle (chart coordinate theta)."""
-    return OneForm(_ConstComponents([float(a)]), name=f"dtheta({a:g})")
+    return OneForm(_ConstComponents([float(a)]), 1, name=f"dtheta({a:g})")
 
 
 def landau_form(lam):
-    return OneForm(_LandauComponents(lam), name=f"landau({lam:g})")
+    return OneForm(_LandauComponents(lam), 2, name=f"landau({lam:g})")

@@ -625,7 +625,7 @@ def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey
            for label, vals in (("fine", fine), ("coarse", fine[::2]))}
     ratio = mod["coarse"] / max(mod["fine"], 1e-300)
     ratio_ok = 1.0 <= ratio <= 4.0
-    # (iii) global bound, on streams past part (i)'s first 64 points
+    # (iii) global bound, on streams past part (i)'s, never before its 64th point's
     bound = None
     bound_ok = True
     if constants is not None and f.l2_norm is not None:
@@ -633,7 +633,7 @@ def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey
         bound = math.sqrt(2.0 * math.exp(constants.cv * t) * Ct) * f.l2_norm
         mags, ses = _grid_reduce(
             lambda x0, k: _vector_run(model, bundle, V, x0, t, h, len(x0), k, workers=workers),
-            lambda res: _per_start(res, f, n), grid, n, key.child(64 * n))
+            lambda res: _per_start(res, f, n), grid, n, key.child(max(64, len(grid)) * n))
         bound_ok = max(0.0, float(np.max(mags - 3.0 * ses))) <= bound
     return {
         "passed": bool(mono and small and ratio_ok and bound_ok),

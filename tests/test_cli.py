@@ -98,6 +98,47 @@ def test_parse_points_and_auto_grid():
         parse_points(e2, "1,2,3")
 
 
+# each builder, in positional and in keyword form (torus's list keyword is
+# pinned by BAD_INPUTS)
+SAME_CALLS = [
+    ("manifold", "euclidean(3)", "euclidean(m=3)"),
+    ("manifold", "circle(2.0)", "circle(r=2.0)"),
+    ("manifold", "sphere2(1.5)", "sphere2(r=1.5)"),
+    ("manifold", "ball(euclidean(m=2), 0.5)", "ball(euclidean(m=2), r=0.5)"),
+    ("potential", "constant(2.0)", "constant(c=2.0)"),
+    ("potential", "harmonic(2.0)", "harmonic(omega=2.0)"),
+    ("potential", "coulomb(0.5)", "coulomb(alpha=0.5)"),
+    ("potential", "inverse_square(0.5)", "inverse_square(alpha=0.5)"),
+    ("potential", "power(0.5,1.5)", "power(coeff=0.5, p=1.5)"),
+    ("potential", "well(0.5,0.3)", "well(depth=0.5, r=0.3)"),
+    ("potential", "2*well(0.5,0.3) + -1", "2*well(depth=0.5, r=0.3) + -1"),
+    ("section", "gaussian(0.7)", "gaussian(sigma=0.7)"),
+    ("section", "harmonic_ground(2.0)", "harmonic_ground(omega=2.0)"),
+    ("section", "fourier(3)", "fourier(n=3)"),
+    ("beta", "dtheta(0.5)", "dtheta(a=0.5)"),
+    ("beta", "landau(0.9)", "landau(lam=0.9)"),
+]
+
+
+@pytest.mark.parametrize("kind, positional, keyword", SAME_CALLS)
+def test_positional_and_keyword_forms_agree(kind, positional, keyword):
+    model = Circle(1.0) if "dtheta" in positional else Euclidean(2)
+    pts = np.array([[0.3, 0.1], [-1.2, 0.4]])[:, :model.coord_dim]
+    if kind == "manifold":
+        a, b = parse_manifold(positional), parse_manifold(keyword)
+        assert type(a) is type(b) and a.spec_string() == b.spec_string()
+        return
+    parse = {"potential": parse_potential, "section": parse_section, "beta": parse_beta}[kind]
+    a, b = parse(model, positional), parse(model, keyword)
+    if kind == "potential":
+        assert np.array_equal(a.matrix(pts), b.matrix(pts))
+    elif kind == "section":
+        assert np.array_equal(a(pts), b(pts)) and a.l2_norm == b.l2_norm
+        assert a.norm_bound == b.norm_bound
+    else:
+        assert np.array_equal(a.pair(pts, pts[::-1]), b.pair(pts, pts[::-1]))
+
+
 def test_unknown_key_rejected():
     with pytest.raises(ConfigError, match="frobnicate"):
         RunConfig.from_mapping({"frobnicate": "1"})
@@ -224,6 +265,69 @@ def test_out_of_range_value_names_key(flags, key, capsys):
     assert "Traceback" not in err
     # t = 0 is a valid zero-step run
     assert RunConfig.from_mapping({"t": "0", "h": "1e-3", "n": "1"}).number("t") == 0.0
+
+
+def _semigroup_argv(**flags):
+    """A 10-path semigroup run on the real line, with some flags replaced."""
+    flags = {"manifold": "euclidean(m=1)", "potential": "harmonic(1.0)",
+             "section": "gaussian(1.0)", "x": "0", **flags}
+    return ["semigroup", "--t", "0.1", "--h", "0.01", "--n", "10",
+            *(a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v))]
+
+
+E2_RANK2 = {"manifold": "euclidean(m=2)", "section": "constant(1)", "x": "0,0"}
+CIRCLE_MAGNETIC = {"manifold": "circle(r=1.0)", "bundle": "magnetic"}
+BAD_INPUTS = [
+    # read wrongly: a 1-d torus, omega = 1, surplus or misspelt arguments dropped
+    (dict(manifold="torus(l=6.28,6.28)"), "x"),
+    (dict(potential="harmonic(omeg=2)"), "potential"),
+    (dict(potential="harmonic(1.0,2.0)"), "potential"),
+    (dict(potential="power(1,2,3)"), "potential"),
+    (dict(CIRCLE_MAGNETIC, beta="dtheta(a=0.5,b=3)"), "beta"),
+    (dict(manifold="ball(euclidean(m=2), r=1.0, 7)", x="0,0"), "manifold"),
+    # non-integral dimensions and ranks, truncated
+    (dict(manifold="euclidean(m=2.7)", x="0,0"), "manifold"),
+    (dict(section="fourier(n=2.5)"), "section"),
+    (dict(E2_RANK2, potential="matrix(rank=2.5)"), "potential"),
+    (dict(section="gaussian(inf)"), "section"),
+    # 1-form components broadcast against a chart of another dimension
+    (dict(CIRCLE_MAGNETIC, beta="constant(1,2)"), "beta"),
+    (dict(manifold="euclidean(m=2)", x="0,0", bundle="magnetic", beta="dtheta(1)"), "beta"),
+    (dict(manifold="euclidean(m=1)", bundle="magnetic", beta="landau(1)"), "beta"),
+    (dict(CIRCLE_MAGNETIC, beta="landau(1)"), "beta"),
+    (dict(manifold="euclidean(m=3)", x="0,0,0", bundle="magnetic", beta="landau(1)"), "beta"),
+    # malformed or out-of-range numbers
+    (dict(manifold="euclidean(m=abc)"), "manifold"),
+    (dict(E2_RANK2, potential="matrix(rank=abc)"), "potential"),
+    (dict(potential="1.2.3"), "potential"),
+    (dict(x="auto:abc"), "x"),
+    (dict(x="auto:-3"), "x"),
+    (dict(manifold="euclidean(m=0)"), "manifold"),
+    (dict(manifold="euclidean(m=1e12)"), "manifold"),
+    (dict(manifold="circle(r=-1)"), "manifold"),
+    (dict(manifold="torus(l=0,1)", x="0,0"), "manifold"),
+    (dict(manifold="ball(euclidean(m=1), r=-1)"), "manifold"),
+    (dict(E2_RANK2, potential="matrix(rank=40)"), "potential"),
+    (dict(bundle_rank="0"), "bundle_rank"),
+    (dict(potential="harmonic(nan)"), "potential"),
+    (dict(potential="1e400*harmonic(1)"), "potential"),
+    (dict(CIRCLE_MAGNETIC, beta="constant(inf)"), "beta"),
+    # bundles the model or the config cannot carry
+    (dict(bundle="magnetic"), "beta"),
+    (dict(bundle="tangent", bundle_rank="2", section="constant(1,0)",
+          potential="matrix(rank=2, const=id)"), "bundle"),
+]
+
+
+@pytest.mark.parametrize("flags, key", BAD_INPUTS)
+@pytest.mark.filterwarnings("error")  # a numpy RuntimeWarning fails the test
+def test_bad_input_exits_at_config_time_naming_key(flags, key, capsys):
+    code = main(_semigroup_argv(**flags))
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: config key '{key}': ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
 def test_numerical_failure_exit_code(capsys):

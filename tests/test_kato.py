@@ -117,8 +117,16 @@ def test_fft_smoothing_on_circle():
     assert abs(got - want) < 1e-10
 
 
-def test_khasminskii_structure():
+def test_khasminskii_structure(monkeypatch):
+    from fiberflow import kato
+
+    sweeps = []
+    quadrature = kato.kato_sup_integral
+    monkeypatch.setattr(kato, "kato_sup_integral", lambda *a, **k: sweeps.append(a[2])
+                        or quadrature(*a, **k))
     kc = khasminskii_constants(E3, coulomb_field(E3, 0.5))
+    # one quadrature sweep per bisection step, s = 1, 1/2, ..., t0
+    assert sweeps == [0.5**i for i in range(len(sweeps))] and sweeps[-1] == kc.t0
     assert kc.prefactor == 2.0
     assert kc.c_at_t0 < 0.5
     assert kc.cv == pytest.approx(math.log(1.0 / (1.0 - kc.c_at_t0)) / kc.t0)

@@ -388,3 +388,30 @@ def test_heat_pq_equilibrium_saturation():
     assert abs(Ct**0.5 - (4 * np.pi) ** -0.5) < 5e-2 * (4 * np.pi) ** -0.5
     assert ratio <= Ct**0.5 * (1 + 1e-9)
     assert ratio >= 0.95 * Ct**0.5
+
+
+# -- continuity scan -------------------------------------------------------------
+
+
+@pytest.mark.parametrize("points, offset", [(32, 64), (64, 64), (65, 65)])
+def test_continuity_scan_global_bound_streams_follow_part_i(points, offset, monkeypatch):
+    # part (iii) starts past part (i)'s last stream, and past 64 points on a
+    # smaller grid, where its streams are unchanged
+    from fiberflow import semigroup
+    from fiberflow.geometry import ball
+    from fiberflow.kato import KhasminskiiConstants
+
+    n, starts = 4, []
+    grid_reduce = semigroup._grid_reduce
+
+    def recording(run, reduce, grid, n_, key):
+        starts.append(key.stream_index)
+        return grid_reduce(run, reduce, grid, n_, key)
+
+    monkeypatch.setattr(semigroup, "_grid_reduce", recording)
+    dom = ball(E1, 1.0)
+    grid = np.linspace(-0.8, 0.8, points)[:, None]
+    semigroup.continuity_scan(dom, None, harmonic_field(dom, 1.0), harmonic_ground_section(1.0),
+                              0.1, grid, 2e-2, n, KEY, constants=KhasminskiiConstants(
+                                  t0=0.1, c_at_t0=0.1, cv=1.0))
+    assert starts == [KEY.stream_index, KEY.stream_index + offset * n]
