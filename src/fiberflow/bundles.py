@@ -25,7 +25,7 @@ from typing import Optional
 
 import numpy as np
 
-from .geometry import Circle, Euclidean, FlatTorus, ManifoldModel, OpenSubdomain, Sphere2
+from .geometry import Circle, Euclidean, FlatTorus, ManifoldModel, Sphere2
 from .potentials import OneForm
 
 __all__ = ["BundleSpec", "trivial_bundle", "tangent_bundle", "magnetic_bundle",
@@ -36,7 +36,7 @@ def stratonovich_increment(model, beta: OneForm, x, xi):
     """int beta over one geodesic step, midpoint rule: beta evaluated at the
     chart midpoint, paired with the (unwrapped) chart increment.  Supported
     on the flat models and the circle, where chart steps equal frame steps."""
-    base = model.base if isinstance(model, OpenSubdomain) else model
+    base = model.base
     xi = np.asarray(xi, dtype=float)
     if isinstance(base, Circle):
         d_chart = base.chart_increment(x, xi)
@@ -69,21 +69,19 @@ class BundleSpec:
         return self.kind == "trivial"
 
     def validate_model(self, model: ManifoldModel):
-        base = model.base if isinstance(model, OpenSubdomain) else model
-        if self.kind == "tangent" and not isinstance(base, Sphere2):
+        if self.kind == "tangent" and not isinstance(model.base, Sphere2):
             raise ValueError("tangent-bundle transport is implemented for sphere2 only")
-        if self.kind == "magnetic" and not isinstance(base, (Euclidean, FlatTorus, Circle)):
+        if self.kind == "magnetic" and not isinstance(model.base, (Euclidean, FlatTorus, Circle)):
             raise ValueError("magnetic 1-forms are supported on flat models and the circle")
 
     def step_transport(self, model: ManifoldModel, x, xi):
         """Unitary (..., d, d) matrices, real for the tangent bundle, carrying fiber
         coordinates at x to fiber coordinates at exp_x(xi) along the geodesic step."""
-        base = model.base if isinstance(model, OpenSubdomain) else model
         if self.kind == "trivial":
             eye = np.eye(self.rank, dtype=complex)
             return np.broadcast_to(eye, np.asarray(xi).shape[:-1] + (self.rank, self.rank))
         if self.kind == "tangent":
-            return base.transport_matrix(x, xi)[1]
+            return model.base.transport_matrix(x, xi)[1]
         # magnetic: phase e^{-i int beta} with midpoint evaluation
         phase = np.exp(-1j * stratonovich_increment(model, self.beta, x, xi))
         return phase[..., None, None]

@@ -330,36 +330,21 @@ def _run_continuity(cfg: RunConfig, run: _Run):
     grid = cfg.points("x_grid")
     s_grid = cfg.values("s_grid", default=np.array([1e-3, 1e-2, 1e-1]))
     constants = None
-    if cfg.section.l2_norm is not None:
-        base = cfg.model.base if hasattr(cfg.model, "base") else cfg.model
-        doubled = _doubled_negative_field(base, cfg.potential)
-        if doubled is not None:
-            constants = khasminskii_constants(base, doubled)
-    rep = continuity_scan(cfg.model, cfg.bundle, cfg.potential, cfg.section, run.t, grid,
+    V = cfg.potential
+    if (cfg.section.l2_norm is not None and V.is_scalar and len(V.terms) == 1
+            and V.terms[0][0].radial_profile is not None):
+        f = V.terms[0][0]  # 2|V^(2)| as a quadrature-ready field
+        constants = khasminskii_constants(cfg.model.base,
+                                          f.mapped(_doubled_negative, f"2neg({f.name})"))
+    rep = continuity_scan(cfg.model, cfg.bundle, V, cfg.section, run.t, grid,
                           run.h, run.n, run.key, s_grid=tuple(s_grid), constants=constants,
                           workers=run.workers)
     return rep, not rep["passed"]
 
 
-def _doubled_negative_field(model, V):
-    """2|V^(2)| as a quadrature-ready field for scalar named potentials."""
-    from .potentials import ScalarField
-
-    if not V.is_scalar or len(V.terms) != 1 or V.terms[0][0].radial_profile is None:
-        return None
-    f = V.terms[0][0]
-    return ScalarField(_DoubledNegative(f.fn), class_tag=f.class_tag,
-                       singular_points=f.singular_points,
-                       name=f"2neg({f.name})", radial_center=f.radial_center,
-                       radial_profile=_DoubledNegative(f.radial_profile))
-
-
-class _DoubledNegative:
-    def __init__(self, inner):
-        self.inner = inner
-
-    def __call__(self, arg):
-        return 2.0 * np.maximum(0.0, -self.inner(arg))
+def _doubled_negative(v):
+    """2|V^(2)| = 2 max(0, -v) of a scalar potential v."""
+    return 2.0 * np.maximum(0.0, -v)
 
 
 def _run_kato(cfg: RunConfig, run: _Run):

@@ -26,6 +26,7 @@ from .bundles import BundleSpec, magnetic_bundle, tangent_bundle, trivial_bundle
 from .potentials import (OneForm, PotentialSpec, ScalarField, SectionSpec, angle_form,
                          constant_form, constant_section, gaussian_section,
                          harmonic_ground_section, landau_form)
+from .rng import MAX_STEPS
 
 __all__ = ["ConfigError", "parse_manifold", "parse_potential", "parse_section",
            "parse_beta", "parse_points", "RunConfig"]
@@ -34,7 +35,6 @@ __all__ = ["ConfigError", "parse_manifold", "parse_potential", "parse_section",
 _MAX_WORKERS = 64
 _MAX_DIM = 32      # dimensions of a manifold
 _MAX_GRID = 4096   # points of auto:<n>
-_MAX_STEPS = 10**7  # steps of a given h
 
 
 class ConfigError(ValueError):
@@ -312,7 +312,7 @@ def _on_chart(model, beta):
 
 
 def _angle_form(model, a):
-    if not isinstance(getattr(model, "base", model), geometry.Circle):  # or a subdomain
+    if not isinstance(model.base, geometry.Circle):
         raise ValueError("dtheta is a 1-form on the circle")
     return angle_form(a)
 
@@ -336,17 +336,18 @@ def parse_points(model, text, key="x"):
         n = _integer(key, text[len("auto:"):])
         if not 1 <= n <= _MAX_GRID:
             raise ConfigError(key, f"need auto:<n> with n in 1..{_MAX_GRID}, got {n}")
-        return _auto_grid(model, n)
-    pts = []
-    for chunk in _split_top_level(text, seps=";"):
-        coords = [_finite_number(key, v) for v in _split_top_level(chunk)]
-        if len(coords) != model.coord_dim:
-            raise ConfigError(key, f"point {chunk!r} has {len(coords)} coords, "
-                              f"model needs {model.coord_dim}")
-        pts.append(coords)
-    if not pts:
-        raise ConfigError(key, "no points given")
-    arr = np.asarray(pts, dtype=float)
+        arr = _auto_grid(model, n)
+    else:
+        pts = []
+        for chunk in _split_top_level(text, seps=";"):
+            coords = [_finite_number(key, v) for v in _split_top_level(chunk)]
+            if len(coords) != model.coord_dim:
+                raise ConfigError(key, f"point {chunk!r} has {len(coords)} coords, "
+                                  f"model needs {model.coord_dim}")
+            pts.append(coords)
+        if not pts:
+            raise ConfigError(key, "no points given")
+        arr = np.asarray(pts, dtype=float)
     if not np.all(model.contains(arr)):
         raise ConfigError(key, "a point lies outside the domain")
     return arr
@@ -354,8 +355,9 @@ def parse_points(model, text, key="x"):
 
 def _auto_grid(model, n):
     """Deterministic compact grid: uniform on compact models, a spiral in
-    the unit ball (or the subdomain) otherwise, avoiding r = 0."""
-    base = model.base if isinstance(model, geometry.OpenSubdomain) else model
+    the unit ball otherwise, avoiding r = 0; on a subdomain the spiral's
+    radii shrink by min(1, b(origin)), b its boundary function."""
+    base = model.base
     if isinstance(base, geometry.Circle):
         th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
         return th[:, None]
@@ -370,8 +372,10 @@ def _auto_grid(model, n):
     dirs = rng.standard_normal((n, base.coord_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.linspace(0.05, 0.7, n)
-    if model is not base and isinstance(base, geometry.HyperbolicPlane):
-        radii = np.tanh(radii / 2.0)
+    if not model.complete:
+        radii = radii * min(1.0, float(model.boundary_fn(base.origin())))
+        if isinstance(base, geometry.HyperbolicPlane):
+            radii = np.tanh(radii / 2.0)
     return dirs * radii[:, None]
 
 
@@ -424,8 +428,8 @@ class RunConfig:
         if "h" in cfg.raw:  # the longest run of any command, in steps of h
             span = max([cfg.number("t", default=0.0) + cfg.number("s", default=0.0),
                         *cfg.values("t_grid", default=()), *cfg.values("s_grid", default=())])
-            if span > _MAX_STEPS * cfg.number("h"):
-                raise ConfigError("h", f"need at most {_MAX_STEPS} steps of h up to {span:g}")
+            if span > MAX_STEPS * cfg.number("h"):
+                raise ConfigError("h", f"need at most {MAX_STEPS} steps of h up to {span:g}")
         rank = cfg.integer("bundle_rank", default=1)
         if "manifold" not in cfg.raw:
             return cfg

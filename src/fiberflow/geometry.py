@@ -3,8 +3,12 @@
 Five homogeneous models (Euclidean space, circle, flat torus, round
 2-sphere, hyperbolic plane of curvature -1) plus open subdomains of them.
 Each model supplies exactly what the samplers and analyzers need: an
-orthonormal-frame exponential map, geodesic distance, volume sampling,
-quadrature rules, and the closed-form heat kernel where one exists.
+orthonormal-frame exponential map (the endpoint only; the sphere's
+transport_matrix adds the parallel transport its tangent bundle uses),
+geodesic distance, volume sampling, quadrature rules, and the closed-form
+heat kernel where one exists.  `model.base` is the complete model a model
+lies in (itself, or an open subdomain's parent) and `model.complete` tells
+the two apart, so callers never unwrap a subdomain by type.
 
 Convention used everywhere in this package: kernels and semigroups belong
 to the generator Delta/2, so a Brownian increment over time h has variance
@@ -67,20 +71,17 @@ class ManifoldModel:
     coord_dim: int = 0
     complete: bool = True
 
-    # 0.1 x injectivity radius (or 0.1 for infinite injectivity radius);
-    # governs the public exp_step contract, see exp_step.
-    max_step: float = 0.1
+    @property
+    def base(self):
+        """The complete model this one lies in: itself, or an open
+        subdomain's parent."""
+        return self
 
     # -- primitives ----------------------------------------------------
 
     def exp(self, x, xi):
         """Geodesic exponential: endpoint of the geodesic from x with
         initial frame coefficients xi (exact on all catalog models)."""
-        raise NotImplementedError
-
-    def geodesic_step(self, x, xi):
-        """Like exp, but also returns xi parallel-transported to the
-        endpoint (frame coefficients there)."""
         raise NotImplementedError
 
     def distance(self, x, y):
@@ -113,22 +114,6 @@ class ManifoldModel:
 
     # -- generic helpers ------------------------------------------------
 
-    def exp_step(self, x, xi):
-        """Public single-step exponential with the spec's safety contract:
-        rejects non-finite xi and |xi| beyond max_step (caller should
-        shrink h).  The internal samplers use exp() directly, which is
-        exact at any step length on the catalog models."""
-        xi = np.asarray(xi, dtype=float)
-        if not np.all(np.isfinite(xi)):
-            raise ValueError("exp_step: xi has non-finite entries")
-        norm = np.linalg.norm(xi, axis=-1)
-        if np.any(norm > self.max_step * (1.0 + 1e-12)):
-            raise ValueError(
-                f"exp_step: |xi| = {float(np.max(norm)):.4g} exceeds max step "
-                f"{self.max_step:.4g} for {self.kind}; shrink h"
-            )
-        return self.exp(x, xi)
-
     def geodesic_segment(self, x0, x1, n):
         """n points from x0 to x1 along a minimizing geodesic (inclusive)."""
         raise NotImplementedError
@@ -149,7 +134,6 @@ class ManifoldModel:
 
 class Euclidean(ManifoldModel):
     kind = "euclidean"
-    max_step = 0.1
 
     def __init__(self, m):
         if m < 1:
@@ -159,10 +143,6 @@ class Euclidean(ManifoldModel):
 
     def exp(self, x, xi):
         return _as_points(x, self.coord_dim) + np.asarray(xi, dtype=float)
-
-    def geodesic_step(self, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.exp(x, xi), xi
 
     def distance(self, x, y):
         return np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
@@ -199,15 +179,10 @@ class Circle(ManifoldModel):
             raise ValueError("circle radius must be positive")
         self.radius = float(radius)
         self.circumference = 2.0 * np.pi * self.radius
-        self.max_step = 0.1 * np.pi * self.radius  # injectivity radius pi*r
 
     def exp(self, x, xi):
         th = _as_points(x, 1) + np.asarray(xi, dtype=float) / self.radius
         return np.mod(th, 2.0 * np.pi)
-
-    def geodesic_step(self, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.exp(x, xi), xi
 
     def chart_increment(self, x, xi):
         """Signed angle increment of the step (no wrapping)."""
@@ -261,17 +236,9 @@ class FlatTorus(ManifoldModel):
         self.periods = periods
         self.dim = len(periods)
         self.coord_dim = self.dim
-        self.max_step = 0.1 * float(np.min(periods)) / 2.0
 
     def exp(self, x, xi):
         return np.mod(_as_points(x, self.coord_dim) + np.asarray(xi, dtype=float), self.periods)
-
-    def geodesic_step(self, x, xi):
-        xi = np.asarray(xi, dtype=float)
-        return self.exp(x, xi), xi
-
-    def chart_increment(self, x, xi):
-        return np.asarray(xi, dtype=float)
 
     def distance(self, x, y):
         d = np.abs(_as_points(x, self.coord_dim) - _as_points(y, self.coord_dim))
@@ -338,7 +305,6 @@ class Sphere2(ManifoldModel):
         if radius <= 0:
             raise ValueError("sphere radius must be positive")
         self.radius = float(radius)
-        self.max_step = 0.1 * np.pi * self.radius
 
     def frame(self, p):
         """Orthonormal tangent frame at p, shape (..., 3, 2).  The gauge is
@@ -372,10 +338,6 @@ class Sphere2(ManifoldModel):
 
     def exp(self, x, xi):
         return self._head(x, xi)[-1]
-
-    def geodesic_step(self, x, xi):
-        y, T = self.transport_matrix(x, xi)
-        return y, np.einsum("...ij,...j->...i", T, np.asarray(xi, dtype=float))
 
     def transport_matrix(self, x, xi):
         """(exp_x(xi), T): T is the real 2x2 orthogonal matrix carrying
@@ -490,7 +452,6 @@ class HyperbolicPlane(ManifoldModel):
     kind = "hyperbolic"
     dim = 2
     coord_dim = 2
-    max_step = 0.1  # infinite injectivity radius
 
     def _z(self, x):
         x = _as_points(x, 2)
@@ -501,31 +462,17 @@ class HyperbolicPlane(ManifoldModel):
         return np.stack([z.real, z.imag], axis=-1)
 
     def exp(self, x, xi):
-        y, _ = self.geodesic_step(x, xi)
-        return y
-
-    def geodesic_step(self, x, xi):
         """Moebius-translate to the origin, walk a straight ray of length
-        |xi|, translate back.  The conformal frame at z is ((1-|z|^2)/2)
-        times the coordinate frame, so frame coefficients map to chart
-        velocities by that factor."""
+        |xi|, translate back.  The conformal frame at the origin is half
+        the coordinate frame, so a ray of length r ends at tanh(r/2)."""
         z0 = self._z(x)
         xi = np.asarray(xi, dtype=float)
         xc = xi[..., 0] + 1j * xi[..., 1]
         r = np.abs(xc)
         small = r < 1e-300
         direction = np.where(small, 1.0 + 0j, xc / np.where(small, 1.0, r))
-        # at the origin the ray endpoint is tanh(r/2) * direction
         p = np.tanh(r / 2.0) * direction
-        y = (p + z0) / (1.0 + np.conj(z0) * p)
-        # transported tangent: phase of the geodesic velocity in the frame
-        # at y, obtained from the Moebius differential
-        dS = (1.0 - np.abs(z0) ** 2) / (1.0 + np.conj(z0) * p) ** 2
-        vel_chart = direction * (1.0 - np.abs(p) ** 2) / 2.0 * dS
-        lam_y = (1.0 - np.abs(y) ** 2) / 2.0
-        tangent_frame = vel_chart / lam_y  # unit frame vector along geodesic at y
-        xi_out = xc * tangent_frame / direction
-        return self._xy(y), np.stack([xi_out.real, xi_out.imag], axis=-1)
+        return self._xy((p + z0) / (1.0 + np.conj(z0) * p))
 
     def distance(self, x, y):
         z1 = self._z(x)
@@ -602,6 +549,7 @@ class OpenSubdomain(ManifoldModel):
     first grid point outside; there is no closed-form heat kernel."""
 
     complete = False
+    base = None  # the parent model, set per instance
 
     def __init__(self, base, boundary_fn, label="subdomain"):
         if isinstance(base, OpenSubdomain):
@@ -612,13 +560,9 @@ class OpenSubdomain(ManifoldModel):
         self.kind = f"subdomain({base.kind})"
         self.dim = base.dim
         self.coord_dim = base.coord_dim
-        self.max_step = base.max_step
 
     def exp(self, x, xi):
         return self.base.exp(x, xi)
-
-    def geodesic_step(self, x, xi):
-        return self.base.geodesic_step(x, xi)
 
     def distance(self, x, y):
         return self.base.distance(x, y)

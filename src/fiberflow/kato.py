@@ -26,7 +26,7 @@ from typing import Optional
 import numpy as np
 from scipy.special import i0e
 
-from .geometry import Circle, Euclidean, FlatTorus, OpenSubdomain
+from .geometry import Circle, Euclidean, FlatTorus
 from .paths import _grid_reduce, run_ensemble, time_grid
 from .potentials import ScalarField
 from .rng import RngKey
@@ -39,26 +39,11 @@ __all__ = [
     "lp_inclusion_check",
     "khasminskii_constants",
     "khasminskii_check",
-    "AbsField",
 ]
 
 N_TIME_NODES = 32
 STUB_RATIO = 1e-5  # first time node at STUB_RATIO * t
 DECAY_THRESHOLD = 0.05
-
-
-class AbsField(ScalarField):
-    """|v| of a scalar field, inheriting its metadata."""
-
-    def __init__(self, base: ScalarField):
-        super().__init__(fn=base.fn, class_tag=base.class_tag,
-                         singular_points=base.singular_points,
-                         name=f"abs({base.name})",
-                         radial_center=base.radial_center,
-                         radial_profile=base.radial_profile)
-
-    def __call__(self, pts, cap=None):
-        return np.abs(super().__call__(pts, cap=cap))
 
 
 @dataclass
@@ -184,7 +169,7 @@ def smoothed_abs_field(model, f: ScalarField, s, x, gl_order=12):
     """int p_s(x, y) |v(y)| dvol(dy): dispatches to the radial Euclidean
     rule or FFT smoothing on compact flat models.  On open subdomains the
     base-model kernel is used, an upper bound (Dirichlet domination)."""
-    base = model.base if isinstance(model, OpenSubdomain) else model
+    base = model.base
     if isinstance(base, Euclidean):
         if f.radial_profile is None:
             raise NotImplementedError(
@@ -339,6 +324,7 @@ def khasminskii_check(model, f: ScalarField, constants: KhasminskiiConstants,
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     ts = np.take(*time_grid(float(t_grid[-1]), h, t_grid[:-1]))  # snapshot times
+    abs_f = f.mapped(np.abs, f"abs({f.name})")
 
     def moments(res):
         w = (np.exp(res.integrals[(0, 1)]) * res.alive).reshape(len(ts), -1, n_paths)
@@ -346,7 +332,7 @@ def khasminskii_check(model, f: ScalarField, constants: KhasminskiiConstants,
 
     mean, se = _grid_reduce(
         lambda x0, k: run_ensemble(model, x0, float(t_grid[-1]), h, k, len(x0),
-                                   scalar_fields=(AbsField(f),), checkpoints=t_grid[:-1],
+                                   scalar_fields=(abs_f,), checkpoints=t_grid[:-1],
                                    workers=workers), moments, x_grid, n_paths, key)
     bound = constants.bound(ts)
     passed = mean <= bound[:, None] + 3.0 * se

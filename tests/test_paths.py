@@ -118,16 +118,6 @@ def test_normals_rows_match_streams(key, shape):
         assert np.array_equal(rows[j], stream(key.child(j)).standard_normal(shape))
 
 
-def test_max_step_invariant_at_conforming_h():
-    # h below the (max_step/7)^2 bound keeps every step below max_step
-    e2 = Euclidean(2)
-    h = (e2.max_step / 7.0) ** 2
-    times, _ = time_grid(400 * h, h)
-    res = run_ensemble(e2, np.zeros(2), 400 * h, h, KEY, 256, checkpoints=times[:-1])
-    steps = np.linalg.norm(np.diff(res.points, axis=0), axis=-1)
-    assert np.max(steps) <= e2.max_step
-
-
 def test_occupation_distribution_euclidean():
     # distance from the start is Rayleigh(sqrt(t)) in m = 2
     t = 0.7

@@ -261,6 +261,23 @@ def test_ground_energy_rank1_vector_branch():
     assert np.isfinite(out["energy"]) and out["n"] == 200
 
 
+@pytest.mark.parametrize("base, r, radius, Z_exact", [
+    # int_{-1}^{1} e^{-y^2/2} dy and int_0^{1/2} e^{-a^2/2} 2 pi sin(a) da
+    (Euclidean(1), 1.0, 3.0, math.sqrt(2 * math.pi) * math.erf(1 / math.sqrt(2))),
+    (Sphere2(1.0), 0.5, None, 2 * math.pi * 0.11512578028262904),
+], ids=["euclidean", "sphere2"])
+def test_rejection_starts_stay_in_the_domain(base, r, radius, Z_exact):
+    from fiberflow.geometry import ball
+    from fiberflow.semigroup import _rejection_starts
+
+    domain = ball(base, r)
+    pts, Z = _rejection_starts(domain, gaussian_section(base, 1.0), 500, KEY, radius=radius)
+    assert len(pts) == 500 and np.all(domain.contains(pts))
+    if isinstance(base, Sphere2):  # on the sphere, not off it in R^3
+        assert np.allclose(np.linalg.norm(pts, axis=-1), 1.0)
+    assert Z == pytest.approx(Z_exact, rel=0.02)
+
+
 def test_ground_energy_needs_enough_grid():
     with pytest.raises(ValueError, match="t_grid"):
         ground_energy(E1, harmonic_field(E1, 1.0), PHI0, PHI0, [1.0, 2.0], 1e-3,

@@ -42,8 +42,13 @@ def summary(values):
 
 
 def seed_range(text):
+    """first-last, inclusive, at least two seeds: one per pair of runs, and
+    the quartiles need two pairs."""
     lo, _, hi = text.partition("-")
-    return list(range(int(lo), int(hi or lo) + 1))
+    seeds = list(range(int(lo), int(hi or lo) + 1))
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"need at least 2 seeds, got {len(seeds)} from {text!r}")
+    return seeds
 
 
 def main(argv=None):
