@@ -17,7 +17,9 @@ violated (so CI can tell math regressions from plumbing failures), 3 a
 numerical failure (a RuntimeError of the estimator such as a non-positive
 log functional or weight underflow, a potential that returns NaN or +-inf
 away from its declared singular points, or a result that JSON cannot
-encode because it holds NaN or +-inf), reported as one `error:` line.
+encode because it holds NaN or +-inf), reported as one `error:` line.  A
+reader that closes stdout early (`| head`) ends the run quietly with its
+own code.
 """
 
 from __future__ import annotations
@@ -134,8 +136,13 @@ def _emit(doc, out_path):
         raise RuntimeError(f"the result holds a non-finite number ({exc})") from None
     if out_path:
         _write_text(out_path, text + "\n", "out")
-    else:
-        print(text)
+        return
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        # the reader has gone (`| head`): the document is not wanted, and
+        # stdout goes to devnull so that the exit flush stays quiet too
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
 
 
 def _estimate_payload(est):
@@ -182,14 +189,14 @@ def _dump_paths_csv(path, model, bundle, x, t, h, key, count=4):
 
 
 def _run_semigroup(cfg: RunConfig, run: _Run):
-    from .semigroup import fk_estimate
+    from .semigroup import fk_vector
 
     x, n, workers = run.x[0], run.n, run.workers  # any bad key fails before the dump
     if run.dump:
         _dump_paths_csv(run.dump, cfg.model, cfg.bundle, x, run.t, run.h, run.key)
-    kind, est = fk_estimate(cfg.model, cfg.bundle, cfg.beta, cfg.potential, cfg.section,
-                            x, run.t, run.h, n, run.key, workers=workers)
-    return {"estimator": kind, **_estimate_payload(est)}, False
+    est = fk_vector(cfg.model, cfg.bundle, cfg.potential, cfg.section, x, run.t, run.h, n,
+                    run.key, workers=workers)
+    return _estimate_payload(est), False
 
 
 def _run_ground_energy(cfg: RunConfig, run: _Run):
@@ -197,7 +204,7 @@ def _run_ground_energy(cfg: RunConfig, run: _Run):
 
     out = ground_energy(cfg.model, cfg.potential, cfg.section, cfg.section2 or cfg.section,
                         cfg.values("t_grid"), run.h, run.n, run.key, bundle=cfg.bundle,
-                        beta=cfg.beta, radius=cfg.number("radius"), workers=run.workers)
+                        radius=cfg.number("radius"), workers=run.workers)
     return {"energy": out["energy"], "stderr": out["stderr"],
             "per_time": out["per_time"], "aliveFraction": out["alive_fraction"],
             "seed": out["seed"], "h": out["h"], "N": out["n"]}, False
@@ -330,13 +337,12 @@ def _run_continuity(cfg: RunConfig, run: _Run):
     grid = cfg.points("x_grid")
     s_grid = cfg.values("s_grid", default=np.array([1e-3, 1e-2, 1e-1]))
     constants = None
-    V = cfg.potential
-    if (cfg.section.l2_norm is not None and V.is_scalar and len(V.terms) == 1
-            and V.terms[0][0].radial_profile is not None):
-        f = V.terms[0][0]  # 2|V^(2)| as a quadrature-ready field
+    f = cfg.potential.field() if cfg.potential.rank == 1 else None
+    if cfg.section.l2_norm is not None and f is not None and f.radial_profile is not None:
+        # 2|V^(2)| as a quadrature-ready field
         constants = khasminskii_constants(cfg.model.base,
                                           f.mapped(_doubled_negative, f"2neg({f.name})"))
-    rep = continuity_scan(cfg.model, cfg.bundle, V, cfg.section, run.t, grid,
+    rep = continuity_scan(cfg.model, cfg.bundle, cfg.potential, cfg.section, run.t, grid,
                           run.h, run.n, run.key, s_grid=tuple(s_grid), constants=constants,
                           workers=run.workers)
     return rep, not rep["passed"]
@@ -351,9 +357,9 @@ def _run_kato(cfg: RunConfig, run: _Run):
     from .kato import kato_report, khasminskii_constants, khasminskii_check, _default_x_grid
 
     t_grid = cfg.values("t_grid", default=np.geomspace(1e-4, 0.25, 8))
-    if not cfg.potential.is_scalar:
+    if cfg.potential.rank != 1:
         raise ConfigError("potential", "kato-check needs a scalar potential")
-    f = cfg.potential.terms[0][0]
+    f = cfg.potential.field()
     x_grid = cfg.points("x_grid")
     if x_grid is None:
         center = f.radial_center if f.radial_center is not None else cfg.model.origin()

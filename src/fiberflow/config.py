@@ -201,20 +201,6 @@ _FIELDS = {
 }
 
 
-class _ScaledSum:
-    """Pointwise c0 + sum_i a_i * field_i(x), used for composite scalars."""
-
-    def __init__(self, const, parts):
-        self.const = const
-        self.parts = parts
-
-    def __call__(self, pts):
-        out = np.full(np.asarray(pts).shape[:-1], self.const)
-        for a, f in self.parts:
-            out = out + a * f.fn(pts)
-        return out
-
-
 def _parse_scalar_sum(model, text, key) -> ScalarField:
     const, parts = 0.0, []
     for term in _split_top_level(text, seps="+"):
@@ -226,14 +212,7 @@ def _parse_scalar_sum(model, text, key) -> ScalarField:
             parts.append((coeff, value))
         else:
             const += coeff * value
-    if not parts:
-        return potentials.constant_field(const)
-    if len(parts) == 1 and const == 0.0 and parts[0][0] == 1.0:
-        return parts[0][1]
-    tag = max((f.class_tag for _, f in parts), key=potentials.KATO_CLASSES.index)
-    sing = tuple(p for _, f in parts for p in f.singular_points)
-    return ScalarField(_ScaledSum(const, parts), class_tag=tag, singular_points=sing,
-                       name=text.strip())
+    return potentials.scaled_sum(const, parts, text.strip())
 
 
 def _matrix_term(key, text):
@@ -354,29 +333,41 @@ def parse_points(model, text, key="x"):
 
 
 def _auto_grid(model, n):
-    """Deterministic compact grid: uniform on compact models, a spiral in
-    the unit ball otherwise, avoiding r = 0; on a subdomain the spiral's
-    radii shrink by min(1, b(origin)), b its boundary function."""
+    """Deterministic compact grid: uniform on the complete circle, torus
+    and sphere, a spiral in the unit ball otherwise, avoiding r = 0.  On a
+    subdomain it keeps within b = b(origin) of the origin, b its boundary
+    function: an arc on the circle, a cap spiral on the sphere, and the
+    spiral's radii shrunk by min(1, b) (then wrapped on the torus)."""
     base = model.base
+    b = None if model.complete else float(model.boundary_fn(base.origin()))
+    u = (np.arange(n) + 0.5) / n
     if isinstance(base, geometry.Circle):
-        th = 2.0 * np.pi * (np.arange(n) + 0.5) / n
+        th = (2.0 * np.pi * (np.arange(n) + 0.5) / n if b is None
+              else np.mod(min(np.pi, b / base.radius) * (2.0 * u - 1.0), 2.0 * np.pi))
         return th[:, None]
-    if isinstance(base, geometry.FlatTorus):
+    if isinstance(base, geometry.FlatTorus) and b is None:
         # the first n points, in row-major order, of the k^dim midpoint lattice
         k = int(np.ceil(n ** (1.0 / base.dim)))
         cells = np.stack(np.unravel_index(np.arange(n), (k,) * base.dim), axis=-1)
         return (cells + 0.5) / k * base.periods
     rng = np.random.default_rng(0)
     if isinstance(base, geometry.Sphere2):
-        return base.volume_sample(rng, n)
+        if b is None:
+            return base.volume_sample(rng, n)
+        # equal-area golden-angle spiral on the cap of geodesic radius b
+        z = 1.0 - (1.0 - math.cos(min(np.pi, b / base.radius))) * u
+        phi = np.pi * (3.0 - math.sqrt(5.0)) * np.arange(n)
+        rho = np.sqrt(1.0 - z**2)
+        return base.radius * np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1)
     dirs = rng.standard_normal((n, base.coord_dim))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     radii = np.linspace(0.05, 0.7, n)
-    if not model.complete:
-        radii = radii * min(1.0, float(model.boundary_fn(base.origin())))
+    if b is not None:
+        radii = radii * min(1.0, b)
         if isinstance(base, geometry.HyperbolicPlane):
             radii = np.tanh(radii / 2.0)
-    return dirs * radii[:, None]
+    pts = dirs * radii[:, None]
+    return np.mod(pts, base.periods) if isinstance(base, geometry.FlatTorus) else pts
 
 
 # ----------------------------------------------------------------------
@@ -436,13 +427,17 @@ class RunConfig:
         model = cfg.model = parse_manifold(cfg.raw["manifold"])
         if "beta" in cfg.raw:
             cfg.beta = parse_beta(model, cfg.raw["beta"])
-        bundle_kind = cfg.raw.get("bundle", "trivial")
+        # beta is the magnetic bundle's connection form: it selects that bundle
+        bundle_kind = cfg.raw.get("bundle", "trivial" if cfg.beta is None else "magnetic")
         bundles = {"trivial": lambda: trivial_bundle(rank), "tangent": tangent_bundle,
                    "magnetic": lambda: magnetic_bundle(cfg.beta)}
         if bundle_kind not in bundles:
             raise ConfigError("bundle", f"unknown bundle kind {bundle_kind!r}")
         if bundle_kind == "magnetic" and cfg.beta is None:
             raise ConfigError("beta", "required value missing")
+        if bundle_kind != "magnetic" and cfg.beta is not None:
+            raise ConfigError("bundle", f"beta is the magnetic bundle's 1-form; "
+                              f"the {bundle_kind} bundle takes none")
         cfg.bundle = bundles[bundle_kind]()
         try:
             cfg.bundle.validate_model(model)

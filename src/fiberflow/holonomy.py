@@ -1,10 +1,11 @@
 """The Dyson cross-check and the operator-norm inequality suite.
 
 The weight process solves dV_t = -V_t (transport^{-1} V transport) dt along
-a sampled path.  The path engine (paths.run_ensemble) integrates it by the
-exponential-product (Lie-Euler) scheme with the left-point rule: each step
-multiplies by the exact matrix exponential of the sampled Hermitian
-generator.  That choice makes the norm inequalities of the continuous
+a sampled path.  The path engine (paths.run_ensemble) integrates it, for a
+matrix potential, by the exponential-product (Lie-Euler) scheme with the
+left-point rule: each step multiplies by the exact matrix exponential of
+the sampled Hermitian generator (a rank-1 potential is e^{-int v}, by the
+scalar-field rule).  That choice makes the norm inequalities of the continuous
 theory (bounds a-d below, semigroup domination) hold exactly for the
 discrete product, not just in the limit, so they are asserted as hard
 identities in the tests.

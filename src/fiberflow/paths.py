@@ -11,21 +11,25 @@ This module is the package's one path engine: everything an estimator
 consumes is produced in one vectorized pass over a block of paths, kept in
 one table of per-path state keyed by EnsembleResult field: endpoints,
 alive indicators, trapezoid time-integrals of scalar fields (with 4-point
-sub-step sampling and the 1/h cap at declared singular points), Stratonovich
-line integrals of 1-forms (geodesic midpoint rule), the potential holonomy
-(exponential-product integrator, left-point rule), the accumulated
-transport, and left-point integrals of the scalar floor and of ||V^(2)||.
-Each step builds its updates out of place, merges them in one loop on the
-paths that stayed inside an open subdomain, and copies the table into the
-snapshot arrays at requested checkpoint times.  A checkpoint at every grid
-time gives a whole path, which is how `--dump-paths` and the tests read
-single paths.  Each step evaluates V(x) once: the matrix exponential also
-returns the smallest eigenvalue of the transported generator, which is the
-floor (and gives ||V^(2)||, its negative part) unless the potential declares
-its own floor_fn; both integrals exist whenever there is a potential.
-Every non-trivial bundle is transported through BundleSpec.step_transport
-into one (B, d, d) accumulator, real while the step matrices are (the
-tangent bundle) and complex only in its snapshots.
+sub-step sampling and the 1/h cap at declared singular points), the
+potential holonomy, the accumulated transport and the integral of the
+scalar floor.  Each step builds its updates out of place, merges them in
+one loop on the paths that stayed inside an open subdomain, and copies the
+table into the snapshot arrays at requested checkpoint times.  A
+checkpoint at every grid time gives a whole path, which is how
+`--dump-paths` and the tests read single paths.
+
+A rank-1 potential is one scalar field v (PotentialSpec.field()),
+integrated by the scalar-field rule: floor_integral is int v and the
+holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
+no matrix work.  A matrix potential is integrated by the exponential-
+product rule (left point): each step evaluates V(x) once, and the matrix
+exponential also returns the smallest eigenvalue of the transported
+generator, which is the floor unless the potential declares its own
+floor_fn.  Every non-trivial bundle, the magnetic phase among them, is
+transported through BundleSpec.step_transport into one (B, d, d)
+accumulator, real while the step matrices are (the tangent bundle) and
+complex only in its snapshots.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -43,12 +47,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from .bundles import BundleSpec, stratonovich_increment
+from .bundles import BundleSpec, stratonovich_increment  # noqa: F401
 from .geometry import ManifoldModel
 from .matexp import expm_neg_hermitian, small_matmul
-from .potentials import OneForm, PotentialSpec, ScalarField
+from .potentials import PotentialSpec, ScalarField
 from .rng import MAX_STEPS, RngKey, normals
-from .rng import stream  # noqa: F401  (bench/layers.py wraps paths.stream by name)
+# bench/layers.py wraps paths.stream and paths.stratonovich_increment by name
+from .rng import stream  # noqa: F401
 
 __all__ = [
     "EnsembleResult",
@@ -107,17 +112,15 @@ class EnsembleResult:
     """Per-path outputs at each checkpoint time (axis 0 = checkpoints,
     axis 1 = path index).  Dead paths are frozen at their last inside
     point and excluded from further accumulation.  A field is None when
-    the run does not ask for it (no one-form, potential or bundle)."""
+    the run does not ask for it (no potential or bundle)."""
 
     snap_times: np.ndarray                    # (T,)
     alive: np.ndarray                         # (T, N) bool
     points: np.ndarray                        # (T, N, coord_dim)
     integrals: dict = field(default_factory=dict)  # (field_idx, stride) -> (T, N)
-    line_integral: Optional[np.ndarray] = None   # (T, N), with a one_form
-    holonomy: Optional[np.ndarray] = None     # (T, N, d, d), with a potential
+    holonomy: Optional[np.ndarray] = None     # (T, N, d, d), with a potential; real at rank 1
     transport: Optional[np.ndarray] = None    # (T, N, d, d) accumulated, with a bundle
-    floor_integral: Optional[np.ndarray] = None  # left-point sum of the scalar floor,
-    v2_integral: Optional[np.ndarray] = None     # and of ||V^(2)||, with a potential
+    floor_integral: Optional[np.ndarray] = None  # (T, N) integral of the floor, with a potential
     death_step: Optional[np.ndarray] = None   # (N,) grid index of exit, -1 if none
 
     @property
@@ -139,7 +142,6 @@ def run_ensemble(
     bundle: Optional[BundleSpec] = None,
     scalar_fields: Sequence[ScalarField] = (),
     strides: Sequence[int] = (1,),
-    one_form: Optional[OneForm] = None,
     potential: Optional[PotentialSpec] = None,
     checkpoints: Sequence[float] = (),
     workers: int = 1,
@@ -179,8 +181,7 @@ def run_ensemble(
     cap = (1.0 / h) if h > 0 else None
     task = dict(
         model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
-        scalar_fields=tuple(scalar_fields), strides=strides, one_form=one_form,
-        potential=potential, cap=cap,
+        scalar_fields=tuple(scalar_fields), strides=strides, potential=potential, cap=cap,
     )
     args = [(task, x0[i0:i1], i0, np.geterr()) for (i0, i1) in ranges]
     if workers > 1 and len(args) > 1:
@@ -228,8 +229,7 @@ def _concat_results(parts):
 
 
 def _run_block(
-    x0, i0, *, model, times, snap_idx, key, bundle, scalar_fields, strides,
-    one_form, potential, cap,
+    x0, i0, *, model, times, snap_idx, key, bundle, scalar_fields, strides, potential, cap,
 ):
     B = x0.shape[0]
     K = len(times) - 1
@@ -242,25 +242,28 @@ def _run_block(
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     moving = bundle is not None and not bundle.trivial_transport
+    scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
+    matrix_V = potential if scalar_v is None else None
     death = np.full(B, -1, dtype=np.int64)
 
+    # time integrals: each field with the (state key, stride) pairs it
+    # accumulates into; a rank-1 potential's field v goes into floor_integral
+    integrands = [(f, [((i, s), s) for s in strides]) for i, f in enumerate(scalar_fields)]
+    if scalar_v is not None:
+        integrands.append((scalar_v, [("floor_integral", 1)]))
+
     # per-path state, keyed by EnsembleResult field (scalar integrals by
-    # (field_idx, stride)); a scalar potential's holonomy is the left-point
-    # integral of v until the result is built (it commutes with transport)
+    # (field_idx, stride))
     state = {"alive": np.ones(B, dtype=bool), "points": x0.copy()}
     v_prev = {}  # trapezoid left values; stale on dead paths, never read there
-    for i, f in enumerate(scalar_fields):
+    for f, targets in integrands:
         v0 = None if f.singular else f(x0, cap=cap)
-        for s in strides:
-            state[(i, s)] = np.zeros(B)
-            v_prev[(i, s)] = v0
-    if one_form is not None:
-        state["line_integral"] = np.zeros(B)
-    if potential is not None:
-        state["holonomy"] = (np.zeros(B) if potential.is_scalar
-                             else np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy())
+        for name, _ in targets:
+            state[name] = np.zeros(B)
+            v_prev[name] = v0
+    if matrix_V is not None:
+        state["holonomy"] = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
         state["floor_integral"] = np.zeros(B)
-        state["v2_integral"] = np.zeros(B)
     if bundle is not None:
         # a complex step promotes the real identity; trivial bundles keep it
         state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
@@ -280,24 +283,19 @@ def _run_block(
         step = math.sqrt(dt) * incs[:, k, :]
         new = {}
 
-        # potential holonomy and left-point integrals use the step start;
-        # V(x) is evaluated once, and its floor is the smallest eigenvalue
-        # the exponential already solved for (W is a unitary conjugate of
-        # V) unless the potential supplies its own floor_fn
-        if potential is not None:
-            if potential.is_scalar:
-                lam_min = potential.scalar_values(x, cap=cap)
-                new["holonomy"] = state["holonomy"] + dt * lam_min
-            else:
-                W = potential.matrix(x, cap=cap)
-                if moving:  # V in the start fibre's frame: acc^H V acc
-                    acc = state["transport"]
-                    W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
-                step_exp, lam_min = expm_neg_hermitian(W, dt)
-                new["holonomy"] = small_matmul(state["holonomy"], step_exp)
-            fl = lam_min if potential.floor_fn is None else potential.scalar_floor(x, cap=cap)
+        # a matrix potential's holonomy and floor use the step start; V(x)
+        # is evaluated once, and its floor is the smallest eigenvalue the
+        # exponential already solved for (W is a unitary conjugate of V)
+        # unless the potential supplies its own floor_fn
+        if matrix_V is not None:
+            W = matrix_V.matrix(x, cap=cap)
+            if moving:  # V in the start fibre's frame: acc^H V acc
+                acc = state["transport"]
+                W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
+            step_exp, lam_min = expm_neg_hermitian(W, dt)
+            new["holonomy"] = small_matmul(state["holonomy"], step_exp)
+            fl = lam_min if matrix_V.floor_fn is None else matrix_V.scalar_floor(x, cap=cap)
             new["floor_integral"] = state["floor_integral"] + dt * fl
-            new["v2_integral"] = state["v2_integral"] + dt * np.maximum(0.0, -fl)
 
         # transport along the step; at rank 1 the step is a phase, taken
         # elementwise as acc * Tk (with FMA, complex products are not
@@ -309,21 +307,20 @@ def _run_block(
 
         y = new["points"] = model.exp(x, step)
 
-        # scalar field integrals (trapezoid; singular via capped substeps)
-        for i, f in enumerate(scalar_fields):
+        # time integrals: trapezoid, or capped sub-steps for a singular field
+        subs = None
+        for f, targets in integrands:
             if f.singular:
-                sub = sum(f(model.exp(x, fr * step), cap=cap) for fr in _SUBSTEP_FRACS)
-                new[(i, 1)] = state[(i, 1)] + dt * sub / len(_SUBSTEP_FRACS)
+                if subs is None:
+                    subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
+                name = targets[0][0]
+                new[name] = state[name] + dt * sum(f(p, cap=cap) for p in subs) / len(subs)
                 continue
             vy = f(y, cap=cap)
-            for s in strides:
+            for name, s in targets:
                 if (k + 1) % s == 0:
-                    new[(i, s)] = state[(i, s)] + (s * dt) * 0.5 * (v_prev[(i, s)] + vy)
-                    v_prev[(i, s)] = vy
-
-        if one_form is not None:
-            new["line_integral"] = (state["line_integral"]
-                                    + stratonovich_increment(model, one_form, x, step))
+                    new[name] = state[name] + (s * dt) * 0.5 * (v_prev[name] + vy)
+                    v_prev[name] = vy
 
         # paths that leave the domain keep their last inside values
         if not model.complete:
@@ -336,8 +333,8 @@ def _run_block(
         state.update(new)
         snapshot(k + 1)
 
-    if potential is not None and potential.is_scalar:
-        snaps["holonomy"] = np.exp(-snaps["holonomy"])[..., None, None].astype(complex)
+    if scalar_v is not None:
+        snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]
     return EnsembleResult(
         snap_times=np.asarray([times[i] for i in snap_idx]),
         integrals={name: arr for name, arr in snaps.items() if isinstance(name, tuple)},

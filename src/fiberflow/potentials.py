@@ -8,12 +8,13 @@ profile(d(y, center)) and declares centre, profile and profile breaks for
 the Kato quadrature.  ScalarField.mapped(g, name) derives a field g(v),
 such as |v| or 2 max(0, -v), through fn and profile alike, keeping every
 other declaration.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i
-with constant Hermitian P_i, which covers the desk-scale bundle cases.  The
-scalar floor used for semigroup domination is the pointwise smallest
-eigenvalue unless floor_fn overrides it.  PotentialSpec.scalar_floor
-computes it by eigen-solve; the path engine instead takes it from the
-eigen-data of the step exponential it computes anyway (matexp), so a
-sampled path evaluates V once per step.
+with constant Hermitian P_i, which covers the desk-scale bundle cases; at
+rank 1, PotentialSpec.field() is the one scalar field c0 + sum_i p_i s_i
+that the path engine integrates.  Above rank 1, the scalar floor used for
+semigroup domination is the pointwise smallest eigenvalue unless floor_fn
+overrides it.  PotentialSpec.scalar_floor computes it by eigen-solve; the
+path engine instead takes it from the eigen-data of the step exponential it
+computes anyway (matexp), so a sampled path evaluates V once per step.
 
 All field callables are module-level classes so estimator tasks stay
 picklable for process workers.
@@ -167,9 +168,37 @@ class _Mapped:
         return self.g(self.inner(arg))
 
 
+class _ScaledSum:
+    """Pointwise c0 + sum_i a_i * field_i(x)."""
+
+    def __init__(self, const, parts):
+        self.const = const
+        self.parts = parts
+
+    def __call__(self, pts):
+        out = np.full(np.asarray(pts).shape[:-1], self.const)
+        for a, f in self.parts:
+            out = out + a * f.fn(pts)
+        return out
+
+
 def constant_field(c):
     return ScalarField(_Constant(c), class_tag="bounded", name=f"constant({c:g})",
                        radial_center=None, radial_profile=_ConstProfile(c))
+
+
+def scaled_sum(const, parts, name):
+    """The field const + sum_i a_i f_i of parts [(a_i, f_i)]: constant_field
+    without parts, f itself for the one part (1, f) and const 0, else one
+    field with the parts' most pessimistic Kato tag and all their singular
+    points."""
+    if not parts:
+        return constant_field(const)
+    if len(parts) == 1 and const == 0.0 and parts[0][0] == 1.0:
+        return parts[0][1]
+    tag = max((f.class_tag for _, f in parts), key=KATO_CLASSES.index)
+    sing = tuple(p for _, f in parts for p in f.singular_points)
+    return ScalarField(_ScaledSum(const, parts), class_tag=tag, singular_points=sing, name=name)
 
 
 def _radial_field(model, profile, center, name, class_tag, singular=False, breaks=()):
@@ -229,7 +258,8 @@ def _hermitize(a):
 class PotentialSpec:
     """V(x) = const + sum_i terms[i].field(x) * terms[i].matrix, Hermitian,
     rank d <= 16.  The floor function (<= min eigenvalue pointwise) defaults
-    to an eigen-solve of the assembled matrix."""
+    to an eigen-solve of the assembled matrix; a rank-1 potential is its
+    own floor, so it takes no floor_fn."""
 
     rank: int
     const: np.ndarray
@@ -245,6 +275,8 @@ class PotentialSpec:
         self.const = _hermitize(np.zeros((self.rank, self.rank)) if self.const is None
                                 else self.const)
         self.terms = [(f, _hermitize(P)) for (f, P) in self.terms]
+        if self.floor_fn is not None and self.rank == 1:
+            raise ValueError("a rank-1 potential is its own floor; it takes no floor_fn")
 
     @classmethod
     def scalar(cls, field_: ScalarField, name=None):
@@ -254,14 +286,6 @@ class PotentialSpec:
     @classmethod
     def zero(cls, rank=1):
         return cls(rank=rank, const=np.zeros((rank, rank)), terms=[], name="zero")
-
-    @property
-    def is_scalar(self) -> bool:
-        return self.rank == 1
-
-    @property
-    def singular(self) -> bool:
-        return any(f.singular for f, _ in self.terms)
 
     @property
     def class_tag(self) -> str:
@@ -278,25 +302,24 @@ class PotentialSpec:
             V += f(pts, cap=cap)[..., None, None] * P
         return V
 
-    def scalar_values(self, pts, cap=None):
-        """Scalar value v(x), rank-1 potentials only."""
-        if not self.is_scalar:
-            raise ValueError("scalar_values requires a rank-1 potential")
-        v = np.real(self.const[0, 0]) * np.ones(np.asarray(pts).shape[:-1])
-        for f, P in self.terms:
-            v = v + f(pts, cap=cap) * np.real(P[0, 0])
-        return v
+    def field(self) -> ScalarField:
+        """The rank-1 potential c0 + sum_i p_i f_i as one scalar field: the
+        term's own field for PotentialSpec.scalar(f)."""
+        if self.rank != 1:
+            raise ValueError("a scalar field needs a rank-1 potential")
+        return scaled_sum(float(np.real(self.const[0, 0])),
+                          [(float(np.real(P[0, 0])), f) for f, P in self.terms], self.name)
 
     def scalar_floor(self, pts, cap=None):
         """Floor v(x) <= min sigma(V(x)): floor_fn when given, else the
-        exact smallest eigenvalue (by eigvalsh), so that domination checks
-        saturate in the scalar case.  run_ensemble calls this only for a
-        floor_fn; otherwise it reads the same eigenvalue off the step
-        exponential's eigen-data."""
+        exact smallest eigenvalue (by eigvalsh; v itself at rank 1), so that
+        domination checks saturate in the scalar case.  run_ensemble calls
+        this only for a floor_fn; otherwise it reads the same eigenvalue off
+        the step exponential's eigen-data."""
         if self.floor_fn is not None:
             return np.asarray(self.floor_fn(np.asarray(pts, dtype=float)))
-        if self.is_scalar:
-            return self.scalar_values(pts, cap=cap)
+        if self.rank == 1:
+            return self.field()(pts, cap=cap)
         return np.linalg.eigvalsh(self.matrix(pts, cap=cap))[..., 0]
 
     def eigen_split(self, pts, cap=None):

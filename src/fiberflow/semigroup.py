@@ -1,13 +1,15 @@
 """Feynman-Kac estimators and the semigroup theorem checkers.
 
 Estimators produce a Monte Carlo `Estimate` (value, standard error, sample
-count, discretization echo).  Scalar weights use the trapezoid/sub-step
-time integral of the potential; vector weights use the exponential-product
-holonomy and the accumulated transport.  Every vector run is built by one
-helper, which also carries the left-point integral of the scalar floor and
-turns an overflowing potential into NonFiniteFieldError (any other
-non-finite sample is a RuntimeError); every vector estimator asserts the
-per-sample domination inequality
+count, discretization echo).  There is one Feynman-Kac estimator, the
+vector one: its weight is the run's holonomy (e^{-int v} by the
+trapezoid/sub-step rule for a rank-1 potential v, the exponential-product
+rule for a matrix potential) and its accumulated transport (the magnetic
+phase among them); fk_scalar is its rank-1 case.  Every run is built by one
+helper, which also carries the integral of the scalar floor and turns an
+overflowing potential into NonFiniteFieldError (any other non-finite
+sample is a RuntimeError); every estimator asserts the per-sample
+domination inequality
 
     || holonomy * transport^{-1} f ||  <=  exp(-int floor) * ||f(B_t)||
 
@@ -35,18 +37,16 @@ from typing import Optional
 
 import numpy as np
 
-from .bundles import BundleSpec, trivial_bundle
+from .bundles import BundleSpec
 from .kato import KhasminskiiConstants
 from .paths import _grid_reduce, run_ensemble
-from .potentials import NonFiniteFieldError, OneForm, PotentialSpec, ScalarField, SectionSpec
+from .potentials import NonFiniteFieldError, PotentialSpec, ScalarField, SectionSpec
 from .rng import RngKey, stream
 
 __all__ = [
     "Estimate",
     "fk_scalar",
     "fk_vector",
-    "fk_magnetic",
-    "fk_estimate",
     "ground_energy",
     "resolvent_apply",
     "domination_check",
@@ -92,37 +92,14 @@ def _as_potential(v):
     raise TypeError("potential must be a PotentialSpec or ScalarField")
 
 
-def _scalar_field_of(v: PotentialSpec) -> ScalarField:
-    if not v.is_scalar or len(v.terms) != 1 or np.real(v.const[0, 0]) != 0.0:
-        raise ValueError("estimator needs a single-field scalar potential")
-    f, P = v.terms[0]
-    if abs(P[0, 0] - 1.0) > 1e-14:
-        raise ValueError("scalar potential term must have unit coefficient matrix")
-    return f
-
-
 # ----------------------------------------------------------------------
-# the three Feynman-Kac estimators
-
-
-def _scalar_weights(model, v, x, t, h, n, key: RngKey, beta: Optional[OneForm],
-                    checkpoints, workers):
-    """(run, per-path weights e^{-int v [+ i int beta(dB)]} 1_{t<zeta}) for
-    a single-field scalar potential v: trapezoid rule for v, midpoint rule
-    for the Stratonovich phase."""
-    vf = _scalar_field_of(_as_potential(v))
-    res = run_ensemble(model, x, t, h, key, n, scalar_fields=(vf,), one_form=beta,
-                       checkpoints=checkpoints, workers=workers)
-    exponent = -res.integrals[(0, 1)]
-    if beta is not None:
-        exponent = exponent + 1j * res.line_integral
-    return res, np.exp(exponent) * res.alive
+# the Feynman-Kac estimator
 
 
 def fk_scalar(model, v, f: SectionSpec, x, t, h, n, key: RngKey,
               checkpoints=(), workers=1) -> Estimate:
-    """E[e^{-int v} f(B_t) 1_{t<zeta}] with the trapezoid weight rule."""
-    return fk_magnetic(model, None, v, f, x, t, h, n, key, checkpoints, workers)
+    """E[e^{-int v} f(B_t) 1_{t<zeta}]: fk_vector on the rank-1 potential v."""
+    return fk_vector(model, None, v, f, x, t, h, n, key, checkpoints, workers)
 
 
 def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n,
@@ -135,14 +112,6 @@ def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n
     _assert_domination(lhs, rhs)
     floor_w = np.exp(-res.floor_integral[-1]) * res.alive[-1]
     return _estimate(samples, res, h, key, floor_weight_mean=float(floor_w.mean()))
-
-
-def fk_magnetic(model, beta: Optional[OneForm], v, f: SectionSpec, x, t, h, n, key: RngKey,
-                checkpoints=(), workers=1) -> Estimate:
-    """E[e^{-int v + i int beta(dB)} f(B_t) 1_{t<zeta}], midpoint rule for
-    the Stratonovich phase; beta = None is fk_scalar."""
-    res, weights = _scalar_weights(model, v, x, t, h, n, key, beta, checkpoints, workers)
-    return _estimate(weights * f(res.points), res, h, key)
 
 
 def _estimate(samples, res, h, key: RngKey, **extras) -> Estimate:
@@ -159,13 +128,16 @@ def _estimate(samples, res, h, key: RngKey, **extras) -> Estimate:
 
 
 def _vector_run(model, bundle, V, x, t, h, n, key: RngKey, checkpoints=(), workers=1):
-    """run_ensemble for a vector estimator: V coerced (None is the free
-    flow), a trivial bundle of V's rank when none is given.  A potential
-    whose matrices or exponentials overflow raises NonFiniteFieldError."""
+    """run_ensemble for an estimator: V coerced (None is the free flow); a
+    trivial bundle, like none, transports by the identity, so the run takes
+    no transport.  A potential whose holonomy or floor integral overflows
+    raises NonFiniteFieldError."""
     if V is not None:
         V = _as_potential(V)
-    if bundle is None:
-        bundle = trivial_bundle(V.rank)
+        if bundle is not None and V.rank != bundle.rank:
+            raise ValueError("potential rank does not match bundle rank")
+    if bundle is not None and bundle.trivial_transport:
+        bundle = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
                            checkpoints=checkpoints, workers=workers)
@@ -176,11 +148,13 @@ def _vector_run(model, bundle, V, x, t, h, n, key: RngKey, checkpoints=(), worke
     return res
 
 
-def _weighted(holonomy, transport, fe, alive):
-    """holonomy transport^H fe on live paths, 0 on dead ones, over any
-    leading (checkpoint, path) axes."""
-    pulled = np.einsum("...ji,...j->...i", transport.conj(), fe)
-    return np.einsum("...ij,...j->...i", holonomy, pulled) * alive[..., None]
+def _weighted(holonomy, res, fe, at=Ellipsis):
+    """holonomy transport^H fe on the live paths of res at the checkpoints
+    `at` (every one by default), 0 on dead ones; a run without transport
+    transports by the identity."""
+    if res.transport is not None:
+        fe = np.einsum("...ji,...j->...i", res.transport[at].conj(), fe)
+    return np.einsum("...ij,...j->...i", holonomy, fe) * res.alive[at][..., None]
 
 
 def _squeeze(samples):
@@ -194,7 +168,7 @@ def _vector_samples(res, fe):
     their fibre norms lhs and the floor side rhs = e^{-int floor} ||f(B_t)||
     of the domination inequality."""
     fe = fe.reshape(*res.alive.shape, -1)
-    samples = _weighted(res.holonomy, res.transport, fe, res.alive)
+    samples = _weighted(res.holonomy, res, fe)
     lhs = np.abs(samples[..., 0]) if samples.shape[-1] == 1 else np.linalg.norm(samples, axis=-1)
     rhs = np.exp(-res.floor_integral) * np.linalg.norm(fe, axis=-1) * res.alive
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(rhs))):
@@ -227,23 +201,6 @@ def _per_start(res, f: SectionSpec, n):
     s = samples[-1].reshape(samples.shape[1] // n, n, -1)  # (points, n, fibre)
     mean, se = _reduce(np.moveaxis(s, 1, 0))
     return np.linalg.norm(mean, axis=-1), se.max(axis=-1)
-
-
-def _scalar_weighted(V: PotentialSpec, bundle, beta) -> bool:
-    """Whether a scalar weight carries the run: a magnetic 1-form, or a
-    scalar potential on a bundle without transport."""
-    return beta is not None or (V.is_scalar and (bundle is None or bundle.trivial_transport))
-
-
-def fk_estimate(model, bundle: Optional[BundleSpec], beta: Optional[OneForm], V,
-                f: SectionSpec, x, t, h, n, key: RngKey, workers=1):
-    """("magnetic" | "scalar" | "vector", Estimate): the Feynman-Kac
-    estimator the inputs call for, by the rule ground_energy applies."""
-    V = _as_potential(V)
-    if not _scalar_weighted(V, bundle, beta):
-        return "vector", fk_vector(model, bundle, V, f, x, t, h, n, key, workers=workers)
-    est = fk_magnetic(model, beta, V, f, x, t, h, n, key, workers=workers)
-    return ("scalar" if beta is None else "magnetic"), est
 
 
 # ----------------------------------------------------------------------
@@ -298,8 +255,7 @@ def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
 
 
 def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
-                  key: RngKey, bundle=None, beta: Optional[OneForm] = None,
-                  radius=None, workers=1):
+                  key: RngKey, bundle=None, radius=None, workers=1):
     """Spectral-bottom estimate from -d/dt log <f1, e^{-tH} f2>: the
     log-functional is computed at every grid time on shared paths started
     from |f1| dvol, and the energy is minus the least-squares slope over
@@ -311,20 +267,13 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     V = _as_potential(v_or_V)
     starts, Z = _rejection_starts(model, f1, n, key, radius=radius)
     tmax = float(t_grid[-1])
-    cps = t_grid[:-1]
-    if _scalar_weighted(V, bundle, beta):
-        res, wts = _scalar_weights(model, V, starts, tmax, h, n, key, beta, cps, workers)
-        f1e = f1(starts)
-        phase1 = np.where(np.abs(f1e) > 0, np.conj(f1e) / np.abs(f1e), 1.0)
-        samples = Z * phase1[None, :] * wts * f2(res.points)
-    else:
-        res = _vector_run(model, bundle, V, starts, tmax, h, n, key, cps, workers)
-        vec, lhs, rhs = _vector_samples(res, f2(res.points))
-        _assert_domination(lhs, rhs)
-        f1e = f1(starts).reshape(n, -1)
-        norm1 = np.linalg.norm(f1e, axis=-1)
-        dirn = np.where(norm1[:, None] > 0, f1e / np.maximum(norm1, 1e-300)[:, None], 0.0)
-        samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec.reshape(len(vec), n, -1))
+    res = _vector_run(model, bundle, V, starts, tmax, h, n, key, t_grid[:-1], workers)
+    vec, lhs, rhs = _vector_samples(res, f2(res.points))
+    _assert_domination(lhs, rhs)
+    f1e = f1(starts).reshape(n, -1)
+    norm1 = np.linalg.norm(f1e, axis=-1)
+    dirn = np.where(norm1[:, None] > 0, f1e / np.maximum(norm1, 1e-300)[:, None], 0.0)
+    samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec.reshape(len(vec), n, -1))
     means, ses = map(np.asarray, zip(*(_reduce(s) for s in samples)))
     vals = means.real
     if np.any(vals <= 0):
@@ -487,10 +436,7 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     endpoint an independent inner flow to time t (potential V_inner); the
     composite weight follows the multiplicative transport property.
     Returns per-outer-path samples (n_out, d) complex."""
-    V_inner = _as_potential(V_inner)
-    d = V_inner.rank
-    if bundle is None:
-        bundle = trivial_bundle(d)
+    d = _as_potential(V_inner).rank
     outer = _vector_run(model, bundle, V_outer, x, s, h, n_out, key, workers=workers)
     y = np.repeat(outer.points[-1], n_in, axis=0)
     inner = _vector_run(model, bundle, V_inner, y, t, h, n_out * n_in,
@@ -498,9 +444,8 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     vec, lhs, rhs = _vector_samples(inner, f(inner.points))
     _assert_domination(lhs, rhs)
     u = vec[-1].reshape(n_out, n_in, -1).mean(axis=1)  # inner estimates at each y_i
-    W = (np.broadcast_to(np.eye(d, dtype=complex), (n_out, d, d)) if outer.holonomy is None
-         else outer.holonomy[-1])
-    return _squeeze(_weighted(W, outer.transport[-1], u, outer.alive[-1]))
+    W = np.eye(d) if outer.holonomy is None else outer.holonomy[-1]
+    return _squeeze(_weighted(W, outer, u, -1))
 
 
 def semigroup_identity_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
@@ -522,7 +467,8 @@ def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
                                key: RngKey, workers=1):
     """Free flow composed with the interacting flow, Q^0_s Q^V_{t-s} f(x),
     against the single-path form E[V_s^{-1} V_t transport^{-1} f(B_t)];
-    also asserts the per-sample norm bound e^{int ||V2||} ||f||_inf."""
+    also asserts the per-sample norm bound e^{-int_s^t floor} ||f||_inf of
+    the window sample."""
     if not (0.0 <= s <= t):
         raise ValueError("need 0 <= s <= t")
     V = _as_potential(V)
@@ -534,9 +480,10 @@ def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
     Vt = res.holonomy[-1]
     si = int(np.argmin(np.abs(res.snap_times - s)))
     window = np.linalg.solve(res.holonomy[si], Vt) if s > 0 else Vt
-    rhs_samples = _weighted(window, res.transport[-1], fe[-1].reshape(n, -1), res.alive[-1])
+    rhs_samples = _weighted(window, res, fe[-1].reshape(n, -1), -1)
     if f.norm_bound is not None:
-        cap = np.exp(res.v2_integral[-1]) * f.norm_bound * res.alive[-1]
+        F = res.floor_integral
+        cap = np.exp(-(F[-1] - F[si]) if s > 0 else -F[-1]) * f.norm_bound * res.alive[-1]
         _assert_domination(np.linalg.norm(rhs_samples, axis=-1), cap,
                            "perturbation integrand bound")
     rhs_value, rhs_se = _reduce(_squeeze(rhs_samples))

@@ -11,7 +11,7 @@ import time
 
 import numpy as np
 
-from fiberflow.bundles import trivial_bundle
+from fiberflow.bundles import magnetic_bundle, trivial_bundle
 from fiberflow.cli import main as cli_main
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.holonomy import appendix_c_suite
@@ -82,9 +82,9 @@ def test_criterion_04_magnetic_circle():
     one = constant_section(1.0)
     tg = np.arange(0.5, 6.01, 0.5)
     gm = ground_energy(c, constant_field(0.0), one, one, tg, 1e-3, 30000, KEY,
-                       beta=angle_form(0.5))
+                       bundle=magnetic_bundle(angle_form(0.5)))
     g0 = ground_energy(c, constant_field(0.0), one, one, tg, 1e-3, 30000, KEY,
-                       beta=angle_form(0.0))
+                       bundle=magnetic_bundle(angle_form(0.0)))
     rel = abs(gm["energy"] - 0.125) / 0.125
     ordered = gm["energy"] >= g0["energy"] - 3 * math.hypot(gm["stderr"], g0["stderr"])
     ok = rel < 0.10 and ordered

@@ -4,8 +4,9 @@ The tracer wraps engine functions by name, so renaming one of them breaks
 `bench/run.py --trace 1` without failing any engine test.  This runs a tiny
 rank-3 fk_vector call under the tracer and pins what the fused step
 promises: one V(x) evaluation per step and no separate floor eigen-solve.
-A short tangent_sphere call pins that tangent transport is still timed, and
-a short exit_probability call that the live-step ratio still reads the
+A short tangent_sphere call pins that tangent transport is still timed, a
+short scalar_harmonic call that the rank-1 route does no matrix work, and a
+short exit_probability call that the live-step ratio still reads the
 engine's death steps.
 """
 
@@ -22,7 +23,7 @@ import workloads  # noqa: E402
 from fiberflow.geometry import Euclidean  # noqa: E402
 from fiberflow.paths import exit_probability  # noqa: E402
 from fiberflow.rng import RngKey  # noqa: E402
-from fiberflow.semigroup import fk_vector  # noqa: E402
+from fiberflow.semigroup import fk_scalar, fk_vector  # noqa: E402
 
 
 def test_traced_rank3_call_evaluates_potential_once_per_step():
@@ -56,6 +57,24 @@ def test_traced_tangent_call_attributes_transport():
     assert m["bundles.transport_s"] > 0
     assert m["geometry.exp_calls"] == steps
     assert m["potentials.matrix_calls"] == steps
+
+
+def test_traced_scalar_call_does_no_matrix_work():
+    # fk_scalar is fk_vector's rank-1 route: per step one geodesic step and
+    # one field evaluation, no matrix potential and no exponential
+    w = workloads.ScalarHarmonic()
+    c = w.cfg
+    t, h, n = 0.01, w.h, 64
+    tr = layers.Tracer()
+    with tr.installed():
+        est = fk_scalar(c.model, c.potential, c.section, w.x, t, h, n, RngKey(3))
+    assert np.isfinite(est.value) and np.isrealobj(est.value)
+    m = tr.metrics()
+    steps = int(round(t / h))
+    assert m["potentials.matrix_calls"] == 0
+    assert m["matexp.matrices"] == 0
+    assert m["geometry.exp_calls"] == steps
+    assert m["potentials.field_s"] > 0 and m["paths.blocks"] == 1
 
 
 def test_traced_exit_call_counts_live_steps():

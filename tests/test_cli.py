@@ -40,8 +40,8 @@ def test_parse_manifolds():
 def test_parse_potential_scalar_sum():
     e1 = Euclidean(1)
     V = parse_potential(e1, "harmonic(1.0) + 0.5*constant(2.0)")
-    assert V.is_scalar
-    assert V.scalar_values(np.array([[2.0]]))[0] == pytest.approx(2.0 + 1.0)
+    assert V.rank == 1
+    assert V.field()(np.array([[2.0]]))[0] == pytest.approx(2.0 + 1.0)
 
 
 def test_parse_potential_matrix():
@@ -102,8 +102,18 @@ def test_parse_points_and_auto_grid():
         small = parse_points(ball(e2, r), "auto:32")
         assert np.max(np.linalg.norm(small, axis=-1)) < r
     assert np.array_equal(parse_points(ball(e2, 1.5), "auto:32"), grid)
-    with pytest.raises(ConfigError, match="config key 'x_grid': a point lies outside"):
-        parse_points(ball(Sphere2(1.0), 0.5), "auto:32", key="x_grid")
+
+
+@pytest.mark.parametrize("manifold", ["ball(sphere2(r=1.0), r=0.5)", "ball(circle(r=1.0), r=0.5)",
+                                      "ball(torus(l=6.28,6.28), r=0.5)"])
+def test_auto_grid_lies_inside_a_ball_of_a_compact_model(manifold):
+    # an arc on the circle, a disc on the torus, a cap spiral on the sphere
+    model = parse_manifold(manifold)
+    grid = parse_points(model, "auto:32", key="x_grid")
+    assert grid.shape == (32, model.coord_dim) and np.all(model.contains(grid))
+    assert len(np.unique(grid, axis=0)) == 32
+    if isinstance(model.base, Sphere2):
+        assert np.allclose(np.linalg.norm(grid, axis=-1), 1.0, rtol=0, atol=1e-15)
 
 
 def test_continuity_scan_auto_grid_on_a_small_ball(capsys):
@@ -183,7 +193,7 @@ def test_semigroup_command(capsys):
     code, doc = run_cli(["semigroup", *BASE, "--t", "0.5", "--h", "1e-3",
                          "--n", "2000", "--seed", "5"], capsys)
     assert code == 0
-    assert doc["schema"] == 1 and doc["estimator"] == "scalar"
+    assert doc["schema"] == 1 and "estimator" not in doc
     assert 0.5 < doc["value"] < 0.8
 
 
@@ -332,6 +342,9 @@ BAD_INPUTS = [
     (dict(bundle="magnetic"), "beta"),
     (dict(bundle="tangent", bundle_rank="2", section="constant(1,0)",
           potential="matrix(rank=2, const=id)"), "bundle"),
+    # beta is the magnetic bundle's: another bundle kind cannot carry it
+    (dict(manifold="euclidean(m=2)", x="0,0", bundle="trivial", beta="landau(1)"), "bundle"),
+    (dict(manifold="euclidean(m=2)", x="0,0", bundle="tangent", beta="landau(1)"), "bundle"),
 ]
 
 
@@ -454,7 +467,61 @@ def test_rank3_semigroup_command(capsys):
                          "--section", "constant(1,1,1)", "--x", "0,0", "--t", "0.1",
                          "--h", "1e-3", "--n", "400", "--seed", "3"], capsys)
     assert code == 0
-    assert doc["estimator"] == "vector" and len(doc["value"]["re"]) == 3
+    assert len(doc["value"]["re"]) == 3
+
+
+def _document(argv, capsys):
+    """(exit code, document without config and wallTimeMs) of one run."""
+    code, doc = run_cli(argv, capsys)
+    doc.pop("config")
+    doc.pop("wallTimeMs")
+    return code, doc
+
+
+def test_beta_alone_is_the_magnetic_bundle(capsys):
+    argv = ["resolvent", "--manifold", "euclidean(m=2)", "--potential", "harmonic(1.0)",
+            "--section", "gaussian(1.0)", "--x", "0.1,0.2", "--lambda", "1.0", "--h", "1e-2",
+            "--n", "200", "--seed", "4", "--beta", "landau(0.9)"]
+    code, alone = _document(argv, capsys)
+    assert code == EXIT_OK and alone == _document(argv + ["--bundle", "magnetic"], capsys)[1]
+    # and the phase is there: the value is complex, unlike the run without beta
+    assert isinstance(alone["value"], dict)
+    assert not isinstance(_document(argv[:-2], capsys)[1]["value"], dict)
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("semigroup", ["--x", "0", "--t", "0.2", "--h", "1e-3", "--n", "300"]),
+    ("ground-energy", ["--t-grid", "0.2,0.4,0.6,0.8", "--h", "1e-2", "--n", "300",
+                       "--radius", "6"]),
+])
+@pytest.mark.parametrize("matrix, scalar", [
+    ("matrix(rank=1, harmonic(1) @ diag(2))", "2 * harmonic(1)"),
+    ("matrix(rank=1, const=diag(1), harmonic(1) @ id)", "harmonic(1) + 1"),
+])
+def test_rank1_matrix_potential_is_its_scalar_field(command, extra, matrix, scalar, capsys):
+    # a rank-1 matrix potential runs as the one field c0 + sum p_i f_i: bit
+    # for bit the scalar sum that writes the same field
+    argv = [command, "--manifold", "euclidean(m=1)", "--section", "harmonic_ground(1.0)",
+            "--seed", "7", *extra]
+    code, got = _document(argv + ["--potential", matrix], capsys)
+    assert code == EXIT_OK
+    assert got == _document(argv + ["--potential", scalar], capsys)[1]
+
+
+def test_closed_stdout_exits_quietly():
+    # a document larger than a pipe buffer, read by a reader that stops early
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fiberflow.cli", "exit-time", "--manifold", "euclidean(m=2)",
+         "--x-grid", "auto:4096", "--r", "1.0", "--t", "0.01", "--h", "1e-3", "--n", "2"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    head = proc.stdout.read(100)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=120) == EXIT_OK
+    assert head.startswith(b"{") and err == b""
 
 
 def test_bad_grammar_exit_code(capsys):

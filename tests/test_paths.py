@@ -189,8 +189,9 @@ def test_coulomb_path_integral_vs_quadrature():
 
 def test_zero_form():
     e2 = Euclidean(2)
-    res = run_ensemble(e2, np.zeros(2), 0.1, 1e-3, KEY, 1, one_form=landau_form(0.0))
-    assert res.line_integral[-1, 0] == 0.0
+    res = run_ensemble(e2, np.zeros(2), 0.1, 1e-3, KEY, 1,
+                       bundle=magnetic_bundle(landau_form(0.0)))
+    assert res.transport[-1, 0, 0, 0] == 1.0
 
 
 def test_circle_winding_loop_exact():
@@ -205,10 +206,11 @@ def test_circle_winding_loop_exact():
 
 
 def test_levy_area_characteristic_function():
+    # the magnetic transport is the phase e^{-i int beta}
     e2 = Euclidean(2)
     res = run_ensemble(e2, np.zeros(2), 1.0, 1e-3, KEY, 60000,
-                       one_form=landau_form(1.0))
-    w = np.exp(1j * res.line_integral[-1])
+                       bundle=magnetic_bundle(landau_form(1.0)))
+    w = res.transport[-1, :, 0, 0].conj()
     mean = w.mean()
     se = w.std(ddof=1) / math.sqrt(len(w))
     assert abs(mean - levy_area_charfn(1.0, 1.0)) < 3 * se + 1e-3
@@ -342,12 +344,29 @@ def test_tangent_step_builds_each_frame_once(monkeypatch):
 def test_magnetic_transport_phase_matches_line_integral():
     e2 = Euclidean(2)
     beta = landau_form(0.9)
-    b = magnetic_bundle(beta)
-    res = run_ensemble(e2, np.array([0.1, 0.2]), 0.1, 1e-3, KEY.child(4), 1, bundle=b,
-                       one_form=beta)
-    total = res.transport[-1, 0, 0, 0]
-    line = res.line_integral[-1, 0]
-    assert abs(total - np.exp(-1j * line)) < 1e-10
+    _, pts, steps, res = engine_path(e2, np.array([0.1, 0.2]), 0.1, 1e-3, KEY.child(4),
+                                     bundle=magnetic_bundle(beta))
+    line = np.sum(stratonovich_increment(e2, beta, pts[:-1], steps))
+    assert abs(res.transport[-1, 0, 0, 0] - np.exp(-1j * line)) < 1e-10
+
+
+@pytest.mark.parametrize("v", [harmonic_field(Euclidean(3), 1.0), coulomb_field(Euclidean(3), 1.0)],
+                         ids=["trapezoid", "singular"])
+def test_rank1_potential_is_its_field_integral(v):
+    # one rule: a rank-1 potential's floor integral is the scalar field
+    # integral of its field, bit for bit, and its holonomy e^{-int v}, real
+    e3 = Euclidean(3)
+    res = run_ensemble(e3, [0.05, 0.0, 0.0], 0.05, 1e-3, KEY, 48, checkpoints=(0.02,),
+                       scalar_fields=(v,), potential=PotentialSpec.scalar(v))
+    assert np.array_equal(res.floor_integral, res.integrals[(0, 1)])
+    assert res.holonomy.dtype == np.float64
+    assert np.array_equal(res.holonomy[..., 0, 0], np.exp(-res.floor_integral))
+
+
+def test_rank1_potential_takes_no_floor_fn():
+    with pytest.raises(ValueError, match="its own floor"):
+        PotentialSpec(rank=1, const=np.zeros((1, 1)), terms=[(constant_field(1.0), np.eye(1))],
+                      floor_fn=constant_field(0.0))
 
 
 # -- bit-exact golden results ----------------------------------------------
@@ -363,8 +382,7 @@ def ensemble_case(name):
     s2, e2 = Sphere2(1.0), Euclidean(2)
     rank2 = "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)"
     beta = landau_form(0.9)
-    magnetic = dict(bundle=magnetic_bundle(beta), one_form=beta,
-                    scalar_fields=(harmonic_field(e2, 1.0),))
+    magnetic = dict(bundle=magnetic_bundle(beta), scalar_fields=(harmonic_field(e2, 1.0),))
     if name == "sphere2_tangent":
         return s2, s2.origin(), 0.05, 48, dict(
             bundle=tangent_bundle(), potential=parse_potential(s2, rank2)), None
@@ -382,7 +400,7 @@ def ensemble_case(name):
     if name == "scalar_magnetic":
         c1, dtheta = Circle(1.0), angle_form(0.5)
         return c1, [0.3], 0.05, 48, dict(
-            bundle=magnetic_bundle(dtheta), one_form=dtheta,
+            bundle=magnetic_bundle(dtheta),
             potential=PotentialSpec.scalar(harmonic_field(c1, 1.0))), None
     if name == "strides":
         e1 = Euclidean(1)

@@ -15,8 +15,8 @@ from fiberflow.potentials import (PotentialSpec, ScalarField, SectionSpec, angle
                                   harmonic_field, harmonic_ground_section, landau_form,
                                   spinor_section)
 from fiberflow.rng import RngKey
-from fiberflow.semigroup import (_assert_domination, domination_check, fk_magnetic,
-                                 fk_scalar, fk_vector, ground_energy, heat_pq_norm_check,
+from fiberflow.semigroup import (_assert_domination, domination_check, fk_scalar, fk_vector,
+                                 ground_energy, heat_pq_norm_check,
                                  perturbation_formula_check, resolvent_apply,
                                  semigroup_identity_check)
 
@@ -77,8 +77,8 @@ def test_diag_potential_decouples():
 
 
 def test_magnetic_zero_form_matches_scalar_exactly():
-    est_m = fk_magnetic(E2, landau_form(0.0), constant_field(0.2),
-                        constant_section(1.0), np.zeros(2), 0.5, 1e-3, 400, KEY)
+    est_m = fk_vector(E2, magnetic_bundle(landau_form(0.0)), constant_field(0.2),
+                      constant_section(1.0), np.zeros(2), 0.5, 1e-3, 400, KEY)
     est_s = fk_scalar(E2, constant_field(0.2), constant_section(1.0), np.zeros(2),
                       0.5, 1e-3, 400, KEY)
     assert est_m.value == pytest.approx(est_s.value, abs=0.0)
@@ -86,27 +86,26 @@ def test_magnetic_zero_form_matches_scalar_exactly():
 
 def test_magnetic_circle_spectral_value():
     c = Circle(1.0)
-    est = fk_magnetic(c, angle_form(0.5), constant_field(0.0), constant_section(1.0),
-                      np.zeros(1), 1.0, 1e-3, 30000, KEY)
+    est = fk_vector(c, magnetic_bundle(angle_form(0.5)), constant_field(0.0),
+                    constant_section(1.0), np.zeros(1), 1.0, 1e-3, 30000, KEY)
     ref = circle_magnetic_semigroup_constant(0.5, 1.0)
     assert abs(est.value - ref) < 3 * est.stderr + 1e-3
     assert abs(est.value.imag) < 3 * est.stderr
 
 
 def test_magnetic_landau_magnitude_and_levy():
-    est = fk_magnetic(E2, landau_form(1.0), constant_field(0.0), constant_section(1.0),
-                      np.zeros(2), 1.0, 1e-3, 50000, KEY)
+    est = fk_vector(E2, magnetic_bundle(landau_form(1.0)), constant_field(0.0),
+                    constant_section(1.0), np.zeros(2), 1.0, 1e-3, 50000, KEY)
     assert abs(est.value) <= 1.0 + 1e-12
     assert abs(est.value - levy_area_charfn(1.0, 1.0)) < 3 * est.stderr + 1e-3
 
 
 def test_per_sample_magnetic_domination():
     # |magnetic weight| = scalar weight per path: Cor-dsu mechanism
-    res = run_ensemble(E2, np.zeros(2), 0.4, 1e-3, KEY, 300,
-                       scalar_fields=(constant_field(0.3),),
-                       one_form=landau_form(0.7))
-    w_mag = np.exp(-res.integrals[(0, 1)][-1] + 1j * res.line_integral[-1])
-    w_sca = np.exp(-res.integrals[(0, 1)][-1])
+    res = run_ensemble(E2, np.zeros(2), 0.4, 1e-3, KEY, 300, bundle=magnetic_bundle(
+        landau_form(0.7)), potential=PotentialSpec.scalar(constant_field(0.3)))
+    w_mag = res.holonomy[-1, :, 0, 0] * res.transport[-1, :, 0, 0].conj()
+    w_sca = np.exp(-res.floor_integral[-1])
     assert np.max(np.abs(np.abs(w_mag) - w_sca)) < 1e-14
 
 
