@@ -13,9 +13,9 @@ Three connection kinds cover the catalog:
 
 BundleSpec.step_transport is the single transport entry point: the path
 engine (paths.run_ensemble) multiplies its (..., d, d) step matrices into
-the accumulated transport for every non-trivial bundle, and `--dump-paths`
-writes them per step.  The engine skips the call for trivial bundles,
-whose accumulated transport is the identity.
+the accumulated transport, and `--dump-paths` writes them per step.  A
+trivial bundle is no bundle in the engine: after its rank check the run
+drops it and carries no transport.
 """
 
 from __future__ import annotations
@@ -63,10 +63,6 @@ class BundleSpec:
             raise ValueError("the tangent bundle of sphere2 has rank 2")
         if self.rank < 1 or self.rank > 16:
             raise ValueError("bundle rank must be in 1..16")
-
-    @property
-    def trivial_transport(self) -> bool:
-        return self.kind == "trivial"
 
     def validate_model(self, model: ManifoldModel):
         if self.kind == "tangent" and not isinstance(model.base, Sphere2):

@@ -445,13 +445,18 @@ class RunConfig:
             raise ConfigError("bundle", str(exc)) from None
         if "potential" in cfg.raw:
             cfg.potential = parse_potential(model, cfg.raw["potential"])
-            if cfg.potential.rank != rank and "bundle_rank" in cfg.raw:
-                raise ConfigError("bundle_rank",
-                                  f"rank {rank} != potential rank {cfg.potential.rank}")
-        r = cfg.potential.rank if cfg.potential is not None else rank
+            r = cfg.potential.rank
+            if r != rank and "bundle_rank" in cfg.raw:
+                raise ConfigError("bundle_rank", f"rank {rank} != potential rank {r}")
+            if bundle_kind == "trivial":  # without bundle_rank, the potential's rank
+                cfg.bundle = trivial_bundle(r)
+            elif r != cfg.bundle.rank:
+                raise ConfigError("potential", f"rank {r} potential on the rank "
+                                  f"{cfg.bundle.rank} {bundle_kind} bundle")
         for key in ("section", "section2"):
             if key in cfg.raw:
-                setattr(cfg, key, parse_section(model, cfg.raw[key], rank=r, key=key))
+                setattr(cfg, key, parse_section(model, cfg.raw[key], rank=cfg.bundle.rank,
+                                                key=key))
         return cfg
 
     def _read(self, key, default, required, read):

@@ -28,7 +28,7 @@ from scipy.special import i0e
 
 from .geometry import Circle, Euclidean, FlatTorus
 from .paths import _grid_reduce, run_ensemble, time_grid
-from .potentials import ScalarField
+from .potentials import PotentialSpec, ScalarField
 from .rng import RngKey
 
 __all__ = [
@@ -315,24 +315,30 @@ def khasminskii_constants(model, f: ScalarField, x_grid=None, target=0.45,
     return KhasminskiiConstants(t0=s, c_at_t0=c0, cv=math.log(1.0 / (1.0 - c0)) / s)
 
 
+def _neg_abs(v):
+    """-|v|; module level, so worker processes can unpickle the field."""
+    return -np.abs(v)
+
+
 def khasminskii_check(model, f: ScalarField, constants: KhasminskiiConstants,
                       t_grid, x_grid, n_paths, h, key: RngKey, workers=1):
     """Empirical verification: mean exp(int |v|) 1_alive <= 2 e^{t cv} + 3 se
     at every grid point and time; grid point j owns paths [j n_paths,
-    (j+1) n_paths) of one grid run.  The singular integrand is capped at
-    1/h along paths (cap only lowers the left side)."""
+    (j+1) n_paths) of one grid run.  The run's potential is -|v|, whose
+    holonomy is exp(int |v|); the singular integrand is capped at 1/h
+    along paths (cap only lowers the left side)."""
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
     x_grid = np.atleast_2d(np.asarray(x_grid, dtype=float))
     ts = np.take(*time_grid(float(t_grid[-1]), h, t_grid[:-1]))  # snapshot times
-    abs_f = f.mapped(np.abs, f"abs({f.name})")
+    neg_abs = PotentialSpec.scalar(f.mapped(_neg_abs, f"-abs({f.name})"))
 
     def moments(res):
-        w = (np.exp(res.integrals[(0, 1)]) * res.alive).reshape(len(ts), -1, n_paths)
+        w = (res.holonomy[..., 0, 0] * res.alive).reshape(len(ts), -1, n_paths)
         return w.mean(axis=2), w.std(axis=2, ddof=1) / math.sqrt(n_paths)
 
     mean, se = _grid_reduce(
         lambda x0, k: run_ensemble(model, x0, float(t_grid[-1]), h, k, len(x0),
-                                   scalar_fields=(abs_f,), checkpoints=t_grid[:-1],
+                                   potential=neg_abs, checkpoints=t_grid[:-1],
                                    workers=workers), moments, x_grid, n_paths, key)
     bound = constants.bound(ts)
     passed = mean <= bound[:, None] + 3.0 * se

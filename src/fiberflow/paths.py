@@ -10,26 +10,25 @@ resolved by h-refinement in the estimator tests).
 This module is the package's one path engine: everything an estimator
 consumes is produced in one vectorized pass over a block of paths, kept in
 one table of per-path state keyed by EnsembleResult field: endpoints,
-alive indicators, trapezoid time-integrals of scalar fields (with 4-point
-sub-step sampling and the 1/h cap at declared singular points), the
-potential holonomy, the accumulated transport and the integral of the
-scalar floor.  Each step builds its updates out of place, merges them in
-one loop on the paths that stayed inside an open subdomain, and copies the
-table into the snapshot arrays at requested checkpoint times.  A
-checkpoint at every grid time gives a whole path, which is how
-`--dump-paths` and the tests read single paths.
+alive indicators and, with a potential or a bundle, three accumulators:
+floor_integral, holonomy and transport.  Each step builds its updates out
+of place, merges them in one loop on the paths that stayed inside an open
+subdomain, and copies the table into the snapshot arrays at requested
+checkpoint times.  A checkpoint at every grid time gives a whole path,
+which is how `--dump-paths` and the tests read single paths.
 
-A rank-1 potential is one scalar field v (PotentialSpec.field()),
-integrated by the scalar-field rule: floor_integral is int v and the
+A rank-1 potential is one scalar field v (PotentialSpec.field()): its
+floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
+with the 1/h cap for a field with declared singular points, and its
 holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
 no matrix work.  A matrix potential is integrated by the exponential-
 product rule (left point): each step evaluates V(x) once, and the matrix
 exponential also returns the smallest eigenvalue of the transported
 generator, which is the floor unless the potential declares its own
-floor_fn.  Every non-trivial bundle, the magnetic phase among them, is
-transported through BundleSpec.step_transport into one (B, d, d)
-accumulator, real while the step matrices are (the tangent bundle) and
-complex only in its snapshots.
+floor_fn.  A trivial bundle is no bundle in the engine; every other one,
+the magnetic phase among them, is transported through
+BundleSpec.step_transport into one (B, d, d) accumulator, real while the
+step matrices are (the tangent bundle) and complex only in its snapshots.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -42,7 +41,7 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
@@ -50,7 +49,7 @@ import numpy as np
 from .bundles import BundleSpec, stratonovich_increment  # noqa: F401
 from .geometry import ManifoldModel
 from .matexp import expm_neg_hermitian, small_matmul
-from .potentials import PotentialSpec, ScalarField
+from .potentials import PotentialSpec
 from .rng import MAX_STEPS, RngKey, normals
 # bench/layers.py wraps paths.stream and paths.stratonovich_increment by name
 from .rng import stream  # noqa: F401
@@ -112,12 +111,12 @@ class EnsembleResult:
     """Per-path outputs at each checkpoint time (axis 0 = checkpoints,
     axis 1 = path index).  Dead paths are frozen at their last inside
     point and excluded from further accumulation.  A field is None when
-    the run does not ask for it (no potential or bundle)."""
+    the run does not ask for it: floor_integral and holonomy come with a
+    potential, transport with a non-trivial bundle."""
 
     snap_times: np.ndarray                    # (T,)
     alive: np.ndarray                         # (T, N) bool
     points: np.ndarray                        # (T, N, coord_dim)
-    integrals: dict = field(default_factory=dict)  # (field_idx, stride) -> (T, N)
     holonomy: Optional[np.ndarray] = None     # (T, N, d, d), with a potential; real at rank 1
     transport: Optional[np.ndarray] = None    # (T, N, d, d) accumulated, with a bundle
     floor_integral: Optional[np.ndarray] = None  # (T, N) integral of the floor, with a potential
@@ -140,8 +139,6 @@ def run_ensemble(
     n_paths: int,
     *,
     bundle: Optional[BundleSpec] = None,
-    scalar_fields: Sequence[ScalarField] = (),
-    strides: Sequence[int] = (1,),
     potential: Optional[PotentialSpec] = None,
     checkpoints: Sequence[float] = (),
     workers: int = 1,
@@ -149,13 +146,16 @@ def run_ensemble(
     """Run n_paths killed Brownian paths and accumulate the requested
     weights.  x0 is a single start point or an (n_paths, cdim) array of
     per-path starts.  Results depend only on (key.seed, stream offsets,
-    n_paths), never on block size or worker count."""
+    n_paths), never on block size or worker count.  A trivial bundle
+    transports by the identity, so the run takes none."""
     if n_paths < 1:
         raise ValueError(f"need n_paths >= 1, got {n_paths}")
     if bundle is not None:
         bundle.validate_model(model)
     if potential is not None and bundle is not None and potential.rank != bundle.rank:
         raise ValueError("potential rank does not match bundle rank")
+    if bundle is not None and bundle.kind == "trivial":
+        bundle = None
     x0 = np.asarray(x0, dtype=float)
     if x0.ndim == 1:
         x0 = np.broadcast_to(x0, (n_paths, x0.shape[0]))
@@ -164,25 +164,14 @@ def run_ensemble(
     if not np.all(model.contains(x0)):
         raise ValueError("some start points lie outside the domain")
     times, snap_idx = time_grid(t, h, checkpoints)
-    strides = tuple(int(s) for s in strides)
-    if strides != (1,):
-        K = len(times) - 1
-        uniform = K > 0 and np.allclose(np.diff(times), times[1] - times[0], rtol=1e-9, atol=0)
-        if not uniform or any(K % s for s in strides):
-            raise ValueError("integration strides require a uniform grid that each stride divides")
-        if any(f.singular for f in scalar_fields) and max(strides) > 1:
-            raise ValueError("strides > 1 are not supported for singular fields")
-
     K = len(times) - 1
     m = model.dim
     per_path = max(K * m, 1)
     block = int(max(16, min(8192, _BLOCK_BUDGET // per_path)))
     ranges = [(i, min(i + block, n_paths)) for i in range(0, n_paths, block)]
     cap = (1.0 / h) if h > 0 else None
-    task = dict(
-        model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
-        scalar_fields=tuple(scalar_fields), strides=strides, potential=potential, cap=cap,
-    )
+    task = dict(model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
+                potential=potential, cap=cap)
     args = [(task, x0[i0:i1], i0, np.geterr()) for (i0, i1) in ranges]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -220,17 +209,13 @@ def _concat_results(parts):
     def join(name, vals):
         if name == "snap_times" or vals[0] is None:
             return vals[0]
-        if isinstance(vals[0], dict):
-            return {k: join(k, [v[k] for v in vals]) for k in vals[0]}
         return np.concatenate(vals, axis=0 if name == "death_step" else 1)
 
     return EnsembleResult(**{f.name: join(f.name, [getattr(p, f.name) for p in parts])
                              for f in fields(EnsembleResult)})
 
 
-def _run_block(
-    x0, i0, *, model, times, snap_idx, key, bundle, scalar_fields, strides, potential, cap,
-):
+def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
@@ -241,31 +226,21 @@ def _run_block(
     incs = normals(key.child(i0), B, (K, model.dim))
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
-    moving = bundle is not None and not bundle.trivial_transport
     scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
     matrix_V = potential if scalar_v is None else None
     death = np.full(B, -1, dtype=np.int64)
 
-    # time integrals: each field with the (state key, stride) pairs it
-    # accumulates into; a rank-1 potential's field v goes into floor_integral
-    integrands = [(f, [((i, s), s) for s in strides]) for i, f in enumerate(scalar_fields)]
-    if scalar_v is not None:
-        integrands.append((scalar_v, [("floor_integral", 1)]))
-
-    # per-path state, keyed by EnsembleResult field (scalar integrals by
-    # (field_idx, stride))
+    # per-path state, keyed by EnsembleResult field
     state = {"alive": np.ones(B, dtype=bool), "points": x0.copy()}
-    v_prev = {}  # trapezoid left values; stale on dead paths, never read there
-    for f, targets in integrands:
-        v0 = None if f.singular else f(x0, cap=cap)
-        for name, _ in targets:
-            state[name] = np.zeros(B)
-            v_prev[name] = v0
+    if potential is not None:
+        state["floor_integral"] = np.zeros(B)
+    if scalar_v is not None and not scalar_v.singular:
+        # trapezoid left values; stale on dead paths, never read there
+        v_prev = scalar_v(x0, cap=cap)
     if matrix_V is not None:
         state["holonomy"] = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
-        state["floor_integral"] = np.zeros(B)
     if bundle is not None:
-        # a complex step promotes the real identity; trivial bundles keep it
+        # real until a complex step promotes it
         state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
     snaps = {name: np.zeros((len(snap_idx),) + v.shape,
                             dtype=complex if name == "transport" else v.dtype)
@@ -289,7 +264,7 @@ def _run_block(
         # unless the potential supplies its own floor_fn
         if matrix_V is not None:
             W = matrix_V.matrix(x, cap=cap)
-            if moving:  # V in the start fibre's frame: acc^H V acc
+            if bundle is not None:  # V in the start fibre's frame: acc^H V acc
                 acc = state["transport"]
                 W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
             step_exp, lam_min = expm_neg_hermitian(W, dt)
@@ -300,27 +275,24 @@ def _run_block(
         # transport along the step; at rank 1 the step is a phase, taken
         # elementwise as acc * Tk (with FMA, complex products are not
         # bitwise commutative, so the operand order is part of the result)
-        if moving:
+        if bundle is not None:
             acc = state["transport"]
             Tk = bundle.step_transport(model, x, step)
             new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
 
         y = new["points"] = model.exp(x, step)
 
-        # time integrals: trapezoid, or capped sub-steps for a singular field
-        subs = None
-        for f, targets in integrands:
-            if f.singular:
-                if subs is None:
-                    subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
-                name = targets[0][0]
-                new[name] = state[name] + dt * sum(f(p, cap=cap) for p in subs) / len(subs)
-                continue
-            vy = f(y, cap=cap)
-            for name, s in targets:
-                if (k + 1) % s == 0:
-                    new[name] = state[name] + (s * dt) * 0.5 * (v_prev[name] + vy)
-                    v_prev[name] = vy
+        # a rank-1 potential's floor integral: trapezoid, or capped
+        # sub-steps for a singular field
+        if scalar_v is not None:
+            if scalar_v.singular:
+                subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
+                inc = dt * sum(scalar_v(p, cap=cap) for p in subs) / len(subs)
+            else:
+                vy = scalar_v(y, cap=cap)
+                inc = dt * 0.5 * (v_prev + vy)
+                v_prev = vy
+            new["floor_integral"] = state["floor_integral"] + inc
 
         # paths that leave the domain keep their last inside values
         if not model.complete:
@@ -335,12 +307,8 @@ def _run_block(
 
     if scalar_v is not None:
         snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]
-    return EnsembleResult(
-        snap_times=np.asarray([times[i] for i in snap_idx]),
-        integrals={name: arr for name, arr in snaps.items() if isinstance(name, tuple)},
-        death_step=death,
-        **{name: arr for name, arr in snaps.items() if isinstance(name, str)},
-    )
+    return EnsembleResult(snap_times=np.asarray([times[i] for i in snap_idx]),
+                          death_step=death, **snaps)
 
 
 # ----------------------------------------------------------------------

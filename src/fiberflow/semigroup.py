@@ -110,7 +110,7 @@ def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n
     res = _vector_run(model, bundle, V, x, t, h, n, key, checkpoints, workers)
     samples, lhs, rhs = _vector_samples(res, f(res.points))
     _assert_domination(lhs, rhs)
-    floor_w = np.exp(-res.floor_integral[-1]) * res.alive[-1]
+    floor_w = (_floor_weight(res) * res.alive)[-1]
     return _estimate(samples, res, h, key, floor_weight_mean=float(floor_w.mean()))
 
 
@@ -128,16 +128,11 @@ def _estimate(samples, res, h, key: RngKey, **extras) -> Estimate:
 
 
 def _vector_run(model, bundle, V, x, t, h, n, key: RngKey, checkpoints=(), workers=1):
-    """run_ensemble for an estimator: V coerced (None is the free flow); a
-    trivial bundle, like none, transports by the identity, so the run takes
-    no transport.  A potential whose holonomy or floor integral overflows
-    raises NonFiniteFieldError."""
+    """run_ensemble for an estimator, V coerced; V = None is the free flow,
+    whose run carries no holonomy and no floor integral.  A potential whose
+    holonomy or floor integral overflows raises NonFiniteFieldError."""
     if V is not None:
         V = _as_potential(V)
-        if bundle is not None and V.rank != bundle.rank:
-            raise ValueError("potential rank does not match bundle rank")
-    if bundle is not None and bundle.trivial_transport:
-        bundle = None
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         res = run_ensemble(model, x, t, h, key, n, bundle=bundle, potential=V,
                            checkpoints=checkpoints, workers=workers)
@@ -151,10 +146,17 @@ def _vector_run(model, bundle, V, x, t, h, n, key: RngKey, checkpoints=(), worke
 def _weighted(holonomy, res, fe, at=Ellipsis):
     """holonomy transport^H fe on the live paths of res at the checkpoints
     `at` (every one by default), 0 on dead ones; a run without transport
-    transports by the identity."""
+    transports by the identity, and holonomy None is the identity."""
     if res.transport is not None:
         fe = np.einsum("...ji,...j->...i", res.transport[at].conj(), fe)
-    return np.einsum("...ij,...j->...i", holonomy, fe) * res.alive[at][..., None]
+    if holonomy is not None:
+        fe = np.einsum("...ij,...j->...i", holonomy, fe)
+    return fe * res.alive[at][..., None]
+
+
+def _floor_weight(res):
+    """e^{-int floor} per checkpoint and path; 1 for the free flow."""
+    return 1.0 if res.floor_integral is None else np.exp(-res.floor_integral)
 
 
 def _squeeze(samples):
@@ -170,7 +172,7 @@ def _vector_samples(res, fe):
     fe = fe.reshape(*res.alive.shape, -1)
     samples = _weighted(res.holonomy, res, fe)
     lhs = np.abs(samples[..., 0]) if samples.shape[-1] == 1 else np.linalg.norm(samples, axis=-1)
-    rhs = np.exp(-res.floor_integral) * np.linalg.norm(fe, axis=-1) * res.alive
+    rhs = _floor_weight(res) * np.linalg.norm(fe, axis=-1) * res.alive
     if not (np.all(np.isfinite(samples)) and np.all(np.isfinite(rhs))):
         raise RuntimeError("non-finite vector samples: the transport, a path or the section "
                            "overflowed")
@@ -436,7 +438,6 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     endpoint an independent inner flow to time t (potential V_inner); the
     composite weight follows the multiplicative transport property.
     Returns per-outer-path samples (n_out, d) complex."""
-    d = _as_potential(V_inner).rank
     outer = _vector_run(model, bundle, V_outer, x, s, h, n_out, key, workers=workers)
     y = np.repeat(outer.points[-1], n_in, axis=0)
     inner = _vector_run(model, bundle, V_inner, y, t, h, n_out * n_in,
@@ -444,7 +445,7 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     vec, lhs, rhs = _vector_samples(inner, f(inner.points))
     _assert_domination(lhs, rhs)
     u = vec[-1].reshape(n_out, n_in, -1).mean(axis=1)  # inner estimates at each y_i
-    W = np.eye(d) if outer.holonomy is None else outer.holonomy[-1]
+    W = None if outer.holonomy is None else outer.holonomy[-1]
     return _squeeze(_weighted(W, outer, u, -1))
 
 

@@ -19,7 +19,7 @@ from fiberflow.kato import (_default_x_grid, kato_report, khasminskii_check,
                             khasminskii_constants)
 from fiberflow.oracle import (exit_survival_interval, interval_operator,
                               richardson_ground_energy)
-from fiberflow.paths import exit_probability, run_ensemble
+from fiberflow.paths import exit_probability
 from fiberflow.potentials import (PotentialSpec, ScalarField, angle_form,
                                   constant_field, constant_section, coulomb_field,
                                   harmonic_field, harmonic_ground_section,
@@ -249,7 +249,7 @@ def test_criterion_10_continuity_scan():
                    f"{rep['global_bound']['passed']}")
 
 
-def test_criterion_11_reproducibility_and_h_refinement(tmp_path, capsys):
+def test_criterion_11_reproducibility_and_h_refinement(tmp_path, capsys, coarse_trapezoids):
     argv = ["semigroup", "--manifold", "euclidean(m=1)", "--potential",
             "harmonic(1.0)", "--section", "harmonic_ground(1.0)", "--x", "0",
             "--t", "0.5", "--h", "1e-3", "--n", "5000", "--seed", "77"]
@@ -262,17 +262,16 @@ def test_criterion_11_reproducibility_and_h_refinement(tmp_path, capsys):
         d.pop("wallTimeMs")
         d["config"].pop("workers")
     identical = d1 == d4
-    # h-refinement on the Mehler benchmark with common paths: strides of one
-    # fine path set realize the coarse-h estimators exactly
+    # h-refinement on the Mehler benchmark with common paths: trapezoids
+    # over every s-th point of one fine path set are the coarse-h estimators
     v = harmonic_field(E1, 1.0)
     phi0 = harmonic_ground_section(1.0)
-    res = run_ensemble(E1, np.zeros(1), 1.0, 1e-3, KEY, 60000,
-                       scalar_fields=(v,), strides=(1, 2, 4))
-    fe = phi0(res.points[-1])
+    integrals, ends = coarse_trapezoids(E1, v, np.zeros(1), 1.0, 1e-3, KEY, 60000, (1, 2, 4))
+    fe = phi0(ends)
     ref = math.exp(-0.5) * np.pi**-0.25
     bias, se = {}, {}
     for s in (1, 2, 4):
-        w = np.exp(-res.integrals[(0, s)][-1]) * fe
+        w = np.exp(-integrals[s]) * fe
         bias[s] = abs(w.mean() - ref)
         se[s] = w.std(ddof=1) / math.sqrt(len(w))
     decreasing = bias[2] <= bias[4] + 3 * se[4] and bias[1] <= bias[2] + 3 * se[2]

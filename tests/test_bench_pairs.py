@@ -1,0 +1,35 @@
+"""tools/bench_pairs.py stops on a failed benchmark run instead of
+recording it, naming the side, workload, seed and exit code."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_TOOL = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_spec = importlib.util.spec_from_file_location("bench_pairs", _TOOL)
+bench_pairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(bench_pairs)
+
+FAILING = 'import sys\nsys.stderr.write("setup ok\\nbench: workload crashed\\n")\nsys.exit(1)\n'
+WRONG = ('import json\nprint(json.dumps({"env": {}}))\n'
+         'print(json.dumps({"correct": False, "attempted": 3, "failed": 1, "metrics": {}}))\n')
+
+
+@pytest.mark.parametrize("script, why", [(FAILING, "exit code 1"),
+                                         (WRONG, "exit code 0, result not correct")],
+                         ids=["exits_1", "not_correct"])
+def test_failed_run_stops_the_tool_naming_it(script, why, tmp_path, capsys):
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(script)
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "scalar_harmonic",
+                          "--seeds", "5-6", "--out", str(out)])
+    msg = str(exc.value.code)
+    assert msg.splitlines()[0] == f"bench_pairs: parent scalar_harmonic seed 5: {why}"
+    if script is FAILING:
+        assert msg.splitlines()[1:] == ["setup ok", "bench: workload crashed"]
+    assert not out.exists()

@@ -345,6 +345,8 @@ BAD_INPUTS = [
     # beta is the magnetic bundle's: another bundle kind cannot carry it
     (dict(manifold="euclidean(m=2)", x="0,0", bundle="trivial", beta="landau(1)"), "bundle"),
     (dict(manifold="euclidean(m=2)", x="0,0", bundle="tangent", beta="landau(1)"), "bundle"),
+    # a potential of another rank than the tangent bundle's
+    (dict(manifold="sphere2(r=1.0)", x="0,0,1", bundle="tangent"), "potential"),
 ]
 
 
@@ -476,6 +478,14 @@ def _document(argv, capsys):
     doc.pop("config")
     doc.pop("wallTimeMs")
     return code, doc
+
+
+def test_trivial_bundle_takes_the_potential_rank(capsys):
+    argv = ["semigroup", "--manifold", "euclidean(m=2)", "--potential",
+            "matrix(rank=2, const=diag(0.2,0.5))", "--section", "constant(1,1)", "--x", "0,0",
+            "--t", "0.1", "--h", "1e-2", "--n", "50", "--seed", "4"]
+    code, doc = _document(argv, capsys)
+    assert code == EXIT_OK and doc == _document(argv + ["--bundle-rank", "2"], capsys)[1]
 
 
 def test_beta_alone_is_the_magnetic_bundle(capsys):

@@ -58,10 +58,16 @@ def test_run_ensemble_rejects_empty_ensemble(n_paths):
 
 
 def test_trivial_bundle_transports_identity():
+    # a trivial bundle is no bundle in the engine: the run is the bundle-less
+    # one, bit for bit, and carries no transport
     e1, b = Euclidean(1), trivial_bundle(1)
-    _, pts, steps, res = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, bundle=b)
+    V = PotentialSpec.scalar(harmonic_field(e1, 1.0))
+    _, pts, steps, res = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, bundle=b, potential=V)
     assert np.allclose(b.step_transport(e1, pts[:-1], steps), 1.0)
-    assert np.allclose(res.transport, 1.0)
+    assert res.transport is None
+    _, _, _, bare = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, potential=V)
+    for name in ("holonomy", "floor_integral", "points"):
+        assert np.array_equal(getattr(res, name), getattr(bare, name)), name
 
 
 def test_brownian_variance_identity():
@@ -85,10 +91,10 @@ def test_reproducibility_bit_identical():
 
 def test_worker_count_invariance():
     e1 = Euclidean(1)
-    v = harmonic_field(e1, 1.0)
-    a = run_ensemble(e1, np.zeros(1), 0.3, 1e-3, KEY, 600, scalar_fields=(v,))
-    b = run_ensemble(e1, np.zeros(1), 0.3, 1e-3, KEY, 600, scalar_fields=(v,), workers=3)
-    assert np.array_equal(a.integrals[(0, 1)], b.integrals[(0, 1)])
+    V = PotentialSpec.scalar(harmonic_field(e1, 1.0))
+    a = run_ensemble(e1, np.zeros(1), 0.3, 1e-3, KEY, 600, potential=V)
+    b = run_ensemble(e1, np.zeros(1), 0.3, 1e-3, KEY, 600, potential=V, workers=3)
+    assert np.array_equal(a.floor_integral, b.floor_integral)
     assert np.array_equal(a.points, b.points)
 
 
@@ -96,14 +102,14 @@ def test_stream_contract_across_blocks_and_workers():
     # K * m = 10000 increments per path gives 1600-path blocks, so n = 1700
     # splits into a full block and a second one starting at i0 = 1600
     e2 = Euclidean(2)
-    v = harmonic_field(e2, 1.0)
-    a = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,))
+    V = PotentialSpec.scalar(harmonic_field(e2, 1.0))
+    a = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, potential=V)
     i = 1650
     _, steps = frame_steps(KEY.child(i), 0.5, 1e-4, 2)
     assert np.array_equal(a.points[-1, i], np.cumsum(steps, axis=0)[-1])
-    b = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, scalar_fields=(v,), workers=2)
+    b = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, potential=V, workers=2)
     assert np.array_equal(a.points, b.points)
-    assert np.array_equal(a.integrals[(0, 1)], b.integrals[(0, 1)])
+    assert np.array_equal(a.floor_integral, b.floor_integral)
 
 
 @pytest.mark.parametrize("key, shape", [
@@ -146,10 +152,13 @@ def test_occupation_distribution_sphere():
 
 def test_integrate_constant_exact():
     e1 = Euclidean(1)
-    res = run_ensemble(e1, np.zeros(1), 0.4, 1e-3, KEY, 1,
-                       scalar_fields=(constant_field(0.0), constant_field(3.0)))
-    assert res.integrals[(0, 1)][-1, 0] == 0.0
-    assert abs(res.integrals[(1, 1)][-1, 0] - 1.2) < 1e-12
+
+    def integral(c):
+        V = PotentialSpec.scalar(constant_field(c))
+        return run_ensemble(e1, np.zeros(1), 0.4, 1e-3, KEY, 1, potential=V).floor_integral
+
+    assert integral(0.0)[-1, 0] == 0.0
+    assert abs(integral(3.0)[-1, 0] - 1.2) < 1e-12
 
 
 def test_integrate_singular_capped_matches_engine():
@@ -162,9 +171,9 @@ def test_integrate_singular_capped_matches_engine():
     fracs = np.array([0.125, 0.375, 0.625, 0.875])
     q = pts[:-1, None, :] + fracs[None, :, None] * steps[:, None, :]
     manual = float(np.sum(np.diff(times) * np.mean(v(q, cap=1e3), axis=1)))
-    res = run_ensemble(e3, x, 0.02, 1e-3, KEY.child(2), 1, scalar_fields=(v,))
+    res = run_ensemble(e3, x, 0.02, 1e-3, KEY.child(2), 1, potential=PotentialSpec.scalar(v))
     # engine cap is 1/h = 1e3; path index 0 uses stream child(2)+0
-    assert abs(res.integrals[(0, 1)][-1, 0] - manual) < 1e-12
+    assert abs(res.floor_integral[-1, 0] - manual) < 1e-12
 
 
 def test_coulomb_path_integral_vs_quadrature():
@@ -174,8 +183,8 @@ def test_coulomb_path_integral_vs_quadrature():
     v = power_field(e3, 1.0, 1.0, class_tag="kato")  # +1/|y|
     t, h = 0.25, 2.5e-4
     x = np.array([1.0, 0.0, 0.0])
-    res = run_ensemble(e3, x, t, h, KEY, 8000, scalar_fields=(v,))
-    vals = res.integrals[(0, 1)][-1]
+    res = run_ensemble(e3, x, t, h, KEY, 8000, potential=PotentialSpec.scalar(v))
+    vals = res.floor_integral[-1]
     mean = vals.mean()
     se = vals.std(ddof=1) / math.sqrt(len(vals))
     ss = np.linspace(1e-6, t, 4001)
@@ -353,12 +362,11 @@ def test_magnetic_transport_phase_matches_line_integral():
 @pytest.mark.parametrize("v", [harmonic_field(Euclidean(3), 1.0), coulomb_field(Euclidean(3), 1.0)],
                          ids=["trapezoid", "singular"])
 def test_rank1_potential_is_its_field_integral(v):
-    # one rule: a rank-1 potential's floor integral is the scalar field
-    # integral of its field, bit for bit, and its holonomy e^{-int v}, real
+    # one rule: a rank-1 potential's holonomy is e^{-int v} of its floor
+    # integral, bit for bit, and real
     e3 = Euclidean(3)
     res = run_ensemble(e3, [0.05, 0.0, 0.0], 0.05, 1e-3, KEY, 48, checkpoints=(0.02,),
-                       scalar_fields=(v,), potential=PotentialSpec.scalar(v))
-    assert np.array_equal(res.floor_integral, res.integrals[(0, 1)])
+                       potential=PotentialSpec.scalar(v))
     assert res.holonomy.dtype == np.float64
     assert np.array_equal(res.holonomy[..., 0, 0], np.exp(-res.floor_integral))
 
@@ -382,7 +390,8 @@ def ensemble_case(name):
     s2, e2 = Sphere2(1.0), Euclidean(2)
     rank2 = "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)"
     beta = landau_form(0.9)
-    magnetic = dict(bundle=magnetic_bundle(beta), scalar_fields=(harmonic_field(e2, 1.0),))
+    magnetic = dict(bundle=magnetic_bundle(beta),
+                    potential=PotentialSpec.scalar(harmonic_field(e2, 1.0)))
     if name == "sphere2_tangent":
         return s2, s2.origin(), 0.05, 48, dict(
             bundle=tangent_bundle(), potential=parse_potential(s2, rank2)), None
@@ -402,37 +411,29 @@ def ensemble_case(name):
         return c1, [0.3], 0.05, 48, dict(
             bundle=magnetic_bundle(dtheta),
             potential=PotentialSpec.scalar(harmonic_field(c1, 1.0))), None
-    if name == "strides":
+    if name == "strides":  # a rank-1 potential alone, under its old name
         e1 = Euclidean(1)
         return e1, np.zeros(1), 0.05, 48, dict(
-            scalar_fields=(harmonic_field(e1, 1.0), constant_field(0.5)), strides=(1, 2),
             potential=PotentialSpec.scalar(harmonic_field(e1, 1.0))), None
     if name == "coulomb":
         e3 = Euclidean(3)
         return e3, [0.05, 0.0, 0.0], 0.05, 48, dict(
-            scalar_fields=(coulomb_field(e3, 1.0),),
             potential=PotentialSpec.scalar(coulomb_field(e3, 1.0))), None
     # 100 floats of increments per path: blocks of 24 and 16 paths
-    return ball(e2, 0.3), [0.1, 0.0], 0.05, 40, dict(
-        magnetic, potential=PotentialSpec.scalar(harmonic_field(e2, 1.0))), 2400
+    return ball(e2, 0.3), [0.1, 0.0], 0.05, 40, magnetic, 2400
 
 
 def result_arrays(res):
-    """Every array of an EnsembleResult by name; integrals as integrals_i_s."""
-    out = {}
-    for f in dataclasses.fields(res):
-        v = getattr(res, f.name)
-        if isinstance(v, dict):
-            out.update({f"{f.name}_{i}_{s}": a for (i, s), a in v.items()})
-        elif v is not None:
-            out[f.name] = v
-    return out
+    """Every array of an EnsembleResult by name."""
+    return {f.name: getattr(res, f.name) for f in dataclasses.fields(res)
+            if getattr(res, f.name) is not None}
 
 
 @pytest.mark.parametrize("case", ENSEMBLE_CASES)
 def test_ensemble_golden(case, monkeypatch):
     # every result array bit for bit, dtype included, against files the
-    # engine wrote before its state-table rewrite
+    # engine wrote before its state-table rewrite, less the fields it has
+    # since dropped (magnetic_ball's potential arrays were added later)
     model, x0, t, n, kw, budget = ensemble_case(case)
     if budget is not None:
         monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)

@@ -7,7 +7,7 @@ import pytest
 from fiberflow import paths
 from fiberflow.bundles import magnetic_bundle, trivial_bundle
 from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
-from fiberflow.geometry import Circle, Euclidean, FlatTorus, Sphere2
+from fiberflow.geometry import Circle, Euclidean, FlatTorus, Sphere2, ball
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
 from fiberflow.paths import run_ensemble
 from fiberflow.potentials import (PotentialSpec, ScalarField, SectionSpec, angle_form,
@@ -33,6 +33,16 @@ def test_free_constant_is_one_deterministic():
     est = fk_scalar(t2, constant_field(0.0), constant_section(1.0), np.zeros(2),
                     0.5, 1e-3, 300, KEY)
     assert est.value == 1.0 and est.stderr == 0.0 and est.alive_fraction == 1.0
+
+
+def test_free_flow_weighs_by_survival():
+    # V = None is the free flow: no holonomy and no floor integral, so on a
+    # ball every sample of the constant section is its path's survival
+    est = fk_vector(ball(E1, 1.0), None, None, constant_section(1.0), np.zeros(1),
+                    0.5, 1e-3, 2000, KEY)
+    assert 0.0 < est.alive_fraction < 1.0
+    assert est.value == est.alive_fraction
+    assert est.extras["floor_weight_mean"] == est.alive_fraction
 
 
 def test_free_gaussian_convolution():
@@ -356,18 +366,17 @@ def test_identity_refuses_non_kato():
 # -- h-refinement -------------------------------------------------------------
 
 
-def test_h_refinement_bias_monotone_within_noise():
-    # common-path coarsening: strides (4, 2, 1) of the same fine path are
-    # exactly the coarse-h trapezoid estimators
+def test_h_refinement_bias_monotone_within_noise(coarse_trapezoids):
+    # common-path coarsening: trapezoids over every 4th, 2nd and 1st point
+    # of the same fine paths are exactly the coarse-h estimators
     v = harmonic_field(E1, 1.0)
-    res = run_ensemble(E1, np.zeros(1), 1.0, 1e-3, KEY, 60000, scalar_fields=(v,),
-                       strides=(1, 2, 4))
-    fe = PHI0(res.points[-1])
+    integrals, ends = coarse_trapezoids(E1, v, np.zeros(1), 1.0, 1e-3, KEY, 60000, (1, 2, 4))
+    fe = PHI0(ends)
     ref = math.exp(-0.5) * np.pi**-0.25
     bias = {}
     se = {}
     for s in (1, 2, 4):
-        w = np.exp(-res.integrals[(0, s)][-1]) * fe
+        w = np.exp(-integrals[s]) * fe
         bias[s] = abs(w.mean() - ref)
         se[s] = w.std(ddof=1) / math.sqrt(len(w))
     assert bias[2] <= bias[4] + 3 * se[4]

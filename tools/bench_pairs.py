@@ -15,6 +15,9 @@ neither side), the ratio of the medians and the parent's interquartile
 range, plus the attempted and failed operations of each side.  --trace-seed
 adds one --trace 1 run per side with its per-layer split.  --out is updated
 in place, one workload per call, so workloads can be measured separately.
+A run that exits non-zero or reports "correct": false stops the tool with
+a non-zero exit, naming the side, workload, seed and exit code, followed
+by the last lines of that run's stderr; nothing is written to --out.
 """
 
 import argparse
@@ -27,13 +30,20 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench(checkout, workload, seed, seconds, trace):
-    """(info line, result line) of one bench/run.py run in checkout."""
+def bench(side, checkout, workload, seed, seconds, trace):
+    """(info line, result line) of one bench/run.py run in checkout.  A run
+    that exits non-zero or reports "correct": false stops the tool with one
+    line naming it and the last lines of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
-    info, result = proc.stdout.strip().splitlines()[-2:]
-    return json.loads(info), json.loads(result)
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode == 0:
+        info, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
+        if result["correct"]:
+            return info, result
+    why = f"exit code {proc.returncode}" + ("" if proc.returncode else ", result not correct")
+    tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
+    sys.exit(f"bench_pairs: {side} {workload} seed {seed}: {why}\n{tail}")
 
 
 def summary(values):
@@ -67,7 +77,7 @@ def main(argv=None):
     env = None
     for i, seed in enumerate(a.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            info, result = bench(sides[side], a.workload, seed, seconds, 0)
+            info, result = bench(side, sides[side], a.workload, seed, seconds, 0)
             env = info["env"]
             runs[side].append(result)
             print(f"{a.workload} seed {seed} {side}: "
@@ -93,7 +103,7 @@ def main(argv=None):
     if a.trace_seed is not None:
         entry["trace"] = {"seed": a.trace_seed}
         for side in sides:
-            _, result = bench(sides[side], a.workload, a.trace_seed, seconds, 1)
+            _, result = bench(side, sides[side], a.workload, a.trace_seed, seconds, 1)
             entry["trace"][side] = {k: v["value"] for k, v in result["metrics"].items()}
 
     doc = json.loads(a.out.read_text()) if a.out.exists() else {"schema": 1, "workloads": {}}
