@@ -230,27 +230,28 @@ def _run_domination(cfg: RunConfig, run: _Run):
 
 def _run_smoothing(cfg: RunConfig, run: _Run):
     from .geometry import Sphere2
-    from .kato import khasminskii_constants
+    from .kato import negative_part_exponent
     from .semigroup import heat_pq_norm_check, smoothing_norm_bound
 
-    t, model = run.t, cfg.model
+    t, model, V = run.t, cfg.model, cfg.potential
     probes_pq = _random_probes(model, 6, run.key.seed)
     pq = heat_pq_norm_check(model, t, [p.fn for p in probes_pq])
     payload = {"heat_pq": pq}
     failed = not pq["passed"]
-    if cfg.potential is not None:
+    if V is not None:
         if not isinstance(model, Sphere2):
             raise ConfigError("manifold", "the interacting smoothing bound is "
                               "implemented on sphere2")
         n, h = run.n, run.h
-        sup_v2 = float(np.max(cfg.potential.negative_norm(model.quadrature(24)[0])))
-        kc = khasminskii_constants(model, None, strategy="sup_norm",
-                                   sup_bound=max(2.0 * sup_v2, 1e-12))
+        cv = negative_part_exponent(model, V)
+        if cv is None:
+            raise ConfigError("potential", f"no Khas'minskii bound for the negative part of "
+                              f"{V.name!r} on {model.kind}: it is singular")
         pts, _ = model.quadrature(8)
         grid = pts[:: max(1, len(pts) // 32)][:32]
         probes = _random_probes(model, cfg.integer("trials", default=20), run.key.seed)
-        rep = smoothing_norm_bound(model, cfg.potential, t, probes, grid,
-                                   h, n, run.key, kc, workers=run.workers)
+        rep = smoothing_norm_bound(model, V, t, probes, grid, h, n, run.key, cv,
+                                   workers=run.workers)
         payload["interacting_bound"] = rep
         failed = failed or not rep["passed"]
     return payload, failed
@@ -331,26 +332,18 @@ def _run_identity(cfg: RunConfig, run: _Run):
 
 
 def _run_continuity(cfg: RunConfig, run: _Run):
-    from .kato import khasminskii_constants
+    from .kato import negative_part_exponent
     from .semigroup import continuity_scan
 
     grid = cfg.points("x_grid")
     s_grid = cfg.values("s_grid", default=np.array([1e-3, 1e-2, 1e-1]))
-    constants = None
-    f = cfg.potential.field() if cfg.potential.rank == 1 else None
-    if cfg.section.l2_norm is not None and f is not None and f.radial_profile is not None:
-        # 2|V^(2)| as a quadrature-ready field
-        constants = khasminskii_constants(cfg.model.base,
-                                          f.mapped(_doubled_negative, f"2neg({f.name})"))
+    # part (iii), the global bound, needs the section's L2 norm and cv
+    cv = (negative_part_exponent(cfg.model, cfg.potential)
+          if cfg.section.l2_norm is not None else None)
     rep = continuity_scan(cfg.model, cfg.bundle, cfg.potential, cfg.section, run.t, grid,
-                          run.h, run.n, run.key, s_grid=tuple(s_grid), constants=constants,
+                          run.h, run.n, run.key, s_grid=tuple(s_grid), cv=cv,
                           workers=run.workers)
     return rep, not rep["passed"]
-
-
-def _doubled_negative(v):
-    """2|V^(2)| = 2 max(0, -v) of a scalar potential v."""
-    return 2.0 * np.maximum(0.0, -v)
 
 
 def _run_kato(cfg: RunConfig, run: _Run):
@@ -362,8 +355,7 @@ def _run_kato(cfg: RunConfig, run: _Run):
     f = cfg.potential.field()
     x_grid = cfg.points("x_grid")
     if x_grid is None:
-        center = f.radial_center if f.radial_center is not None else cfg.model.origin()
-        x_grid = _default_x_grid(cfg.model, center)
+        x_grid = _default_x_grid(cfg.model, f)
     rep = kato_report(cfg.model, f, t_grid, x_grid)
     payload = {"tGrid": rep.t_grid, "supIntegral": rep.sup_integral,
                "fittedDecayExponent": rep.fitted_decay_exponent,

@@ -107,11 +107,6 @@ class ManifoldModel:
         integrands; compact models only."""
         raise NotImplementedError(f"no global quadrature rule for {self.kind}")
 
-    def polar_jacobian(self, r):
-        """Density j(r) with dvol = j(r) dr dsigma(omega) in geodesic polar
-        coordinates around any point, sigma = unit-sphere measure."""
-        raise NotImplementedError
-
     # -- generic helpers ------------------------------------------------
 
     def geodesic_segment(self, x0, x1, n):
@@ -159,6 +154,8 @@ class Euclidean(ManifoldModel):
         return (2.0 * np.pi * np.asarray(t, dtype=float)) ** (-self.dim / 2.0)
 
     def polar_jacobian(self, r):
+        """j(r) with dvol = j(r) dr dsigma(omega) in polar coordinates, sigma
+        the unit-sphere measure (the radial Kato rule's Jacobian)."""
         return np.asarray(r, dtype=float) ** (self.dim - 1)
 
     def geodesic_segment(self, x0, x1, n):
@@ -213,9 +210,6 @@ class Circle(ManifoldModel):
         th = 2.0 * np.pi * (np.arange(level) + 0.5) / level
         return th[:, None], np.full(level, self.circumference / level)
 
-    def polar_jacobian(self, r):
-        return np.ones_like(np.asarray(r, dtype=float))
-
     def geodesic_segment(self, x0, x1, n):
         d = np.asarray(x1, dtype=float) - np.asarray(x0, dtype=float)
         d = np.mod(d + np.pi, 2.0 * np.pi) - np.pi  # minimal image
@@ -254,10 +248,6 @@ class FlatTorus(ManifoldModel):
         d = np.minimum(d, self.periods - d)
         vals = [_wrapped_gaussian(d[..., i], t, self.periods[i]) for i in range(self.dim)]
         return np.prod(np.stack(vals, axis=0), axis=0)
-
-    def sup_heat_kernel(self, t):
-        o = self.origin()
-        return self.heat_kernel(t, o, o)
 
     def volume_sample(self, rng, n):
         return rng.uniform(0.0, 1.0, size=(n, self.dim)) * self.periods
@@ -416,9 +406,6 @@ class Sphere2(ManifoldModel):
         w = np.repeat(wz, nphi) * (2.0 * np.pi / nphi) * self.radius**2
         return pts, w
 
-    def polar_jacobian(self, r):
-        return self.radius * np.sin(np.asarray(r, dtype=float) / self.radius)
-
     def geodesic_segment(self, x0, x1, n):
         x0 = np.asarray(x0, dtype=float)
         x1 = np.asarray(x1, dtype=float)
@@ -520,9 +507,6 @@ class HyperbolicPlane(ManifoldModel):
         pref = np.sqrt(2.0) * np.exp(-s_f / 4.0 - rho_f**2 / (4.0 * s_f)) / (4.0 * np.pi * s_f) ** 1.5
         return (pref * val).reshape(shape)
 
-    def polar_jacobian(self, r):
-        return np.sinh(np.asarray(r, dtype=float))
-
     def geodesic_segment(self, x0, x1, n):
         # Moebius-translate x0 to the origin, where geodesics are rays
         z0 = self._z(np.asarray(x0, dtype=float))
@@ -588,9 +572,6 @@ class OpenSubdomain(ManifoldModel):
     def sup_heat_kernel(self, t):
         # Dirichlet kernel is dominated by the base kernel
         return self.base.sup_heat_kernel(t)
-
-    def polar_jacobian(self, r):
-        return self.base.polar_jacobian(r)
 
     def geodesic_segment(self, x0, x1, n):
         return self.base.geodesic_segment(x0, x1, n)

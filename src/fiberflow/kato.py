@@ -15,13 +15,17 @@ smoothing on the circle and flat torus.
 Membership cannot be proven numerically: the verdicts are a decay test on
 a decreasing t-grid (katoConsistent / failsDecay / inconclusive) with the
 |y|^-2 control expected to fail, guarding against a vacuous checker.
+
+negative_part_exponent is the one place that bounds the Khas'minskii
+exponent cv of 2|V^(2)|, sup_x E[e^{int_0^t 2|V^(2)|}] <= 2 e^{t cv}, which
+the smoothing and continuity checkers of the semigroup module take as a
+number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
 
 import numpy as np
 from scipy.special import i0e
@@ -39,6 +43,7 @@ __all__ = [
     "lp_inclusion_check",
     "khasminskii_constants",
     "khasminskii_check",
+    "negative_part_exponent",
 ]
 
 N_TIME_NODES = 32
@@ -52,7 +57,6 @@ class KatoReport:
     sup_integral: np.ndarray
     fitted_decay_exponent: float
     verdict: str  # katoConsistent | inconclusive | failsDecay
-    per_x: Optional[np.ndarray] = None
     notes: list = dc_field(default_factory=list)
 
 
@@ -65,6 +69,14 @@ class KhasminskiiConstants:
     c_at_t0: float
     cv: float
     prefactor: float = 2.0
+
+    @classmethod
+    def from_sup_norm(cls, bound, target=0.45):
+        """Constants of a field bounded by `bound`, from C(v, s) <= bound * s:
+        t0 = target / bound."""
+        t0 = target / float(bound)
+        c0 = float(bound) * t0
+        return cls(t0=t0, c_at_t0=c0, cv=math.log(1.0 / (1.0 - c0)) / t0)
 
     def bound(self, t):
         return self.prefactor * np.exp(np.asarray(t, dtype=float) * self.cv)
@@ -220,8 +232,7 @@ def kato_sup_integral(model, f: ScalarField, t, x_grid, refine_check=True):
         xs = x_grid[int(np.argmax(vals))]
         fine, _ = _time_integral(model, f, t, xs, gl_order=24)
         converged = abs(fine - vals.max()) / vals.max() < 1e-4
-    return {"value": float(vals.max()), "per_x": vals, "converged": converged,
-            "notes": sorted(set(notes))}
+    return {"value": float(vals.max()), "converged": converged, "notes": sorted(set(notes))}
 
 
 def kato_report(model, f: ScalarField, t_grid, x_grid,
@@ -251,8 +262,7 @@ def kato_report(model, f: ScalarField, t_grid, x_grid,
     else:
         verdict = "inconclusive"
     return KatoReport(t_grid=t_grid, sup_integral=sup_vals,
-                      fitted_decay_exponent=slope, verdict=verdict,
-                      per_x=None, notes=sorted(set(notes)))
+                      fitted_decay_exponent=slope, verdict=verdict, notes=sorted(set(notes)))
 
 
 def lp_inclusion_check(model, f: ScalarField, p, t_grid=None, x_grid=None):
@@ -265,16 +275,17 @@ def lp_inclusion_check(model, f: ScalarField, p, t_grid=None, x_grid=None):
     if t_grid is None:
         t_grid = np.geomspace(1e-4, 0.25, 8)
     if x_grid is None:
-        c = f.radial_center if f.radial_center is not None else model.origin()
-        x_grid = _default_x_grid(model, c)
+        x_grid = _default_x_grid(model, f)
     rep = kato_report(model, f, t_grid, x_grid)
     return {"p": p, "admissible_p": admissible, "verdict": rep.verdict,
             "report": rep, "consistent": rep.verdict == "katoConsistent"}
 
 
-def _default_x_grid(model, center, n=5, spread=0.5):
-    """Singular point plus nearby neighbors where homogeneity puts the sup."""
-    center = np.asarray(center, dtype=float)
+def _default_x_grid(model, f: ScalarField, n=5, spread=0.5):
+    """f's radial centre (else the model's origin) plus nearby neighbours,
+    where homogeneity puts the sup."""
+    center = np.asarray(f.radial_center if f.radial_center is not None else model.origin(),
+                        dtype=float)
     pts = [center]
     for k in range(1, n):
         xi = np.zeros(model.dim)
@@ -288,20 +299,11 @@ def _default_x_grid(model, center, n=5, spread=0.5):
 
 
 def khasminskii_constants(model, f: ScalarField, x_grid=None, target=0.45,
-                          strategy="quadrature", sup_bound=None,
                           s_min=1e-6) -> KhasminskiiConstants:
     """Find t0 with C(|v|, t0) < target < 1/2 by bisection on the quadrature
-    value (or the sup-norm bound C <= ||v||_inf * s for bounded fields) and
-    return the exponent log(1/(1 - C))/t0 with prefactor exactly 2."""
-    if strategy == "sup_norm":
-        if sup_bound is None:
-            raise ValueError("sup_norm strategy needs the field's sup bound")
-        t0 = target / float(sup_bound)
-        c0 = float(sup_bound) * t0
-        return KhasminskiiConstants(t0=t0, c_at_t0=c0, cv=math.log(1.0 / (1.0 - c0)) / t0)
+    value and return the exponent log(1/(1 - C))/t0 with prefactor exactly 2."""
     if x_grid is None:
-        c = f.radial_center if f.radial_center is not None else model.origin()
-        x_grid = _default_x_grid(model, c)
+        x_grid = _default_x_grid(model, f)
 
     def C(s):
         return kato_sup_integral(model, f, s, x_grid, refine_check=False)["value"]
@@ -313,6 +315,36 @@ def khasminskii_constants(model, f: ScalarField, x_grid=None, target=0.45,
             raise ValueError("no t0 with small sup integral found above s_min; "
                              "potential not Kato-tractable at this resolution")
     return KhasminskiiConstants(t0=s, c_at_t0=c0, cv=math.log(1.0 / (1.0 - c0)) / s)
+
+
+def _doubled_negative(v):
+    """2|V^(2)| = 2 max(0, -v) of a scalar potential v."""
+    return 2.0 * np.maximum(0.0, -v)
+
+
+def negative_part_exponent(model, V: PotentialSpec):
+    """The Khas'minskii exponent cv of 2|V^(2)|, or None when there is no
+    bound for it:
+    1. a rank-1 field with a radial profile, on a base where
+       smoothed_abs_field has a rule: khasminskii_constants of 2 max(0, -v);
+    2. otherwise, a potential with no singular term on a compact base: the
+       sup-norm bound, 2 max |V^(2)| over quadrature nodes;
+    3. otherwise None."""
+    base = model.base
+    f = V.field() if V.rank == 1 else None
+    if f is not None and f.radial_profile is not None:
+        try:
+            return khasminskii_constants(base, f.mapped(_doubled_negative, f"2neg({f.name})")).cv
+        except NotImplementedError:  # smoothed_abs_field has no rule on this base
+            pass
+    if any(g.singular for g, _ in V.terms):
+        return None
+    try:
+        nodes, _ = base.quadrature(24)
+    except NotImplementedError:  # a noncompact base
+        return None
+    sup_v2 = float(np.max(V.negative_norm(nodes)))
+    return KhasminskiiConstants.from_sup_norm(max(2.0 * sup_v2, 1e-12)).cv
 
 
 def _neg_abs(v):

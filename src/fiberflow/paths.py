@@ -24,11 +24,11 @@ holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
 no matrix work.  A matrix potential is integrated by the exponential-
 product rule (left point): each step evaluates V(x) once, and the matrix
 exponential also returns the smallest eigenvalue of the transported
-generator, which is the floor unless the potential declares its own
-floor_fn.  A trivial bundle is no bundle in the engine; every other one,
-the magnetic phase among them, is transported through
-BundleSpec.step_transport into one (B, d, d) accumulator, real while the
-step matrices are (the tangent bundle) and complex only in its snapshots.
+generator, which is the floor.  A trivial bundle is no bundle in the
+engine; every other one, the magnetic phase among them, is transported
+through BundleSpec.step_transport into one (B, d, d) accumulator, real
+while the step matrices are (the tangent bundle) and complex only in its
+snapshots.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -261,7 +261,6 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
         # a matrix potential's holonomy and floor use the step start; V(x)
         # is evaluated once, and its floor is the smallest eigenvalue the
         # exponential already solved for (W is a unitary conjugate of V)
-        # unless the potential supplies its own floor_fn
         if matrix_V is not None:
             W = matrix_V.matrix(x, cap=cap)
             if bundle is not None:  # V in the start fibre's frame: acc^H V acc
@@ -269,8 +268,7 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
                 W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
             step_exp, lam_min = expm_neg_hermitian(W, dt)
             new["holonomy"] = small_matmul(state["holonomy"], step_exp)
-            fl = lam_min if matrix_V.floor_fn is None else matrix_V.scalar_floor(x, cap=cap)
-            new["floor_integral"] = state["floor_integral"] + dt * fl
+            new["floor_integral"] = state["floor_integral"] + dt * lam_min
 
         # transport along the step; at rank 1 the step is a phase, taken
         # elementwise as acc * Tk (with FMA, complex products are not

@@ -11,10 +11,10 @@ other declaration.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i
 with constant Hermitian P_i, which covers the desk-scale bundle cases; at
 rank 1, PotentialSpec.field() is the one scalar field c0 + sum_i p_i s_i
 that the path engine integrates.  Above rank 1, the scalar floor used for
-semigroup domination is the pointwise smallest eigenvalue unless floor_fn
-overrides it.  PotentialSpec.scalar_floor computes it by eigen-solve; the
-path engine instead takes it from the eigen-data of the step exponential it
-computes anyway (matexp), so a sampled path evaluates V once per step.
+semigroup domination is the pointwise smallest eigenvalue.
+PotentialSpec.scalar_floor computes it by eigen-solve; the path engine
+instead takes it from the eigen-data of the step exponential it computes
+anyway (matexp), so a sampled path evaluates V once per step.
 
 All field callables are module-level classes so estimator tasks stay
 picklable for process workers.
@@ -257,14 +257,12 @@ def _hermitize(a):
 @dataclass
 class PotentialSpec:
     """V(x) = const + sum_i terms[i].field(x) * terms[i].matrix, Hermitian,
-    rank d <= 16.  The floor function (<= min eigenvalue pointwise) defaults
-    to an eigen-solve of the assembled matrix; a rank-1 potential is its
-    own floor, so it takes no floor_fn."""
+    rank d <= 16.  Its floor is the smallest eigenvalue of the assembled
+    matrix; a rank-1 potential is its own floor."""
 
     rank: int
     const: np.ndarray
     terms: Sequence = ()
-    floor_fn: Optional[Callable] = None
     name: str = "potential"
 
     MAX_RANK = 16
@@ -275,8 +273,6 @@ class PotentialSpec:
         self.const = _hermitize(np.zeros((self.rank, self.rank)) if self.const is None
                                 else self.const)
         self.terms = [(f, _hermitize(P)) for (f, P) in self.terms]
-        if self.floor_fn is not None and self.rank == 1:
-            raise ValueError("a rank-1 potential is its own floor; it takes no floor_fn")
 
     @classmethod
     def scalar(cls, field_: ScalarField, name=None):
@@ -311,25 +307,13 @@ class PotentialSpec:
                           [(float(np.real(P[0, 0])), f) for f, P in self.terms], self.name)
 
     def scalar_floor(self, pts, cap=None):
-        """Floor v(x) <= min sigma(V(x)): floor_fn when given, else the
-        exact smallest eigenvalue (by eigvalsh; v itself at rank 1), so that
-        domination checks saturate in the scalar case.  run_ensemble calls
-        this only for a floor_fn; otherwise it reads the same eigenvalue off
-        the step exponential's eigen-data."""
-        if self.floor_fn is not None:
-            return np.asarray(self.floor_fn(np.asarray(pts, dtype=float)))
+        """Floor v(x) = min sigma(V(x)), the exact smallest eigenvalue (by
+        eigvalsh; v itself at rank 1), so that domination checks saturate in
+        the scalar case.  run_ensemble reads the same eigenvalue off the
+        step exponential's eigen-data instead."""
         if self.rank == 1:
             return self.field()(pts, cap=cap)
         return np.linalg.eigvalsh(self.matrix(pts, cap=cap))[..., 0]
-
-    def eigen_split(self, pts, cap=None):
-        """(V_plus, V_minus) canonical PSD parts from fiberwise spectral
-        calculus; V = V_plus - V_minus."""
-        V = self.matrix(pts, cap=cap)
-        lam, U = np.linalg.eigh(V)
-        plus = np.einsum("...ij,...j,...kj->...ik", U, np.maximum(lam, 0.0), U.conj())
-        minus = np.einsum("...ij,...j,...kj->...ik", U, np.maximum(-lam, 0.0), U.conj())
-        return plus, minus
 
     def negative_norm(self, pts, cap=None):
         """||V^(2)(x)|| = max(0, -min eigenvalue) for the canonical split."""

@@ -38,7 +38,6 @@ from typing import Optional
 import numpy as np
 
 from .bundles import BundleSpec
-from .kato import KhasminskiiConstants
 from .paths import _grid_reduce, run_ensemble
 from .potentials import NonFiniteFieldError, PotentialSpec, ScalarField, SectionSpec
 from .rng import RngKey, stream
@@ -404,17 +403,17 @@ def _lp_norm(vals, w, p):
     return float(np.sum(w * a**p) ** (1.0 / p))
 
 
-def smoothing_norm_bound(model, V, t, probes, x_grid, h, n, key: RngKey,
-                         constants: KhasminskiiConstants, workers=1):
+def smoothing_norm_bound(model, V, t, probes, x_grid, h, n, key: RngKey, cv, workers=1):
     """Eq-u1-style bound check: for L2-normalized probes f,
     ||e^{-tH(V)} f||_inf <= sqrt(2) C_t^{1/2} e^{t D} + 3 se with
-    D = C(2|V^(2)|)/2 realized through the Khas'minskii exponent of the
-    doubled negative part; the sup norm is the maximum over x_grid."""
+    D = cv/2, cv the Khas'minskii exponent of the doubled negative part
+    2|V^(2)| (kato.negative_part_exponent); the sup norm is the maximum
+    over x_grid."""
     for f in probes:
         if f.l2_norm is None or abs(f.l2_norm - 1.0) > 1e-6:
             raise ValueError("probes must be L2-normalized (l2_norm == 1)")
     Ct = float(model.sup_heat_kernel(t))
-    D = constants.cv / 2.0
+    D = cv / 2.0
     bound = math.sqrt(2.0) * Ct ** 0.5 * math.exp(t * D)
     # one path set per grid point, shared by every probe
     vals, ses = _grid_reduce(
@@ -537,13 +536,14 @@ def _to_jsonable(v):
 
 
 def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey,
-                    s_grid=(1e-1, 1e-2, 1e-3), constants: Optional[KhasminskiiConstants] = None,
-                    decay_target=0.05, workers=1):
+                    s_grid=(1e-1, 1e-2, 1e-3), cv=None, decay_target=0.05, workers=1):
     """Three-part continuity report over a compact grid:
     (i) sup_x E||1 - V_s||^2 decreasing over the s-grid and small at the
     finest s; (ii) the discrete modulus of continuity of Q_t f shrinks
     proportionally under grid refinement (common random numbers);
-    (iii) the global bound sup ||Q_t f|| <= sqrt(2 e^{Ct} sup p_t) ||f||."""
+    (iii) the global bound sup ||Q_t f|| <= sqrt(2 e^{t cv} sup p_t) ||f||_2,
+    with cv the Khas'minskii exponent of 2|V^(2)|; run when cv and f's L2
+    norm are given."""
     V = _as_potential(V)
     _require_kato_continuity(V)
     grid = np.atleast_2d(np.asarray(grid, dtype=float))
@@ -577,9 +577,9 @@ def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey
     # (iii) global bound, on streams past part (i)'s, never before its 64th point's
     bound = None
     bound_ok = True
-    if constants is not None and f.l2_norm is not None:
+    if cv is not None and f.l2_norm is not None:
         Ct = float(model.sup_heat_kernel(t))
-        bound = math.sqrt(2.0 * math.exp(constants.cv * t) * Ct) * f.l2_norm
+        bound = math.sqrt(2.0 * math.exp(cv * t) * Ct) * f.l2_norm
         mags, ses = _grid_reduce(
             lambda x0, k: _vector_run(model, bundle, V, x0, t, h, len(x0), k, workers=workers),
             lambda res: _per_start(res, f, n), grid, n, key.child(max(64, len(grid)) * n))

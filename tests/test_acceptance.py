@@ -15,8 +15,8 @@ from fiberflow.bundles import magnetic_bundle, trivial_bundle
 from fiberflow.cli import main as cli_main
 from fiberflow.geometry import Circle, Euclidean, Sphere2, ball
 from fiberflow.holonomy import appendix_c_suite
-from fiberflow.kato import (_default_x_grid, kato_report, khasminskii_check,
-                            khasminskii_constants)
+from fiberflow.kato import (KhasminskiiConstants, _default_x_grid, kato_report,
+                            khasminskii_check, khasminskii_constants)
 from fiberflow.oracle import (exit_survival_interval, interval_operator,
                               richardson_ground_energy)
 from fiberflow.paths import exit_probability
@@ -122,9 +122,9 @@ def test_criterion_05_per_sample_domination():
 
 def test_criterion_06_kato_checks():
     e3 = Euclidean(3)
-    xg = _default_x_grid(e3, np.zeros(3))
-    t_grid = np.geomspace(1e-4, 0.25, 8)
     coulomb = coulomb_field(e3, 0.5)
+    xg = _default_x_grid(e3, coulomb)
+    t_grid = np.geomspace(1e-4, 0.25, 8)
     rep_c = kato_report(e3, coulomb, t_grid, xg)
     rep_n = kato_report(e3, inverse_square_field(e3, 0.5), t_grid, xg)
     kc = khasminskii_constants(e3, coulomb)
@@ -156,11 +156,11 @@ def test_criterion_07_smoothing_norms():
     v = ScalarField(_Z(), class_tag="bounded", name="z-linear")
     V = PotentialSpec.scalar(v)
     # proof-derived D = C(2|V^(2)|)/2; |V^(2)| <= 0.8 on the unit sphere
-    kc = khasminskii_constants(s2, v, strategy="sup_norm", sup_bound=1.6)
+    kc = KhasminskiiConstants.from_sup_norm(1.6)
     probes = _random_probes(s2, 20, 13)
     pts, _ = s2.quadrature(8)
     grid = pts[:: max(1, len(pts) // 32)][:32]
-    rep = smoothing_norm_bound(s2, V, t, probes, grid, 5e-4, 1500, KEY, kc)
+    rep = smoothing_norm_bound(s2, V, t, probes, grid, 5e-4, 1500, KEY, kc.cv)
     ok = pq["passed"] and rep["passed"]
     report(7, ok, f"heat p,q-norm bounds on sphere2 (4 pairs, 1e-6): "
                   f"{pq['passed']}; L2->Linf bound sqrt(2) C_t^(1/2) e^(tD) with "
@@ -239,7 +239,7 @@ def test_criterion_10_continuity_scan():
                               name="unit-const")
     kc2 = khasminskii_constants(e3, coulomb_field(e3, 1.0))  # 2|v^(2)|
     rep = continuity_scan(dom, None, V, fsec, 0.25, grid, 2.5e-4, 1200, KEY,
-                          s_grid=(1e-3, 1e-2, 1e-1), constants=kc2)
+                          s_grid=(1e-3, 1e-2, 1e-1), cv=kc2.cv)
     dev = rep["holonomy_deviation"]
     ok = rep["passed"]
     report(10, ok, f"sup E||1-V_s||^2 = {dev['sup_E_norm_sq'][0]:.2e} at s=1e-3 "

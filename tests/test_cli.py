@@ -293,11 +293,12 @@ def test_out_of_range_value_names_key(flags, key, capsys):
     assert RunConfig.from_mapping({"t": "0", "h": "1e-3", "n": "1"}).number("t") == 0.0
 
 
-def _semigroup_argv(**flags):
-    """A 10-path semigroup run on the real line, with some flags replaced."""
+def _semigroup_argv(command="semigroup", **flags):
+    """A 10-path run of `command` (semigroup by default) on the real line,
+    with some flags replaced."""
     flags = {"manifold": "euclidean(m=1)", "potential": "harmonic(1.0)",
              "section": "gaussian(1.0)", "x": "0", **flags}
-    return ["semigroup", "--t", "0.1", "--h", "0.01", "--n", "10",
+    return [command, "--t", "0.1", "--h", "0.01", "--n", "10",
             *(a for k, v in flags.items() for a in ("--" + k.replace("_", "-"), v))]
 
 
@@ -347,6 +348,9 @@ BAD_INPUTS = [
     (dict(manifold="euclidean(m=2)", x="0,0", bundle="tangent", beta="landau(1)"), "bundle"),
     # a potential of another rank than the tangent bundle's
     (dict(manifold="sphere2(r=1.0)", x="0,0,1", bundle="tangent"), "potential"),
+    # a singular negative part on a base with no Kato quadrature rule has no
+    # Khas'minskii bound: a sup over nodes would not bound it
+    (dict(command="smoothing", manifold="sphere2(r=1.0)", potential="coulomb(1.0)"), "potential"),
 ]
 
 
@@ -674,6 +678,29 @@ def test_cli_import_loads_no_estimator():
                             text=True, check=True).stdout.split()
     assert loaded == ["fiberflow", "fiberflow.bundles", "fiberflow.cli", "fiberflow.config",
                       "fiberflow.geometry", "fiberflow.potentials", "fiberflow.rng"]
+
+
+def test_semigroup_import_loads_no_scipy():
+    # the estimators take the Khas'minskii exponent as a number, so neither
+    # the CLI nor the semigroup module imports kato (and with it scipy)
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    probe = ("import sys, fiberflow.cli, fiberflow.semigroup; print(' '.join(sorted(m for m "
+             "in sys.modules if m == 'scipy' or m.startswith('scipy.'))))")
+    loaded = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                            text=True, check=True).stdout.split()
+    assert loaded == []
+
+
+def test_continuity_scan_on_sphere2_bounds_by_the_sup_norm(capsys):
+    # sphere2 has no Kato quadrature rule; the bounded harmonic potential
+    # takes the sup-norm exponent, and part (iii) runs
+    code, doc = run_cli(["continuity-scan", "--manifold", "sphere2(r=1.0)", "--potential",
+                         "harmonic(1.0)", "--section", "harmonic_ground(1.0)", "--x-grid",
+                         "auto:32", "--t", "0.1", "--h", "2e-2", "--n", "40", "--seed", "6"],
+                        capsys)
+    assert code == EXIT_OK
+    assert isinstance(doc["global_bound"]["bound"], float) and doc["global_bound"]["passed"]
 
 
 CLI_GOLDEN = Path(__file__).parent / "data" / "cli"

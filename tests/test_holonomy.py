@@ -159,16 +159,6 @@ class _Height:
         return np.asarray(pts)[..., 2]
 
 
-class _ShiftedFloor:
-    """A declared floor a fixed gap below V's smallest eigenvalue."""
-
-    def __init__(self, V, gap):
-        self.V, self.gap = V, gap
-
-    def __call__(self, pts):
-        return self.V.scalar_floor(pts) - self.gap
-
-
 def fused_case(name):
     """(model, bundle, potential) with a floor that is negative somewhere."""
     if name == "sphere2_tangent_rank2":
@@ -199,21 +189,6 @@ def test_ensemble_floor_matches_left_point_sums(case):
     res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V)
     floor = left_point_sums(model, t, h, n, V.scalar_floor)
     assert np.all(floor < 0)  # the floor's negative part is exercised
-    for i in range(n):
-        assert abs(res.floor_integral[-1, i] - floor[i]) < 1e-12
-
-
-def test_ensemble_honours_declared_floor_fn():
-    model, bundle, V0 = fused_case("sphere2_tangent_rank2")
-    V = PotentialSpec(rank=2, const=V0.const, terms=V0.terms,
-                      floor_fn=_ShiftedFloor(V0, 0.25))
-    t, h, n = 0.2, 1e-3, 6
-    res = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V)
-    exact = run_ensemble(model, model.origin(), t, h, KEY, n, bundle=bundle, potential=V0)
-    # the declared floor lies strictly below the eigenvalue floor and wins
-    assert np.all(res.floor_integral[-1] < exact.floor_integral[-1] - 0.2 * t)
-    assert np.array_equal(res.holonomy, exact.holonomy)
-    floor = left_point_sums(model, t, h, n, V.scalar_floor)
     for i in range(n):
         assert abs(res.floor_integral[-1, i] - floor[i]) < 1e-12
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from fiberflow.geometry import Circle, Euclidean, ball
-from fiberflow.kato import (_default_x_grid, kato_report, kato_sup_integral,
-                            khasminskii_check, khasminskii_constants, lp_inclusion_check,
+from fiberflow.kato import (KhasminskiiConstants, _default_x_grid, _doubled_negative,
+                            kato_report, kato_sup_integral, khasminskii_check,
+                            khasminskii_constants, lp_inclusion_check, negative_part_exponent,
                             smoothed_abs_field)
 from fiberflow.oracle import smeared_coulomb
 from fiberflow.potentials import (constant_field, coulomb_field, inverse_square_field,
@@ -13,7 +14,7 @@ from fiberflow.potentials import (constant_field, coulomb_field, inverse_square_
 from fiberflow.rng import RngKey
 
 E3 = Euclidean(3)
-XG3 = _default_x_grid(E3, np.zeros(3))
+XG3 = _default_x_grid(E3, coulomb_field(E3, 1.0))  # around the origin
 T_GRID = np.geomspace(1e-4, 0.25, 8)
 
 
@@ -139,11 +140,43 @@ def test_khasminskii_constant_field():
     # C(s) = s, so t0 lands just below the 0.45 target and cv >= 1
     assert kc.c_at_t0 <= 0.45 and kc.cv >= 1.0
     # v = 0: empirical mean is 1 <= 2
-    kc0 = khasminskii_constants(E3, constant_field(0.0), strategy="sup_norm",
-                                sup_bound=1e-9)
+    kc0 = KhasminskiiConstants.from_sup_norm(1e-9)
     chk = khasminskii_check(E3, constant_field(0.0), kc0, [0.1], np.zeros((1, 3)),
                             200, 1e-3, RngKey(0))
     assert chk["passed"]
+
+
+def test_sup_norm_constants_keep_their_arithmetic():
+    # the sup-norm bound C(v, s) <= bound * s, with t0 = 0.45 / bound
+    kc = KhasminskiiConstants.from_sup_norm(1e-9)
+    t0 = 0.45 / 1e-9
+    c0 = 1e-9 * t0
+    assert (kc.t0, kc.c_at_t0, kc.cv, kc.prefactor) == (t0, c0, math.log(1.0 / (1.0 - c0)) / t0,
+                                                       2.0)
+
+
+def test_negative_part_exponent_rules():
+    from fiberflow.geometry import Sphere2
+    from fiberflow.potentials import PotentialSpec, harmonic_field
+
+    # 1. a radial field on a base with a quadrature rule: the quadrature of
+    # 2 max(0, -v), on the base of a ball
+    E1 = Euclidean(1)
+    well = well_field(E1, 0.5, 0.3)
+    doubled = well.mapped(_doubled_negative, "2neg(well(0.5,0.3))")
+    assert (negative_part_exponent(ball(E1, 1.0), PotentialSpec.scalar(well))
+            == khasminskii_constants(E1, doubled).cv)
+    # 2. no rule, bounded and compact: the sup norm over quadrature nodes
+    s2 = Sphere2(1.0)
+    V = PotentialSpec.scalar(harmonic_field(s2, 1.0))
+    sup_v2 = float(np.max(V.negative_norm(s2.quadrature(24)[0])))
+    assert (negative_part_exponent(s2, V)
+            == KhasminskiiConstants.from_sup_norm(max(2.0 * sup_v2, 1e-12)).cv)
+    # 3. singular with no rule, or no rule on a noncompact base: no bound
+    assert negative_part_exponent(s2, PotentialSpec.scalar(coulomb_field(s2, 1.0))) is None
+    nonradial = PotentialSpec(rank=1, const=np.eye(1), terms=[(well, np.eye(1))])
+    assert nonradial.field().radial_profile is None
+    assert negative_part_exponent(E1, nonradial) is None
 
 
 def test_khasminskii_empirical_coulomb():
@@ -165,8 +198,6 @@ def test_abs_field_wraps_metadata():
 
 def test_doubled_negative_well_keeps_its_break():
     # C(2|V^(2)|, t=1) at x=0 for well(0.5, 0.3): int_0^1 erf(0.3/sqrt(2s)) ds
-    from fiberflow.cli import _doubled_negative
-
     E1 = Euclidean(1)
     f = well_field(E1, 0.5, 0.3).mapped(_doubled_negative, "2neg(well(0.5,0.3))")
     assert f.radial_breaks == (0.3,)

@@ -371,12 +371,6 @@ def test_rank1_potential_is_its_field_integral(v):
     assert np.array_equal(res.holonomy[..., 0, 0], np.exp(-res.floor_integral))
 
 
-def test_rank1_potential_takes_no_floor_fn():
-    with pytest.raises(ValueError, match="its own floor"):
-        PotentialSpec(rank=1, const=np.zeros((1, 1)), terms=[(constant_field(1.0), np.eye(1))],
-                      floor_fn=constant_field(0.0))
-
-
 # -- bit-exact golden results ----------------------------------------------
 
 ENSEMBLE_GOLDEN = Path(__file__).parent / "data" / "ensemble"

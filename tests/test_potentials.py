@@ -32,16 +32,6 @@ def test_hermitian_part_exact_and_overflow_free():
         PotentialSpec(rank=2, const=np.diag([np.inf, 0.0]), terms=[])
 
 
-def test_eigen_split_reconstructs_matrix():
-    V = random_matrix_potential()
-    plus, minus = V.eigen_split(PTS)
-    M = V.matrix(PTS)
-    assert np.max(np.abs(M - (plus - minus))) < 1e-10
-    # both parts PSD
-    assert np.min(np.linalg.eigvalsh(plus)) > -1e-12
-    assert np.min(np.linalg.eigvalsh(minus)) > -1e-12
-
-
 def test_scalar_floor_below_spectrum():
     V = random_matrix_potential()
     lam_min = np.linalg.eigvalsh(V.matrix(PTS))[..., 0]

@@ -424,8 +424,6 @@ def test_continuity_scan_global_bound_streams_follow_part_i(points, offset, monk
     # smaller grid, where its streams are unchanged
     from fiberflow import semigroup
     from fiberflow.geometry import ball
-    from fiberflow.kato import KhasminskiiConstants
-
     n, starts = 4, []
     grid_reduce = semigroup._grid_reduce
 
@@ -437,6 +435,5 @@ def test_continuity_scan_global_bound_streams_follow_part_i(points, offset, monk
     dom = ball(E1, 1.0)
     grid = np.linspace(-0.8, 0.8, points)[:, None]
     semigroup.continuity_scan(dom, None, harmonic_field(dom, 1.0), harmonic_ground_section(1.0),
-                              0.1, grid, 2e-2, n, KEY, constants=KhasminskiiConstants(
-                                  t0=0.1, c_at_t0=0.1, cv=1.0))
+                              0.1, grid, 2e-2, n, KEY, cv=1.0)
     assert starts == [KEY.stream_index, KEY.stream_index + offset * n]
