@@ -11,11 +11,13 @@ Three connection kinds cover the catalog:
                 along a step is the phase exp(-i * int beta) with the
                 Stratonovich midpoint rule (rank 1).
 
-BundleSpec.step_transport is the single transport entry point: the path
-engine (paths.run_ensemble) multiplies its (..., d, d) step matrices into
-the accumulated transport, and `--dump-paths` writes them per step.  A
-trivial bundle is no bundle in the engine: after its rank check the run
-drops it and carries no transport.
+BundleSpec.step_transport is the single transport entry point: it returns
+a step's endpoint with its (..., d, d) step matrices, which the path
+engine (paths.run_ensemble) multiplies into the accumulated transport and
+`--dump-paths` writes per step.  For the tangent bundle it also returns
+the frame at the endpoint, which the engine hands back as the next step's
+start frame.  A trivial bundle is no bundle in the engine: after its rank
+check the run drops it and carries no transport.
 """
 
 from __future__ import annotations
@@ -70,17 +72,22 @@ class BundleSpec:
         if self.kind == "magnetic" and not isinstance(model.base, (Euclidean, FlatTorus, Circle)):
             raise ValueError("magnetic 1-forms are supported on flat models and the circle")
 
-    def step_transport(self, model: ManifoldModel, x, xi):
-        """Unitary (..., d, d) matrices, real for the tangent bundle, carrying fiber
-        coordinates at x to fiber coordinates at exp_x(xi) along the geodesic step."""
+    def step_transport(self, model: ManifoldModel, x, xi, frame=None):
+        """(y, T, frame_y) for the geodesic step from x: its endpoint
+        y = exp_x(xi), the unitary (..., d, d) matrices T, real for the tangent
+        bundle, carrying fiber coordinates at x to fiber coordinates at y,
+        and for the tangent bundle the tangent frame at y (None otherwise).
+        `frame` is the frame at x a previous step returned, so the sphere
+        builds one geodesic head and one frame per step."""
+        if self.kind == "tangent":
+            return model.base.transport_matrix(x, xi, frame)
+        y = model.exp(x, xi)
         if self.kind == "trivial":
             eye = np.eye(self.rank, dtype=complex)
-            return np.broadcast_to(eye, np.asarray(xi).shape[:-1] + (self.rank, self.rank))
-        if self.kind == "tangent":
-            return model.base.transport_matrix(x, xi)[1]
-        # magnetic: phase e^{-i int beta} with midpoint evaluation
-        phase = np.exp(-1j * stratonovich_increment(model, self.beta, x, xi))
-        return phase[..., None, None]
+            T = np.broadcast_to(eye, np.asarray(xi).shape[:-1] + (self.rank, self.rank))
+        else:  # magnetic: phase e^{-i int beta} with midpoint evaluation
+            T = np.exp(-1j * stratonovich_increment(model, self.beta, x, xi))[..., None, None]
+        return y, T, None
 
 
 def trivial_bundle(rank=1):

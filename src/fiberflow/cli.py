@@ -169,7 +169,7 @@ def _dump_paths_csv(path, model, bundle, x, t, h, key, count=4):
     res = run_ensemble(model, x, t, h, key, count, bundle=bundle, checkpoints=times[:-1])
     points = res.points.swapaxes(0, 1)  # (count, K + 1, coord_dim)
     steps = np.sqrt(np.diff(times))[:, None] * normals(key, count, (K, model.dim))
-    transports = bundle.step_transport(model, points[:, :-1], steps)
+    transports = bundle.step_transport(model, points[:, :-1], steps)[1]
     rows = ["path,step,time," + ",".join(f"coord{i}" for i in range(model.coord_dim))
             + ",alive,transport"]
     for j in range(count):
@@ -356,7 +356,10 @@ def _run_kato(cfg: RunConfig, run: _Run):
     x_grid = cfg.points("x_grid")
     if x_grid is None:
         x_grid = _default_x_grid(cfg.model, f)
-    rep = kato_report(cfg.model, f, t_grid, x_grid)
+    try:
+        rep = kato_report(cfg.model, f, t_grid, x_grid)
+    except NotImplementedError as exc:  # no Kato quadrature rule on this model
+        raise ConfigError("manifold", str(exc)) from None
     payload = {"tGrid": rep.t_grid, "supIntegral": rep.sup_integral,
                "fittedDecayExponent": rep.fitted_decay_exponent,
                "verdict": rep.verdict, "notes": rep.notes}

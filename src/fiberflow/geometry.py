@@ -4,11 +4,12 @@ Five homogeneous models (Euclidean space, circle, flat torus, round
 2-sphere, hyperbolic plane of curvature -1) plus open subdomains of them.
 Each model supplies exactly what the samplers and analyzers need: an
 orthonormal-frame exponential map (the endpoint only; the sphere's
-transport_matrix adds the parallel transport its tangent bundle uses),
-geodesic distance, volume sampling, quadrature rules, and the closed-form
-heat kernel where one exists.  `model.base` is the complete model a model
-lies in (itself, or an open subdomain's parent) and `model.complete` tells
-the two apart, so callers never unwrap a subdomain by type.
+transport_matrix adds the parallel transport its tangent bundle uses and
+the frame at the endpoint), geodesic distance, volume sampling, quadrature
+rules, and the closed-form heat kernel where one exists.  `model.base` is
+the complete model a model lies in (itself, or an open subdomain's parent)
+and `model.complete` tells the two apart, so callers never unwrap a
+subdomain by type.
 
 Convention used everywhere in this package: kernels and semigroups belong
 to the generator Delta/2, so a Brownian increment over time h has variance
@@ -310,13 +311,17 @@ class Sphere2(ManifoldModel):
         e2 = _cross(n, e1)
         return np.stack([e1, e2], axis=-1)
 
-    def _head(self, x, xi):
+    def _head(self, x, xi, F=None):
         """The geodesic step exp and transport_matrix share: (x, F, vhat,
-        alpha, y), F = frame(x), vhat the ambient step direction (F's first
-        column for a null step), alpha the angle walked, y the endpoint."""
+        alpha, y), F = frame(x) (built here unless the caller carries it
+        from the step that ended at x), vhat the ambient step direction
+        (F's first column for a null step), alpha the angle walked, y the
+        endpoint.  A tangent step of the path engine builds one head and
+        one frame, frame(y), which it carries to the next step as F."""
         x = _as_points(x, 3)
         xi = np.asarray(xi, dtype=float)
-        F = self.frame(x)
+        if F is None:
+            F = self.frame(x)
         v = np.einsum("...ij,...j->...i", F, xi)  # ambient step vector
         norm = np.linalg.norm(v, axis=-1, keepdims=True)
         alpha = norm / self.radius
@@ -329,11 +334,12 @@ class Sphere2(ManifoldModel):
     def exp(self, x, xi):
         return self._head(x, xi)[-1]
 
-    def transport_matrix(self, x, xi):
-        """(exp_x(xi), T): T is the real 2x2 orthogonal matrix carrying
-        frame coefficients at x to frame coefficients at exp_x(xi) by
-        parallel transport along the geodesic."""
-        x, F, vhat, alpha, y = self._head(x, xi)
+    def transport_matrix(self, x, xi, F=None):
+        """(exp_x(xi), T, frame(exp_x(xi))): T is the real 2x2 orthogonal
+        matrix carrying frame coefficients at x to frame coefficients at
+        exp_x(xi) by parallel transport along the geodesic.  F, if given,
+        is frame(x), as the previous step returned it."""
+        x, F, vhat, alpha, y = self._head(x, xi, F)
         nhat = x / self.radius
         # transported geodesic direction; binormal component preserved
         that_y = vhat * np.cos(alpha) - nhat * np.sin(alpha)
@@ -346,7 +352,7 @@ class Sphere2(ManifoldModel):
         src2 = np.einsum("...i,...ij->...j", w, F)
         # T = [img1 img2] @ [src1 src2]^T  maps src basis coords to target
         T = img1[..., :, None] * src1[..., None, :] + img2[..., :, None] * src2[..., None, :]
-        return y, T
+        return y, T, Fy
 
     def distance(self, x, y):
         # atan2 form stays accurate for nearly coincident or antipodal points

@@ -28,7 +28,12 @@ generator, which is the floor.  A trivial bundle is no bundle in the
 engine; every other one, the magnetic phase among them, is transported
 through BundleSpec.step_transport into one (B, d, d) accumulator, real
 while the step matrices are (the tangent bundle) and complex only in its
-snapshots.
+snapshots.  The transport also returns the step's endpoint, so a bundle
+step takes no separate model.exp.  On the tangent bundle of the sphere a
+step builds one geodesic head and one frame: the transport returns the
+frame at the endpoint, the table carries it (frozen on dead paths like
+every other field, but never snapshotted), and the next step passes it
+back as the frame at its start.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -245,6 +250,10 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
     snaps = {name: np.zeros((len(snap_idx),) + v.shape,
                             dtype=complex if name == "transport" else v.dtype)
              for name, v in state.items()}
+    if bundle is not None and bundle.kind == "tangent":
+        # the tangent frame at each path's point, which each step's transport
+        # returns for its endpoint; per-path state, but never snapshotted
+        state["frame"] = model.base.frame(x0)
 
     def snapshot(idx):
         for pos in snap_at.get(idx, ()):
@@ -270,15 +279,19 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
             new["holonomy"] = small_matmul(state["holonomy"], step_exp)
             new["floor_integral"] = state["floor_integral"] + dt * lam_min
 
-        # transport along the step; at rank 1 the step is a phase, taken
-        # elementwise as acc * Tk (with FMA, complex products are not
-        # bitwise commutative, so the operand order is part of the result)
+        # the step, with its transport when there is a bundle; at rank 1 the
+        # transport is a phase, taken elementwise as acc * Tk (with FMA,
+        # complex products are not bitwise commutative, so the operand
+        # order is part of the result)
         if bundle is not None:
             acc = state["transport"]
-            Tk = bundle.step_transport(model, x, step)
+            y, Tk, frame = bundle.step_transport(model, x, step, state.get("frame"))
             new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
-
-        y = new["points"] = model.exp(x, step)
+            if frame is not None:
+                new["frame"] = frame
+        else:
+            y = model.exp(x, step)
+        new["points"] = y
 
         # a rank-1 potential's floor integral: trapezoid, or capped
         # sub-steps for a singular field

@@ -351,6 +351,9 @@ BAD_INPUTS = [
     # a singular negative part on a base with no Kato quadrature rule has no
     # Khas'minskii bound: a sup over nodes would not bound it
     (dict(command="smoothing", manifold="sphere2(r=1.0)", potential="coulomb(1.0)"), "potential"),
+    # a model the Kato quadrature has no rule for
+    (dict(command="kato-check", manifold="sphere2(r=1.0)"), "manifold"),
+    (dict(command="kato-check", manifold="euclidean(m=4)", potential="coulomb(1.0)"), "manifold"),
 ]
 
 

@@ -66,7 +66,7 @@ def test_exp_step_reversibility(model):
     xi = RNG.standard_normal((16, model.dim))
     xi *= 1e-2 / np.linalg.norm(xi, axis=-1, keepdims=True)
     if isinstance(model, Sphere2):
-        ys, T = model.transport_matrix(xs, xi)
+        ys, T, _ = model.transport_matrix(xs, xi)
         xi_out = np.einsum("...ij,...j->...i", T, xi)
     else:
         ys, xi_out = model.exp(xs, xi), xi
@@ -283,12 +283,18 @@ def test_sphere_frame_matches_np_cross_bitwise(axis, radius):
 
 
 def test_sphere_step_methods_share_one_endpoint():
+    # the path engine passes the frame the previous step returned as F: the
+    # step must not depend on where F came from, and the frame it returns
+    # must be the one the next step would build at y
     s = Sphere2(1.0)
     x = random_points(s, 64)
     xi = 0.2 * RNG.standard_normal((64, 2))
-    xi[:4] = 0.0
-    y = s.exp(x, xi)
-    assert np.array_equal(y, s.transport_matrix(x, xi)[0])
+    xi[:4] = 0.0  # the null-step branch
+    y, T, Fy = s.transport_matrix(x, xi)
+    for a, b in zip((y, T, Fy), s.transport_matrix(x, xi, s.frame(x))):
+        assert np.array_equal(a, b)
+    assert np.array_equal(Fy, s.frame(y))
+    assert np.array_equal(y, s.exp(x, xi))
 
 
 def test_sphere_transport_is_real_rotation():
@@ -296,7 +302,7 @@ def test_sphere_transport_is_real_rotation():
     x = random_points(s, 64)
     xi = 0.2 * RNG.standard_normal((64, 2))
     xi[:4] = 0.0  # the null-step branch
-    _, T = s.transport_matrix(x, xi)
+    _, T, _ = s.transport_matrix(x, xi)
     assert T.dtype == np.float64
     assert np.max(np.abs(np.swapaxes(T, -1, -2) @ T - np.eye(2))) < 1e-12
     assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-12

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from fiberflow import paths
-from fiberflow.bundles import magnetic_bundle, trivial_bundle
+from fiberflow.bundles import magnetic_bundle, tangent_bundle, trivial_bundle
 from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
 from fiberflow.geometry import Circle, Euclidean, FlatTorus, Sphere2, ball
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
@@ -84,6 +84,38 @@ def test_diag_potential_decouples():
     est = fk_vector(E2, trivial_bundle(2), PotentialSpec(rank=2, const=np.diag([0.3, 0.8])),
                     f2, np.zeros(2), 0.7, 1e-3, 200, KEY)
     assert np.allclose(est.value, np.exp(-0.7 * np.array([0.3, 0.8])))
+
+
+def _first_tangent_eigenfield(s2, kind):
+    """Frame coefficients F(p)^T v(p) of the Killing field v = e x p or the
+    gradient field v = e - (e.p) p / r^2 on s2, e the x axis."""
+    e, r2 = np.array([1.0, 0.0, 0.0]), s2.radius**2
+
+    def v(p):
+        return np.cross(e, p) if kind == "killing" else e - (p @ e)[..., None] * p / r2
+
+    return SectionSpec(rank=2, fn=lambda p: np.einsum("...ij,...i->...j", s2.frame(p), v(p)),
+                       name=kind)
+
+
+@pytest.mark.parametrize("kind", ["killing", "gradient"])
+@pytest.mark.parametrize("radius", [1.0, 0.7])
+def test_tangent_transport_matches_first_eigenfields(kind, radius):
+    # both fields are eigenfields of the rough Laplacian on the sphere of
+    # radius r (Bochner: Hodge eigenvalue 2/r^2 minus Ric = 1/r^2), so
+    # e^{-t nabla* nabla / 2} v = e^{-t/(2 r^2)} v, and under V = c I the
+    # semigroup is e^{-t (c + 1/(2 r^2))}
+    s2 = Sphere2(radius)
+    f = _first_tangent_eigenfield(s2, kind)
+    c, t, h, n, x0 = 0.3, 0.5, 5e-3, 8192, s2.origin()
+    V = PotentialSpec(rank=2, const=c * np.eye(2))
+    exact = math.exp(-t * (c + 0.5 / radius**2)) * f(x0)
+    est = fk_vector(s2, tangent_bundle(), V, f, x0, t, h, n, KEY)
+    assert np.max(np.abs(est.value - exact) / est.stderr) < 3
+    # the same streams without the transport read the coefficients in
+    # unrelated frames and miss
+    bare = fk_vector(s2, trivial_bundle(2), V, f, x0, t, h, n, KEY)
+    assert np.max(np.abs(bare.value - exact) / bare.stderr) > 20
 
 
 def test_magnetic_zero_form_matches_scalar_exactly():
