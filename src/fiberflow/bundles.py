@@ -6,7 +6,10 @@ Three connection kinds cover the catalog:
                 is the identity on every model.
   tangent       complexified tangent bundle of the 2-sphere with the
                 Levi-Civita connection; transport along a geodesic step is
-                the closed-form great-circle rotation, real orthogonal (rank 2).
+                the closed-form great-circle rotation (rank 2), the real
+                [[c, -s], [s, c]] that Sphere2.transport_matrix builds from
+                one pair: the step direction in the start frame and the
+                geodesic's direction at the endpoint in the endpoint frame.
   magnetic(beta) trivial line bundle with connection d + i*beta; transport
                 along a step is the phase exp(-i * int beta) with the
                 Stratonovich midpoint rule (rank 1).
@@ -74,8 +77,8 @@ class BundleSpec:
 
     def step_transport(self, model: ManifoldModel, x, xi, frame=None):
         """(y, T, frame_y) for the geodesic step from x: its endpoint
-        y = exp_x(xi), the unitary (..., d, d) matrices T, real for the tangent
-        bundle, carrying fiber coordinates at x to fiber coordinates at y,
+        y = exp_x(xi), the unitary (..., d, d) matrices T, real rotations for the
+        tangent bundle, carrying fiber coordinates at x to fiber coordinates at y,
         and for the tangent bundle the tangent frame at y (None otherwise).
         `frame` is the frame at x a previous step returned, so the sphere
         builds one geodesic head and one frame per step."""

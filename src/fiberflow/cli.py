@@ -202,8 +202,12 @@ def _run_semigroup(cfg: RunConfig, run: _Run):
 def _run_ground_energy(cfg: RunConfig, run: _Run):
     from .semigroup import ground_energy
 
+    # the slope fit takes the last half of the (distinct) times: two at least
+    t_grid = cfg.values("t_grid")
+    if len(t_grid) < 4:
+        raise ConfigError("t_grid", f"need at least 4 distinct times, got {len(t_grid)}")
     out = ground_energy(cfg.model, cfg.potential, cfg.section, cfg.section2 or cfg.section,
-                        cfg.values("t_grid"), run.h, run.n, run.key, bundle=cfg.bundle,
+                        t_grid, run.h, run.n, run.key, bundle=cfg.bundle,
                         radius=cfg.number("radius"), workers=run.workers)
     return {"energy": out["energy"], "stderr": out["stderr"],
             "per_time": out["per_time"], "aliveFraction": out["alive_fraction"],

@@ -416,6 +416,10 @@ class RunConfig:
             v = cfg.values(key) if key.endswith("_grid") else cfg.number(key)
             if not np.all(ok(v)):
                 raise ConfigError(key, f"need {key} {need}, got {cfg.raw[key]!r}")
+        # the decay fits of ground-energy and kato-check need distinct times
+        times = cfg.values("t_grid", default=())
+        if len(np.unique(times)) < len(times):
+            raise ConfigError("t_grid", f"repeated times in {cfg.raw['t_grid']!r}")
         if "h" in cfg.raw:  # the longest run of any command, in steps of h
             span = max([cfg.number("t", default=0.0) + cfg.number("s", default=0.0),
                         *cfg.values("t_grid", default=()), *cfg.values("s_grid", default=())])

@@ -64,6 +64,12 @@ def _cross(a, b):
     return np.stack([a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0], axis=-1)
 
 
+def _norm3(v):
+    """np.linalg.norm(v, axis=-1) of (..., 3) arrays: its sum of squares, in its order."""
+    v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
+    return np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+
+
 class ManifoldModel:
     """Base class; concrete models override the geometry primitives."""
 
@@ -307,58 +313,66 @@ class Sphere2(ManifoldModel):
         # reference axis: the coordinate axis least aligned with n
         a = (np.argmin(np.abs(n), axis=-1)[..., None] == np.arange(3)).astype(float)
         e1 = _cross(a, n)
-        e1 = e1 / np.linalg.norm(e1, axis=-1, keepdims=True)
+        e1 = e1 / _norm3(e1)[..., None]
         e2 = _cross(n, e1)
         return np.stack([e1, e2], axis=-1)
 
     def _head(self, x, xi, F=None):
         """The geodesic step exp and transport_matrix share: (x, F, vhat,
-        alpha, y), F = frame(x) (built here unless the caller carries it
-        from the step that ended at x), vhat the ambient step direction
-        (F's first column for a null step), alpha the angle walked, y the
-        endpoint.  A tangent step of the path engine builds one head and
-        one frame, frame(y), which it carries to the next step as F."""
+        cos alpha, sin alpha, y), F = frame(x) (built here unless the caller
+        carries it from the step that ended at x), vhat the ambient step
+        direction (F's first column for a null step), alpha the angle
+        walked, y the endpoint.  A tangent step of the path engine builds
+        one head and one frame, frame(y), which it carries to the next step
+        as F."""
         x = _as_points(x, 3)
         xi = np.asarray(xi, dtype=float)
         if F is None:
             F = self.frame(x)
         v = np.einsum("...ij,...j->...i", F, xi)  # ambient step vector
-        norm = np.linalg.norm(v, axis=-1, keepdims=True)
+        norm = _norm3(v)[..., None]
         alpha = norm / self.radius
         small = norm < 1e-300
         vhat = np.where(small, F[..., :, 0], v / np.where(small, 1.0, norm))
-        y = x * np.cos(alpha) + self.radius * vhat * np.sin(alpha)
-        y = y * (self.radius / np.linalg.norm(y, axis=-1, keepdims=True))
-        return x, F, vhat, alpha, y
+        ca, sa = np.cos(alpha), np.sin(alpha)
+        y = x * ca + self.radius * vhat * sa
+        y = y * (self.radius / _norm3(y)[..., None])
+        return x, F, vhat, ca, sa, y
 
     def exp(self, x, xi):
         return self._head(x, xi)[-1]
 
     def transport_matrix(self, x, xi, F=None):
-        """(exp_x(xi), T, frame(exp_x(xi))): T is the real 2x2 orthogonal
-        matrix carrying frame coefficients at x to frame coefficients at
-        exp_x(xi) by parallel transport along the geodesic.  F, if given,
-        is frame(x), as the previous step returned it."""
-        x, F, vhat, alpha, y = self._head(x, xi, F)
-        nhat = x / self.radius
-        # transported geodesic direction; binormal component preserved
-        that_y = vhat * np.cos(alpha) - nhat * np.sin(alpha)
-        w = _cross(nhat, vhat)
+        """(exp_x(xi), T, frame(exp_x(xi))): T is the real 2x2 rotation
+        carrying frame coefficients at x to frame coefficients at exp_x(xi)
+        by parallel transport along the geodesic.  F, if given, is frame(x),
+        as the previous step returned it.
+
+        Transport turns the step direction vhat into the geodesic's
+        direction that_y at y and keeps the binormal nhat x vhat, which is
+        also the binormal at y; both frames are oriented by the outward
+        normal, so T is the rotation taking src = F^T vhat to
+        img = frame(y)^T that_y, [[c, -s], [s, c]] with (c, s) the unit
+        vector along (src . img, src x img), built from that one pair."""
+        x, F, vhat, ca, sa, y = self._head(x, xi, F)
+        that_y = vhat * ca - (x / self.radius) * sa
         Fy = self.frame(y)
-        # rotation sends vhat -> that_y, w -> w; build columns in target frame
-        img1 = np.einsum("...i,...ij->...j", that_y, Fy)
-        img2 = np.einsum("...i,...ij->...j", w, Fy)
-        src1 = np.einsum("...i,...ij->...j", vhat, F)
-        src2 = np.einsum("...i,...ij->...j", w, F)
-        # T = [img1 img2] @ [src1 src2]^T  maps src basis coords to target
-        T = img1[..., :, None] * src1[..., None, :] + img2[..., :, None] * src2[..., None, :]
+        img = np.einsum("...i,...ij->...j", that_y, Fy)
+        src = np.einsum("...i,...ij->...j", vhat, F)
+        c = src[..., 0] * img[..., 0] + src[..., 1] * img[..., 1]
+        s = src[..., 0] * img[..., 1] - src[..., 1] * img[..., 0]
+        # |src| |img| = 1 up to a few ulps: scale it out, so T is a rotation
+        # to rounding (c^2 + s^2 within 1e-15 of 1)
+        q = 1.0 / np.sqrt(c * c + s * s)
+        c, s = c * q, s * q
+        T = np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
         return y, T, Fy
 
     def distance(self, x, y):
         # atan2 form stays accurate for nearly coincident or antipodal points
         x = _as_points(x, 3)
         y = _as_points(y, 3)
-        cross = np.linalg.norm(np.cross(x, y), axis=-1)
+        cross = _norm3(_cross(x, y))
         dot = np.sum(x * y, axis=-1)
         return self.radius * np.arctan2(cross / self.radius**2, dot / self.radius**2)
 

@@ -1,10 +1,13 @@
 """Batched small-matrix exponentials for the holonomy integrator.
 
-The generators are Hermitian (potentials conjugated by unitary transport),
-and exp(-s W) has operator norm exactly exp(-s * lambda_min(W)), which is
-what makes the per-sample domination inequality an identity for the
-product scheme.  Ranks 1 to 3 use closed forms, to keep the per-step cost
-off the LAPACK path; rank 4 and up use eigendecomposition.
+The generators are Hermitian: the path engine passes the potential V(x)
+itself, in the fibre coordinates of the path's current point (the
+transport enters the weight as a separate factor), and exp(-s W) has
+operator norm exactly exp(-s * lambda_min(W)), which is what makes the
+per-sample domination inequality an identity for the product scheme.
+Ranks 1 to 3 use closed forms, to keep the per-step cost off the LAPACK
+path; rank 4 and up use eigendecomposition.  Real (symmetric) input gives
+real output at every rank, complex input complex output.
 
 Rank 3 takes its eigenvalues from the trigonometric form of O. K. Smith
 (Comm. ACM 4 (1961) 168) and builds the exponential in Newton form on
@@ -19,10 +22,9 @@ so the rest of the batch is unaffected, and a batch with no closed-form
 row goes to eigh whole.
 
 `expm_neg_hermitian` returns lambda_min(W) next to the exponential, taken
-from the same eigen-data.  W = T^* V T, with T the unitary transport, has
-the spectrum of the potential V, so this is V's pointwise floor (exact up
-to rounding), and the path engine uses it instead of solving for V's
-spectrum a second time.
+from the same eigen-data: with W = V(x) this is V's pointwise floor, and
+the path engine uses it instead of solving for V's spectrum a second
+time.
 
 `small_matmul` is the engine's batched product: entry by entry for d <= 3,
 where numpy's stacked complex `matmul` costs several times the arithmetic,
@@ -97,7 +99,7 @@ def _expm2(W, s):
     ch = np.cosh(sr)
     # sinh(x)/x, stable at 0
     shr = np.where(sr < 1e-6, 1.0 + sr**2 / 6.0, np.sinh(np.maximum(sr, 1e-300)) / np.maximum(sr, 1e-300))
-    out = np.empty(np.broadcast(W[..., 0, 0], s).shape + (2, 2), dtype=complex)
+    out = np.empty(np.broadcast(W[..., 0, 0], s).shape + (2, 2), dtype=np.result_type(W, float))
     f = -s * shr
     out[..., 0, 0] = ch + f * (a - mu)
     out[..., 1, 1] = ch + f * (c - mu)

@@ -22,18 +22,26 @@ floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
 with the 1/h cap for a field with declared singular points, and its
 holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
 no matrix work.  A matrix potential is integrated by the exponential-
-product rule (left point): each step evaluates V(x) once, and the matrix
-exponential also returns the smallest eigenvalue of the transported
-generator, which is the floor.  A trivial bundle is no bundle in the
-engine; every other one, the magnetic phase among them, is transported
-through BundleSpec.step_transport into one (B, d, d) accumulator, real
-while the step matrices are (the tangent bundle) and complex only in its
-snapshots.  The transport also returns the step's endpoint, so a bundle
-step takes no separate model.exp.  On the tangent bundle of the sphere a
-step builds one geodesic head and one frame: the transport returns the
-frame at the endpoint, the table carries it (frozen on dead paths like
-every other field, but never snapshotted), and the next step passes it
-back as the frame at its start.
+product rule (left point): each step evaluates V(x) once and exponentiates
+it as PotentialSpec.matrix returns it, and the matrix exponential also
+returns the smallest eigenvalue of V(x), which is the floor.  A trivial
+bundle is no bundle in the engine; every other one, the magnetic phase
+among them, is transported through BundleSpec.step_transport into one
+(B, d, d) accumulator.  The transport also returns the step's endpoint,
+so a bundle step takes no separate model.exp.  On the tangent bundle of
+the sphere a step builds one geodesic head and one frame: the transport
+returns the frame at the endpoint, the table carries it (frozen on dead
+paths like every other field, but never snapshotted), and the next step
+passes it back as the frame at its start.
+
+With both a matrix potential and a transport, the weight of a step is
+holonomy acc^H e^{-dt V(x)} acc, acc the transport so far.  The table
+carries G = holonomy acc^H in place of the holonomy (never snapshotted):
+a step sets G <- G e^{-dt V(x)} T^H and acc <- T acc, with no conjugation
+of V, and a snapshot rebuilds holonomy = G acc.  The weight (G or the
+holonomy) starts in V's dtype and the transport real, and each stays real
+until a complex step promotes it, so a real potential on the tangent
+bundle runs in real arithmetic; their snapshots are complex.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -242,23 +250,32 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
     if scalar_v is not None and not scalar_v.singular:
         # trapezoid left values; stale on dead paths, never read there
         v_prev = scalar_v(x0, cap=cap)
+    # the weight and the transport start real (V's dtype for the weight)
+    # and stay so until a complex step promotes them; snapshots are complex
     if matrix_V is not None:
-        state["holonomy"] = np.broadcast_to(np.eye(d, dtype=complex), (B, d, d)).copy()
+        state["holonomy"] = np.broadcast_to(np.eye(d, dtype=matrix_V.const.dtype),
+                                            (B, d, d)).copy()
     if bundle is not None:
-        # real until a complex step promotes it
         state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
     snaps = {name: np.zeros((len(snap_idx),) + v.shape,
-                            dtype=complex if name == "transport" else v.dtype)
+                            dtype=complex if name in ("holonomy", "transport") else v.dtype)
              for name, v in state.items()}
+    # per-path state that is never snapshotted: a matrix potential on a
+    # transporting bundle carries G = holonomy transport^H in place of the
+    # holonomy, which a snapshot rebuilds as G transport; the tangent frame
+    # at each path's point, which each step's transport returns for its
+    # endpoint
+    carry_G = matrix_V is not None and bundle is not None
+    if carry_G:
+        state["G"] = state.pop("holonomy")
     if bundle is not None and bundle.kind == "tangent":
-        # the tangent frame at each path's point, which each step's transport
-        # returns for its endpoint; per-path state, but never snapshotted
         state["frame"] = model.base.frame(x0)
 
     def snapshot(idx):
         for pos in snap_at.get(idx, ()):
             for name, arr in snaps.items():
-                arr[pos] = state[name]
+                arr[pos] = (small_matmul(state["G"], state["transport"])
+                            if carry_G and name == "holonomy" else state[name])
 
     snapshot(0)
     for k in range(K):
@@ -267,16 +284,11 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
         step = math.sqrt(dt) * incs[:, k, :]
         new = {}
 
-        # a matrix potential's holonomy and floor use the step start; V(x)
-        # is evaluated once, and its floor is the smallest eigenvalue the
-        # exponential already solved for (W is a unitary conjugate of V)
+        # a matrix potential's weight and floor use the step start; V(x) is
+        # evaluated once, and its floor is the smallest eigenvalue the
+        # exponential already solved for
         if matrix_V is not None:
-            W = matrix_V.matrix(x, cap=cap)
-            if bundle is not None:  # V in the start fibre's frame: acc^H V acc
-                acc = state["transport"]
-                W = small_matmul(acc.conj().swapaxes(1, 2), small_matmul(W, acc))
-            step_exp, lam_min = expm_neg_hermitian(W, dt)
-            new["holonomy"] = small_matmul(state["holonomy"], step_exp)
+            step_exp, lam_min = expm_neg_hermitian(matrix_V.matrix(x, cap=cap), dt)
             new["floor_integral"] = state["floor_integral"] + dt * lam_min
 
         # the step, with its transport when there is a bundle; at rank 1 the
@@ -292,6 +304,12 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
         else:
             y = model.exp(x, step)
         new["points"] = y
+        # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
+        if carry_G:
+            new["G"] = small_matmul(small_matmul(state["G"], step_exp),
+                                    Tk.swapaxes(-1, -2).conj())
+        elif matrix_V is not None:
+            new["holonomy"] = small_matmul(state["holonomy"], step_exp)
 
         # a rank-1 potential's floor integral: trapezoid, or capped
         # sub-steps for a singular field

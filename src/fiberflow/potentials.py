@@ -82,10 +82,10 @@ class ScalarField:
                 v = np.asarray(self.fn(np.asarray(pts, dtype=float)), dtype=float)
         except OverflowError:  # Python float arithmetic on the parameters
             raise NonFiniteFieldError(f"scalar field {self.name!r} overflowed") from None
-        if np.any(np.isnan(v)):
-            idx = int(np.flatnonzero(np.isnan(np.ravel(v)))[0])
-            raise NonFiniteFieldError(f"scalar field {self.name!r} returned NaN at sample {idx}")
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
+            if np.isnan(v).any():
+                idx = int(np.flatnonzero(np.isnan(np.ravel(v)))[0])
+                raise NonFiniteFieldError(f"scalar field {self.name!r} returned NaN at sample {idx}")
             # infinities at declared singular points are absorbed by the cap
             if cap is None or not self.singular:
                 raise NonFiniteFieldError(f"scalar field {self.name!r} returned non-finite values")
@@ -258,7 +258,9 @@ def _hermitize(a):
 class PotentialSpec:
     """V(x) = const + sum_i terms[i].field(x) * terms[i].matrix, Hermitian,
     rank d <= 16.  Its floor is the smallest eigenvalue of the assembled
-    matrix; a rank-1 potential is its own floor."""
+    matrix; a rank-1 potential is its own floor.  The matrices are float64
+    when every one of them has exactly zero imaginary part (real symmetric
+    V, real arithmetic downstream), complex128 otherwise."""
 
     rank: int
     const: np.ndarray
@@ -273,6 +275,9 @@ class PotentialSpec:
         self.const = _hermitize(np.zeros((self.rank, self.rank)) if self.const is None
                                 else self.const)
         self.terms = [(f, _hermitize(P)) for (f, P) in self.terms]
+        if not any(np.any(P.imag) for P in [self.const, *(P for _, P in self.terms)]):
+            self.const = self.const.real.copy()
+            self.terms = [(f, P.real.copy()) for (f, P) in self.terms]
 
     @classmethod
     def scalar(cls, field_: ScalarField, name=None):

@@ -263,8 +263,8 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     the last half of the grid.  Per-time values are reported so the
     asymptotic regime can be judged."""
     t_grid = np.sort(np.asarray(t_grid, dtype=float))
-    if len(t_grid) < 4:
-        raise ValueError("t_grid needs at least 4 points")
+    if len(np.unique(t_grid)) < len(t_grid) or len(t_grid) < 4:
+        raise ValueError("t_grid needs at least 4 distinct times")
     V = _as_potential(v_or_V)
     starts, Z = _rejection_starts(model, f1, n, key, radius=radius)
     tmax = float(t_grid[-1])

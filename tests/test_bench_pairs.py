@@ -1,5 +1,6 @@
 """tools/bench_pairs.py stops on a failed benchmark run instead of
-recording it, naming the side, workload, seed and exit code."""
+recording it, naming the side, workload, seed and exit code, and refuses
+two checkouts whose benchmark code differs."""
 
 import importlib.util
 from pathlib import Path
@@ -33,3 +34,30 @@ def test_failed_run_stops_the_tool_naming_it(script, why, tmp_path, capsys):
     if script is FAILING:
         assert msg.splitlines()[1:] == ["setup ok", "bench: workload crashed"]
     assert not out.exists()
+
+
+@pytest.mark.parametrize("edit, named", [
+    (lambda root: (root / "bench" / "workloads.py").write_text("N = 2\n"), "bench/workloads.py"),
+    (lambda root: (root / "BENCHMARK.json").write_text("{}\n"), "BENCHMARK.json"),
+    (lambda root: (root / "bench" / "extra.py").write_text(""), "bench/extra.py"),
+], ids=["bench_file", "benchmark_json", "file_on_one_side"])
+def test_differing_benchmark_code_stops_before_any_run(edit, named, tmp_path):
+    # run.py would leave a marker: the tool must stop before running it
+    marker = tmp_path / "ran"
+    script = f"open({str(marker)!r}, 'w').close()\n"
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench" / "__pycache__").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(script)
+        (tmp_path / side / "bench" / "workloads.py").write_text("N = 1\n")
+        (tmp_path / side / "BENCHMARK.json").write_text('{"run_seconds": 1}\n')
+        # compiled files are not benchmark code
+        (tmp_path / side / "bench" / "__pycache__" / "run.pyc").write_bytes(side.encode())
+    assert bench_pairs.first_difference(tmp_path / "parent", tmp_path / "change") is None
+    edit(tmp_path / "change")
+    out = tmp_path / "BENCH.json"
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change",
+                          str(tmp_path / "change"), "--workload", "scalar_harmonic",
+                          "--seeds", "5-6", "--out", str(out)])
+    assert str(exc.value.code) == f"bench_pairs: the checkouts' benchmark code differs: {named}"
+    assert not marker.exists() and not out.exists()

@@ -354,6 +354,13 @@ BAD_INPUTS = [
     # a model the Kato quadrature has no rule for
     (dict(command="kato-check", manifold="sphere2(r=1.0)"), "manifold"),
     (dict(command="kato-check", manifold="euclidean(m=4)", potential="coulomb(1.0)"), "manifold"),
+    # the slope fit of ground-energy: a repeated time made its matrix
+    # singular, and fewer than 4 times failed without naming the key
+    (dict(command="ground-energy", t_grid="0.5,1,1,1", radius="4"), "t_grid"),
+    (dict(command="ground-energy", t_grid="0.5,1.0,1.5", radius="4"), "t_grid"),
+    # kato-check's decay fit on a repeated time read a Kato potential as failing
+    (dict(command="kato-check", manifold="euclidean(m=3)", potential="coulomb(0.5)",
+          t_grid="0.1,0.1"), "t_grid"),
 ]
 
 

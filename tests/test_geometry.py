@@ -297,6 +297,54 @@ def test_sphere_step_methods_share_one_endpoint():
     assert np.array_equal(y, s.exp(x, xi))
 
 
+def _four_projection_transport(s, x, xi):
+    """(exp_x(xi), T) as the sphere built them with np.cross and
+    np.linalg.norm: T = img1 src1^T + img2 src2^T from the step direction
+    and the binormal, each projected on both frames."""
+    F = s.frame(x)
+    v = np.einsum("...ij,...j->...i", F, xi)
+    norm = np.linalg.norm(v, axis=-1, keepdims=True)
+    alpha = norm / s.radius
+    small = norm < 1e-300
+    vhat = np.where(small, F[..., :, 0], v / np.where(small, 1.0, norm))
+    y = x * np.cos(alpha) + s.radius * vhat * np.sin(alpha)
+    y = y * (s.radius / np.linalg.norm(y, axis=-1, keepdims=True))
+    nhat = x / s.radius
+    that_y = vhat * np.cos(alpha) - nhat * np.sin(alpha)
+    w = np.cross(nhat, vhat)
+    Fy = s.frame(y)
+    img1, img2 = (np.einsum("...i,...ij->...j", u, Fy) for u in (that_y, w))
+    src1, src2 = (np.einsum("...i,...ij->...j", u, F) for u in (vhat, w))
+    return y, img1[..., :, None] * src1[..., None, :] + img2[..., :, None] * src2[..., None, :]
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_sphere_transport_is_one_pair_rotation(radius):
+    # T = [[c, -s], [s, c]] exactly, with c^2 + s^2 = 1 to rounding, and it
+    # is the four-projection transport up to rounding; the endpoint is the
+    # np.cross / np.linalg.norm one bit for bit
+    s = Sphere2(radius)
+    x = random_points(s, 10_000)
+    xi = radius * RNG.standard_normal((10_000, 2)) * np.exp(RNG.uniform(-8.0, 1.0, (10_000, 1)))
+    xi[:100] = 0.0  # the null-step branch
+    y, T, _ = s.transport_matrix(x, xi)
+    assert np.array_equal(T[:, 0, 0], T[:, 1, 1]) and np.array_equal(T[:, 0, 1], -T[:, 1, 0])
+    assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-15
+    y_ref, T_ref = _four_projection_transport(s, x, xi)
+    assert np.max(np.abs(T - T_ref)) < 1e-14
+    assert np.array_equal(y, y_ref)
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_sphere_distance_matches_np_cross_bitwise(radius):
+    s = Sphere2(radius)
+    x, y = random_points(s, 1000), random_points(s, 1000)
+    y[:10] = x[:10]
+    ref = radius * np.arctan2(np.linalg.norm(np.cross(x, y), axis=-1) / radius**2,
+                              np.sum(x * y, axis=-1) / radius**2)
+    assert s.distance(x, y).tobytes() == ref.tobytes()
+
+
 def test_sphere_transport_is_real_rotation():
     s = Sphere2(1.0)
     x = random_points(s, 64)

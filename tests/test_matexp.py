@@ -114,6 +114,20 @@ def test_batch_shapes_and_real_input():
     _check(R, 0.2)
 
 
+@pytest.mark.parametrize("d", [2, 3])
+def test_real_input_takes_the_real_part_of_the_complex_route(d):
+    # a real potential runs in real arithmetic: the closed forms give the
+    # complex route's real part bit for bit (rank 3: well-separated rows,
+    # which take no eigh fallback), and float64
+    Z = RNG.normal(size=(512, d, d))
+    R = 0.5 * (Z + Z.swapaxes(-1, -2)) + np.eye(d) * np.arange(d)
+    E, lam = expm_neg_hermitian(R, 0.3)
+    Ec, lam_c = expm_neg_hermitian(R.astype(complex), 0.3)
+    assert E.dtype == np.float64 and Ec.dtype == np.complex128
+    assert np.array_equal(E, Ec.real) and not np.any(Ec.imag)
+    assert np.array_equal(lam, lam_c)
+
+
 def test_ranks_one_two_and_four_unchanged():
     for d in (1, 2, 4):
         Z = RNG.normal(size=(16, d, d)) + 1j * RNG.normal(size=(16, d, d))

@@ -372,6 +372,41 @@ def test_rank1_potential_is_its_field_integral(v):
     assert np.array_equal(res.holonomy[..., 0, 0], np.exp(-res.floor_integral))
 
 
+@pytest.mark.parametrize("text", ["matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)",
+                                  "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_y)"],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("tangent", [False, True], ids=["trivial", "tangent"])
+def test_matrix_potential_snapshots_are_complex(text, tangent):
+    # the engine's weight runs in V's dtype, but its snapshots, like the
+    # transport's, are complex either way; on the tangent bundle a snapshot
+    # rebuilds the holonomy from G = holonomy transport^H
+    s2 = Sphere2(1.0)
+    V = parse_potential(s2, text)
+    bundle = tangent_bundle() if tangent else trivial_bundle(2)
+    res = run_ensemble(s2, s2.origin(), 0.02, 1e-3, KEY, 16, bundle=bundle, potential=V,
+                       checkpoints=(0.01,))
+    assert res.holonomy.dtype == np.complex128
+    assert res.transport is None or res.transport.dtype == np.complex128
+    # holonomy e^{-dt V} per step, so its norm is at most e^{-floor_integral}
+    norms = np.linalg.norm(res.holonomy, 2, axis=(-2, -1))
+    assert np.all(norms <= np.exp(-res.floor_integral) * (1 + 1e-12))
+
+
+def test_tangent_holonomy_is_the_conjugated_product():
+    # the G state against the product it replaces: holonomy_{k+1} =
+    # holonomy_k acc_k^H e^{-dt V(x_k)} acc_k, acc_k the transport at step k;
+    # both drift by rounding of acc from orthogonal, ~k^2 ulps by step k
+    s2 = Sphere2(1.0)
+    V = parse_potential(s2, "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)")
+    times, pts, _, res = engine_path(s2, s2.origin(), 0.05, 1e-3, KEY,
+                                     bundle=tangent_bundle(), potential=V)
+    hol = np.eye(2, dtype=complex)
+    for k, dt in enumerate(np.diff(times)):
+        acc = res.transport[k, 0]
+        hol = hol @ acc.conj().T @ matexp.expm_neg_hermitian(V.matrix(pts[k]), dt)[0] @ acc
+        assert np.max(np.abs(res.holonomy[k + 1, 0] - hol)) < 1e-12
+
+
 # -- bit-exact golden results ----------------------------------------------
 
 ENSEMBLE_GOLDEN = Path(__file__).parent / "data" / "ensemble"

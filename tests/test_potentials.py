@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fiberflow.bundles import BundleSpec, magnetic_bundle, tangent_bundle, trivial_bundle
+from fiberflow.config import parse_potential
 from fiberflow.geometry import Circle, Euclidean, Sphere2
 from fiberflow.potentials import (PotentialSpec, ScalarField, angle_form,
                                   constant_section, coulomb_field, gaussian_section,
@@ -18,6 +19,21 @@ def random_matrix_potential():
     px = np.array([[0.0, 1.0], [1.0, 0.0]])
     return PotentialSpec(rank=2, const=0.2 * np.eye(2) + 0.1 * px,
                          terms=[(harmonic_field(E2, 1.0), 0.4 * pz)])
+
+
+@pytest.mark.parametrize("text, dtype", [
+    ("matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)", np.float64),
+    ("matrix(rank=2, 0.5 @ pauli_z, harmonic(1.0) @ id)", np.float64),
+    ("matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, harmonic(1.0) @ spin1_z)", np.float64),
+    ("matrix(rank=2, 0.5 @ pauli_z, harmonic(1.0) @ pauli_y)", np.complex128),
+    ("matrix(rank=3, const=diag(1,0,-1), harmonic(1.0) @ spin1_y)", np.complex128),
+])
+def test_matrix_is_real_unless_a_generator_is_complex(text, dtype):
+    # decided from the matrices alone: every one with exactly zero
+    # imaginary part keeps V real
+    V = parse_potential(E2, text)
+    assert V.const.dtype == dtype and all(P.dtype == dtype for _, P in V.terms)
+    assert V.matrix(PTS).dtype == dtype
 
 
 def test_hermitian_part_exact_and_overflow_free():

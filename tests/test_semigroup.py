@@ -95,7 +95,7 @@ def _first_tangent_eigenfield(s2, kind):
         return np.cross(e, p) if kind == "killing" else e - (p @ e)[..., None] * p / r2
 
     return SectionSpec(rank=2, fn=lambda p: np.einsum("...ij,...i->...j", s2.frame(p), v(p)),
-                       name=kind)
+                       norm_bound=s2.radius if kind == "killing" else 1.0, name=kind)
 
 
 @pytest.mark.parametrize("kind", ["killing", "gradient"])
@@ -116,6 +116,21 @@ def test_tangent_transport_matches_first_eigenfields(kind, radius):
     # unrelated frames and miss
     bare = fk_vector(s2, trivial_bundle(2), V, f, x0, t, h, n, KEY)
     assert np.max(np.abs(bare.value - exact) / bare.stderr) > 20
+
+
+def test_tangent_ground_energy_of_killing_field():
+    # the Killing field is the bottom of nabla* nabla / 2 on its sector, so
+    # the log-decay slope of <f, e^{-tH} f> is c + 1/(2 r^2); without the
+    # transport the slope drifts to the scalar bottom c
+    s2 = Sphere2(1.0)
+    f = _first_tangent_eigenfield(s2, "killing")
+    c, t_grid, h, n = 0.3, [1.0, 1.5, 2.0, 2.5, 3.0, 3.5], 2e-2, 20000
+    V = PotentialSpec(rank=2, const=c * np.eye(2))
+    exact = c + 0.5 / s2.radius**2
+    out = ground_energy(s2, V, f, f, t_grid, h, n, KEY, bundle=tangent_bundle())
+    assert abs(out["energy"] - exact) < 3 * out["stderr"]
+    bare = ground_energy(s2, V, f, f, t_grid, h, n, KEY, bundle=trivial_bundle(2))
+    assert abs(bare["energy"] - exact) > 5 * bare["stderr"]
 
 
 def test_magnetic_zero_form_matches_scalar_exactly():

@@ -6,13 +6,16 @@
 
 The two directories are checkouts of the parent commit and of the change
 (for example unpacked with `git archive`); each runs its own bench/ and
-src/.  Every run lasts BENCHMARK.json's run_seconds, the length the
-benchmark itself uses.  Pair i runs seed i on both sides, the parent first
-on even i and the change first on odd i.  The workload's entry in --out
-records, for each end-to-end metric of BENCHMARK.json: every run, each
-side's median and quartiles, how many pairs the change won (ties count for
-neither side), the ratio of the medians and the parent's interquartile
-range, plus the attempted and failed operations of each side.  --trace-seed
+src/, so the two bench/ trees and BENCHMARK.json must agree in content:
+otherwise the tool exits non-zero before any run, naming the first
+differing file (compiled __pycache__ files are not compared).  Every run
+lasts BENCHMARK.json's run_seconds, the length the benchmark itself uses.
+Pair i runs seed i on both sides, the parent first on even i and the
+change first on odd i.  The workload's entry in --out records, for each
+end-to-end metric of BENCHMARK.json: every run, each side's median and
+quartiles, how many pairs the change won (ties count for neither side),
+the ratio of the medians and the parent's interquartile range, plus the
+attempted and failed operations of each side.  --trace-seed
 adds one --trace 1 run per side with its per-layer split.  --out is updated
 in place, one workload per call, so workloads can be measured separately.
 A run that exits non-zero or reports "correct": false stops the tool with
@@ -46,6 +49,21 @@ def bench(side, checkout, workload, seed, seconds, trace):
     sys.exit(f"bench_pairs: {side} {workload} seed {seed}: {why}\n{tail}")
 
 
+def benchmark_files(checkout):
+    """{relative path: bytes} of a checkout's BENCHMARK.json and bench/ tree."""
+    paths = [checkout / "BENCHMARK.json", *(checkout / "bench").rglob("*")]
+    return {p.relative_to(checkout).as_posix(): p.read_bytes() for p in paths
+            if p.is_file() and "__pycache__" not in p.parts}
+
+
+def first_difference(parent, change):
+    """The first path, in sorted order, whose benchmark file differs between
+    the two checkouts (or exists in one only); None when they agree."""
+    a, b = benchmark_files(parent), benchmark_files(change)
+    return next((name for name in sorted(a.keys() | b.keys()) if a.get(name) != b.get(name)),
+                None)
+
+
 def summary(values):
     q1, median, q3 = statistics.quantiles(values, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "runs": values}
@@ -70,6 +88,9 @@ def main(argv=None):
     ap.add_argument("--trace-seed", type=int, default=None)
     ap.add_argument("--out", required=True, type=Path)
     a = ap.parse_args(argv)
+    differs = first_difference(a.parent, a.change)
+    if differs is not None:
+        sys.exit(f"bench_pairs: the checkouts' benchmark code differs: {differs}")
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
     sides = {"parent": a.parent, "change": a.change}
