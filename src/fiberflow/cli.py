@@ -354,6 +354,8 @@ def _run_kato(cfg: RunConfig, run: _Run):
     from .kato import kato_report, khasminskii_constants, khasminskii_check, _default_x_grid
 
     t_grid = cfg.values("t_grid", default=np.geomspace(1e-4, 0.25, 8))
+    if len(t_grid) < 2:  # the decay exponent is the slope of a fit over the times
+        raise ConfigError("t_grid", f"need at least 2 distinct times, got {len(t_grid)}")
     if cfg.potential.rank != 1:
         raise ConfigError("potential", "kato-check needs a scalar potential")
     f = cfg.potential.field()

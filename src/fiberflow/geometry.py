@@ -147,7 +147,9 @@ class Euclidean(ManifoldModel):
         return _as_points(x, self.coord_dim) + np.asarray(xi, dtype=float)
 
     def distance(self, x, y):
-        return np.linalg.norm(np.asarray(x, dtype=float) - np.asarray(y, dtype=float), axis=-1)
+        # np.linalg.norm(d, axis=-1): its operations, minus its dispatch
+        d = np.asarray(x, dtype=float) - np.asarray(y, dtype=float)
+        return np.sqrt(np.add.reduce(d * d, axis=-1))
 
     def origin(self):
         return np.zeros(self.coord_dim)
@@ -579,7 +581,7 @@ class OpenSubdomain(ManifoldModel):
 
     def contains(self, x):
         b = np.asarray(self.boundary_fn(np.asarray(x, dtype=float)))
-        if not np.all(np.isfinite(b)):
+        if not np.isfinite(b).all():
             raise ValueError("boundary function returned non-finite values")
         return b > 0.0
 
@@ -605,9 +607,16 @@ def ball(base, r, center=None):
     if r <= 0:
         raise ValueError("ball radius must be positive")
     c = base.origin() if center is None else np.asarray(center, dtype=float)
-
-    def boundary(x):
-        return r - base.distance(x, c)
-
     label = f"ball({base.spec_string()}, r={r:g})"
-    return OpenSubdomain(base, boundary, label)
+    return OpenSubdomain(base, _BallBoundary(base, r, c), label)
+
+
+class _BallBoundary:
+    """r - d(x, center); an object rather than a closure, so that a ball
+    pickles to the worker processes of run_ensemble."""
+
+    def __init__(self, base, r, center):
+        self.base, self.r, self.center = base, r, center
+
+    def __call__(self, x):
+        return self.r - self.base.distance(x, self.center)

@@ -240,6 +240,8 @@ def kato_report(model, f: ScalarField, t_grid, x_grid,
     """Decay test of the sup integral on a decreasing t-grid (Def-2.1-style
     limit proxy); fits the exponent of sup_integral ~ t^q."""
     t_grid = np.sort(np.asarray(t_grid, dtype=float))[::-1]
+    if len(np.unique(t_grid)) < 2:
+        raise ValueError("t_grid needs at least 2 distinct times")
     sup_vals = []
     notes = []
     converged = True

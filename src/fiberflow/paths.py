@@ -9,13 +9,17 @@ resolved by h-refinement in the estimator tests).
 
 This module is the package's one path engine: everything an estimator
 consumes is produced in one vectorized pass over a block of paths, kept in
-one table of per-path state keyed by EnsembleResult field: endpoints,
-alive indicators and, with a potential or a bundle, three accumulators:
-floor_integral, holonomy and transport.  Each step builds its updates out
-of place, merges them in one loop on the paths that stayed inside an open
-subdomain, and copies the table into the snapshot arrays at requested
-checkpoint times.  A checkpoint at every grid time gives a whole path,
-which is how `--dump-paths` and the tests read single paths.
+one table of per-path state keyed by EnsembleResult field: endpoints and,
+with a potential or a bundle, three accumulators: floor_integral, holonomy
+and transport.  The table holds the live paths only, with `rows`, their
+indices in the block.  Each step builds its updates out of place; on an
+open subdomain, the paths whose step leaves it write their last inside
+values into a block-size frozen table, get their death step, and drop out
+of every state entry, so no later step moves or draws them.  At requested
+checkpoint times a snapshot is the frozen table with the live rows
+scattered into it (the table itself while every path is live).  A
+checkpoint at every grid time gives a whole path, which is how
+`--dump-paths` and the tests read single paths.
 
 A rank-1 potential is one scalar field v (PotentialSpec.field()): its
 floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
@@ -30,24 +34,26 @@ among them, is transported through BundleSpec.step_transport into one
 (B, d, d) accumulator.  The transport also returns the step's endpoint,
 so a bundle step takes no separate model.exp.  On the tangent bundle of
 the sphere a step builds one geodesic head and one frame: the transport
-returns the frame at the endpoint, the table carries it (frozen on dead
-paths like every other field, but never snapshotted), and the next step
-passes it back as the frame at its start.
+returns the frame at the endpoint, the table carries it (never
+snapshotted), and the next step passes it back as the frame at its start.
 
 With both a matrix potential and a transport, the weight of a step is
 holonomy acc^H e^{-dt V(x)} acc, acc the transport so far.  The table
 carries G = holonomy acc^H in place of the holonomy (never snapshotted):
 a step sets G <- G e^{-dt V(x)} T^H and acc <- T acc, with no conjugation
-of V, and a snapshot rebuilds holonomy = G acc.  The weight (G or the
-holonomy) starts in V's dtype and the transport real, and each stays real
-until a complex step promotes it, so a real potential on the tangent
-bundle runs in real arithmetic; their snapshots are complex.
+of V, and a snapshot or a path's death rebuilds holonomy = G acc.  The
+weight (G or the holonomy) starts in V's dtype and the transport real, and
+each stays real until a complex step promotes it, so a real potential on
+the tangent bundle runs in real arithmetic; their snapshots and the frozen
+table are complex.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
-regroup the computation.  A block draws its increments with rng.normals,
-row for row the same numbers as stream(key.child(i)).standard_normal((K, m)).
-Reductions happen in path-index order.
+regroup the computation.  A block draws its increments with rng.RowStreams,
+_CHUNK_STEPS steps of its live paths at a time: row for row, the chunks
+concatenate to stream(key.child(i)).standard_normal((K, m)), cut short at
+the path's death.  The block width is set by one chunk, so a long grid
+does not narrow it.  Reductions happen in path-index order.
 """
 
 from __future__ import annotations
@@ -63,7 +69,7 @@ from .bundles import BundleSpec, stratonovich_increment  # noqa: F401
 from .geometry import ManifoldModel
 from .matexp import expm_neg_hermitian, small_matmul
 from .potentials import PotentialSpec
-from .rng import MAX_STEPS, RngKey, normals
+from .rng import MAX_STEPS, RngKey, RowStreams
 # bench/layers.py wraps paths.stream and paths.stratonovich_increment by name
 from .rng import stream  # noqa: F401
 
@@ -76,6 +82,7 @@ __all__ = [
 
 _SUBSTEP_FRACS = (0.125, 0.375, 0.625, 0.875)
 _BLOCK_BUDGET = 16_000_000  # floats of Gaussian increments held per block
+_CHUNK_STEPS = 2048  # steps of increments a block draws per path at a time
 _GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not grow with the grid
 
 
@@ -179,12 +186,12 @@ def run_ensemble(
     times, snap_idx = time_grid(t, h, checkpoints)
     K = len(times) - 1
     m = model.dim
-    per_path = max(K * m, 1)
+    per_path = max(min(K, _CHUNK_STEPS) * m, 1)
     block = int(max(16, min(8192, _BLOCK_BUDGET // per_path)))
     ranges = [(i, min(i + block, n_paths)) for i in range(0, n_paths, block)]
     cap = (1.0 / h) if h > 0 else None
     task = dict(model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
-                potential=potential, cap=cap)
+                potential=potential, cap=cap, chunk=_CHUNK_STEPS)
     args = [(task, x0[i0:i1], i0, np.geterr()) for (i0, i1) in ranges]
     if workers > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=workers) as ex:
@@ -228,7 +235,7 @@ def _concat_results(parts):
                              for f in fields(EnsembleResult)})
 
 
-def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
+def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
@@ -236,20 +243,17 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
     for pos, idx in enumerate(snap_idx):
         snap_at.setdefault(idx, []).append(pos)
 
-    incs = normals(key.child(i0), B, (K, model.dim))
-
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
     matrix_V = potential if scalar_v is None else None
     death = np.full(B, -1, dtype=np.int64)
 
-    # per-path state, keyed by EnsembleResult field
-    state = {"alive": np.ones(B, dtype=bool), "points": x0.copy()}
+    # per-path state of the live paths, keyed by EnsembleResult field; row
+    # i of each entry belongs to path rows[i] of the block
+    rows = np.arange(B)
+    state = {"points": x0.copy()}
     if potential is not None:
         state["floor_integral"] = np.zeros(B)
-    if scalar_v is not None and not scalar_v.singular:
-        # trapezoid left values; stale on dead paths, never read there
-        v_prev = scalar_v(x0, cap=cap)
     # the weight and the transport start real (V's dtype for the weight)
     # and stay so until a complex step promotes them; snapshots are complex
     if matrix_V is not None:
@@ -264,79 +268,119 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap):
     # transporting bundle carries G = holonomy transport^H in place of the
     # holonomy, which a snapshot rebuilds as G transport; the tangent frame
     # at each path's point, which each step's transport returns for its
-    # endpoint
+    # endpoint; the trapezoid's left values
     carry_G = matrix_V is not None and bundle is not None
     if carry_G:
         state["G"] = state.pop("holonomy")
     if bundle is not None and bundle.kind == "tangent":
         state["frame"] = model.base.frame(x0)
+    if scalar_v is not None and not scalar_v.singular:
+        state["v_prev"] = scalar_v(x0, cap=cap)
+    # the last inside values of the paths that have left, in the snapshot
+    # dtypes; made at the first exit, so until then every path is live
+    frozen = None
+    alive = np.zeros((len(snap_idx), B), dtype=bool)
+
+    def live(name, which=slice(None)):
+        if carry_G and name == "holonomy":
+            return small_matmul(state["G"][which], state["transport"][which])
+        return state[name][which]
 
     def snapshot(idx):
         for pos in snap_at.get(idx, ()):
+            alive[pos, rows] = True
             for name, arr in snaps.items():
-                arr[pos] = (small_matmul(state["G"], state["transport"])
-                            if carry_G and name == "holonomy" else state[name])
+                if frozen is None:
+                    arr[pos] = live(name)
+                else:
+                    arr[pos] = frozen[name]
+                    arr[pos, rows] = live(name)
 
     snapshot(0)
-    for k in range(K):
-        dt = dts[k]
-        x = state["points"]
-        step = math.sqrt(dt) * incs[:, k, :]
-        new = {}
+    streams = RowStreams(key.child(i0), B)
+    done = 0  # steps taken
+    for k0 in range(0, K, chunk):
+        if not len(rows):
+            break
+        k1 = min(k0 + chunk, K)
+        # step-major, so that a step reads one contiguous slice
+        incs = np.empty((k1 - k0, len(rows), model.dim))
+        streams.draw(rows, (k1 - k0, model.dim), more=k1 < K, out=incs.transpose(1, 0, 2))
+        at = None  # state row i steps by incs[:, at[i]]; by incs[:, i] while None
+        for k in range(k0, k1):
+            dt = dts[k]
+            x = state["points"]
+            step = math.sqrt(dt) * (incs[k - k0] if at is None else incs[k - k0, at])
+            new = {}
 
-        # a matrix potential's weight and floor use the step start; V(x) is
-        # evaluated once, and its floor is the smallest eigenvalue the
-        # exponential already solved for
-        if matrix_V is not None:
-            step_exp, lam_min = expm_neg_hermitian(matrix_V.matrix(x, cap=cap), dt)
-            new["floor_integral"] = state["floor_integral"] + dt * lam_min
+            # a matrix potential's weight and floor use the step start; V(x) is
+            # evaluated once, and its floor is the smallest eigenvalue the
+            # exponential already solved for
+            if matrix_V is not None:
+                step_exp, lam_min = expm_neg_hermitian(matrix_V.matrix(x, cap=cap), dt)
+                new["floor_integral"] = state["floor_integral"] + dt * lam_min
 
-        # the step, with its transport when there is a bundle; at rank 1 the
-        # transport is a phase, taken elementwise as acc * Tk (with FMA,
-        # complex products are not bitwise commutative, so the operand
-        # order is part of the result)
-        if bundle is not None:
-            acc = state["transport"]
-            y, Tk, frame = bundle.step_transport(model, x, step, state.get("frame"))
-            new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
-            if frame is not None:
-                new["frame"] = frame
-        else:
-            y = model.exp(x, step)
-        new["points"] = y
-        # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
-        if carry_G:
-            new["G"] = small_matmul(small_matmul(state["G"], step_exp),
-                                    Tk.swapaxes(-1, -2).conj())
-        elif matrix_V is not None:
-            new["holonomy"] = small_matmul(state["holonomy"], step_exp)
-
-        # a rank-1 potential's floor integral: trapezoid, or capped
-        # sub-steps for a singular field
-        if scalar_v is not None:
-            if scalar_v.singular:
-                subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
-                inc = dt * sum(scalar_v(p, cap=cap) for p in subs) / len(subs)
+            # the step, with its transport when there is a bundle; at rank 1 the
+            # transport is a phase, taken elementwise as acc * Tk (with FMA,
+            # complex products are not bitwise commutative, so the operand
+            # order is part of the result)
+            if bundle is not None:
+                acc = state["transport"]
+                y, Tk, frame = bundle.step_transport(model, x, step, state.get("frame"))
+                new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
+                if frame is not None:
+                    new["frame"] = frame
             else:
-                vy = scalar_v(y, cap=cap)
-                inc = dt * 0.5 * (v_prev + vy)
-                v_prev = vy
-            new["floor_integral"] = state["floor_integral"] + inc
+                y = model.exp(x, step)
+            new["points"] = y
+            # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
+            if carry_G:
+                new["G"] = small_matmul(small_matmul(state["G"], step_exp),
+                                        Tk.swapaxes(-1, -2).conj())
+            elif matrix_V is not None:
+                new["holonomy"] = small_matmul(state["holonomy"], step_exp)
 
-        # paths that leave the domain keep their last inside values
-        if not model.complete:
-            alive = state["alive"]
-            stepped = alive & model.contains(y)
-            death[alive & ~stepped] = k + 1
-            for name, v in new.items():
-                new[name] = np.where(stepped.reshape((B,) + (1,) * (v.ndim - 1)), v, state[name])
-            new["alive"] = stepped
-        state.update(new)
-        snapshot(k + 1)
+            # a rank-1 potential's floor integral: trapezoid, or capped
+            # sub-steps for a singular field
+            if scalar_v is not None:
+                if scalar_v.singular:
+                    subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
+                    inc = dt * sum(scalar_v(p, cap=cap) for p in subs) / len(subs)
+                else:
+                    vy = scalar_v(y, cap=cap)
+                    inc = dt * 0.5 * (state["v_prev"] + vy)
+                    new["v_prev"] = vy
+                new["floor_integral"] = state["floor_integral"] + inc
 
+            # paths that leave the domain keep their last inside values in
+            # the frozen table and drop out of the state
+            inside = None if model.complete else model.contains(y)
+            if inside is not None and not inside.all():
+                gone = ~inside
+                left = rows[gone]
+                death[left] = k + 1
+                if frozen is None:
+                    frozen = {name: np.empty_like(arr[0]) for name, arr in snaps.items()}
+                for name, arr in frozen.items():
+                    arr[left] = live(name, gone)
+                state.update(new)
+                state = {name: v[inside] for name, v in state.items()}
+                rows = rows[inside]
+                at = np.flatnonzero(inside) if at is None else at[inside]
+            else:
+                state.update(new)
+            done = k + 1
+            snapshot(done)
+            if not len(rows):
+                break
+
+    # once every path has left, the later snapshots are the frozen table
+    for idx in snap_at:
+        if idx > done:
+            snapshot(idx)
     if scalar_v is not None:
         snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]
-    return EnsembleResult(snap_times=np.asarray([times[i] for i in snap_idx]),
+    return EnsembleResult(snap_times=np.asarray([times[i] for i in snap_idx]), alive=alive,
                           death_step=death, **snaps)
 
 

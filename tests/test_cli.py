@@ -361,6 +361,9 @@ BAD_INPUTS = [
     # kato-check's decay fit on a repeated time read a Kato potential as failing
     (dict(command="kato-check", manifold="euclidean(m=3)", potential="coulomb(0.5)",
           t_grid="0.1,0.1"), "t_grid"),
+    # and on a single time fitted its slope to one point, with a RankWarning
+    (dict(command="kato-check", manifold="euclidean(m=3)", potential="coulomb(0.5)",
+          t_grid="0.1"), "t_grid"),
 ]
 
 
@@ -546,6 +549,19 @@ def test_closed_stdout_exits_quietly():
     proc.stderr.close()
     assert proc.wait(timeout=120) == EXIT_OK
     assert head.startswith(b"{") and err == b""
+
+
+def test_kato_check_single_time_prints_only_the_error():
+    # a fresh interpreter, so a warning from the slope fit would reach stderr
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run(
+        [sys.executable, "-m", "fiberflow.cli", "kato-check", "--manifold", "euclidean(m=3)",
+         "--potential", "coulomb(0.5)", "--t-grid", "0.1"],
+        capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_USAGE and proc.stdout == ""
+    assert proc.stderr.startswith("error: config key 't_grid': ")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_bad_grammar_exit_code(capsys):
@@ -754,7 +770,8 @@ CLI_CASES = {
                            "--s", "0.02", "--t", "0.03", "--n", "100", "--seed", "8"],
     "exit_time": ["exit-time", "--manifold", "euclidean(m=1)", "--x", "0", "--r", "0.5",
                   "--t", "0.2", "--h", "1e-3", "--n", "2000", "--t-grid", "0.05,0.1"],
-    # 3 x 600 paths of 10^4 steps: one run whose 1600-path blocks split a start
+    # 3 x 600 paths of 10^4 steps: one run of one block, whose increments
+    # are drawn in five chunks while its paths leave the ball
     "exit_time_three_starts": ["exit-time", "--manifold", "euclidean(m=1)", "--x-grid",
                                "0; 0.1; -0.2", "--r", "0.5", "--t", "0.1", "--h", "1e-5",
                                "--n", "600", "--t-grid", "0.02,0.05", "--seed", "2"],

@@ -355,3 +355,15 @@ def test_sphere_transport_is_real_rotation():
     assert np.max(np.abs(np.swapaxes(T, -1, -2) @ T - np.eye(2))) < 1e-12
     assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-12
     assert np.max(np.abs(T[:4] - np.eye(2))) < 1e-12
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_euclidean_distance_matches_linalg_norm_bitwise(m):
+    # magnitudes from 1e-200 to 1e200: squares under- and overflow alike
+    e = Euclidean(m)
+    scale = 10.0 ** RNG.uniform(-200, 200, size=(2000, 1))
+    x, y = scale * RNG.standard_normal((2000, m)), scale * RNG.standard_normal((2000, m))
+    with np.errstate(over="ignore", under="ignore"):
+        ref = np.linalg.norm(x - y, axis=-1)
+        assert e.distance(x, y).tobytes() == ref.tobytes()
+        assert e.distance(x[0], y[0]).tobytes() == np.linalg.norm(x[0] - y[0]).tobytes()

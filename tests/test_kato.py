@@ -208,3 +208,10 @@ def test_doubled_negative_well_keeps_its_break():
 def test_no_t0_error():
     with pytest.raises(ValueError, match="Kato-tractable|sup integral"):
         khasminskii_constants(E3, inverse_square_field(E3, 5.0), s_min=1e-3)
+
+
+@pytest.mark.parametrize("t_grid", [[0.1], [0.1, 0.1]])
+def test_kato_report_needs_two_distinct_times(t_grid):
+    e3 = Euclidean(3)
+    with pytest.raises(ValueError, match="2 distinct times"):
+        kato_report(e3, coulomb_field(e3, 0.5), t_grid, np.zeros((1, 3)))

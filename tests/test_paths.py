@@ -17,7 +17,7 @@ from fiberflow.paths import exit_probability, run_ensemble, time_grid
 from fiberflow.potentials import (PotentialSpec, ScalarField, angle_form, constant_field,
                                   constant_section, coulomb_field, harmonic_field,
                                   landau_form, power_field)
-from fiberflow.rng import RngKey, normals, stream
+from fiberflow.rng import RngKey, RowStreams, normals, stream
 from fiberflow.semigroup import fk_vector
 
 KEY = RngKey(20240601)
@@ -98,9 +98,11 @@ def test_worker_count_invariance():
     assert np.array_equal(a.points, b.points)
 
 
-def test_stream_contract_across_blocks_and_workers():
-    # K * m = 10000 increments per path gives 1600-path blocks, so n = 1700
-    # splits into a full block and a second one starting at i0 = 1600
+def test_stream_contract_across_blocks_and_workers(monkeypatch):
+    # a budget of 1600 paths of one chunk of 2048 steps in m = 2, so n = 1700
+    # splits into a full block and a second one starting at i0 = 1600; each
+    # draws its 5000 steps in three chunks
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 1600 * paths._CHUNK_STEPS * 2)
     e2 = Euclidean(2)
     V = PotentialSpec.scalar(harmonic_field(e2, 1.0))
     a = run_ensemble(e2, np.zeros(2), 0.5, 1e-4, KEY, 1700, potential=V)
@@ -122,6 +124,95 @@ def test_normals_rows_match_streams(key, shape):
     assert rows.shape == (4,) + shape
     for j in range(4):
         assert np.array_equal(rows[j], stream(key.child(j)).standard_normal(shape))
+
+
+def test_row_streams_pieces_concatenate_to_streams():
+    # pieces of uneven lengths, on fewer rows as the block goes on
+    key = RngKey(99, (1 << 64) - 3)
+    streams = RowStreams(key, 5)
+    got = {j: [] for j in range(5)}
+    for rows, length, more in [(range(5), 3, True), ([0, 2, 3, 4], 1, True),
+                               ([0, 3, 4], 6, True), ([3, 4], 2, False)]:
+        out = streams.draw(rows, (length, 2), more)
+        assert out.shape == (len(rows), length, 2)
+        for i, j in enumerate(rows):
+            got[j].append(out[i])
+    for j, pieces in got.items():
+        row = np.concatenate(pieces)
+        assert np.array_equal(row, stream(key.child(j)).standard_normal(row.shape))
+
+
+def test_row_streams_never_draw_a_row_again_once_left_out():
+    streams = RowStreams(KEY, 3)
+    streams.draw([0, 1, 2], (4, 1), more=True)
+    streams.draw([0, 2], (4, 1), more=True)
+    with pytest.raises(ValueError, match="row 1"):
+        streams.draw([1], (4, 1))
+    last = streams.draw([2], (4, 1))  # not kept: a later piece cannot continue it
+    assert np.array_equal(last[0], stream(KEY.child(2)).standard_normal((12, 1))[8:])
+    with pytest.raises(ValueError, match="row 2"):
+        streams.draw([2], (4, 1))
+
+
+def _killed_reference(dom, v, t, h, key):
+    """(death step, last inside point, trapezoid integral of v up to it) of
+    the engine's path `key` on dom, from its own stream."""
+    times, steps = frame_steps(key, t, h, dom.dim)
+    pts = np.concatenate([np.zeros((1, dom.dim)), np.cumsum(steps, axis=0)])
+    k = int(np.flatnonzero(~dom.contains(pts))[0])
+    vals, dts = v(pts[:k], cap=1.0 / h), np.diff(times)
+    floor = 0.0
+    for i in range(k - 1):
+        floor = floor + dts[i] * 0.5 * (vals[i] + vals[i + 1])
+    return k, pts[k - 1], floor
+
+
+def test_block_where_every_path_dies(monkeypatch):
+    # a ball of radius 0.05 empties long before its first checkpoint at
+    # t = 0.3; whichever chunk draws them, the paths stop where their own
+    # streams leave it, and the two late snapshots are the frozen table
+    n, t, h = 24, 0.5, 1e-3
+    e1, e2 = Euclidean(1), Euclidean(2)
+    dom1 = ball(e1, 0.05)
+    V1 = PotentialSpec.scalar(harmonic_field(e1, 1.0))
+    magnetic = dict(bundle=magnetic_bundle(landau_form(0.9)),
+                    potential=PotentialSpec.scalar(harmonic_field(e2, 1.0)))
+    for dom, kw in [(dom1, dict(potential=V1)), (ball(e2, 0.05), magnetic)]:
+        runs = []
+        for chunk in (paths._CHUNK_STEPS, 1, 7):
+            monkeypatch.setattr(paths, "_CHUNK_STEPS", chunk)
+            runs.append(result_arrays(run_ensemble(dom, np.zeros(dom.dim), t, h, KEY, n,
+                                                   checkpoints=(0.3,), **kw)))
+        res = runs[0]
+        if dom is dom1:
+            res1 = res
+        assert not res["alive"].any() and np.all(res["death_step"] > 0)
+        for name in ("points", "floor_integral", "holonomy", "transport"):
+            if name in res:
+                assert np.array_equal(res[name][0], res[name][1]), name
+        for other in runs[1:]:
+            assert sorted(other) == sorted(res)
+            for name in res:
+                assert np.array_equal(other[name], res[name]), name
+    for j in range(n):
+        k, last, floor = _killed_reference(dom1, V1.field(), t, h, KEY.child(j))
+        assert res1["death_step"][j] == k
+        assert np.array_equal(res1["points"][-1, j], last)
+        assert res1["floor_integral"][-1, j] == floor
+
+
+def test_exit_probability_independent_of_workers_and_blocks(monkeypatch):
+    starts, n = np.array([[0.0], [0.3]]), 300
+    args = (Euclidean(1), starts, 0.6, 0.4, 1e-3, n, KEY)
+    want = exit_probability(*args, checkpoints=[0.1])
+    # 7-step chunks in blocks of 140 paths, which split the second start,
+    # in one process and in two
+    monkeypatch.setattr(paths, "_CHUNK_STEPS", 7)
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 980)
+    for workers in (1, 2):
+        got = exit_probability(*args, checkpoints=[0.1], workers=workers)
+        for a, b in zip(got, want):
+            assert np.array_equal(a, b)
 
 
 def test_occupation_distribution_euclidean():
@@ -463,17 +554,28 @@ def result_arrays(res):
 def test_ensemble_golden(case, monkeypatch):
     # every result array bit for bit, dtype included, against files the
     # engine wrote before its state-table rewrite, less the fields it has
-    # since dropped (magnetic_ball's potential arrays were added later)
+    # since dropped (magnetic_ball's potential arrays were added later);
+    # the same with the increments drawn 1 or 7 steps at a time
     model, x0, t, n, kw, budget = ensemble_case(case)
-    if budget is not None:
-        monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget)
-    res = run_ensemble(model, x0, t, 1e-3, KEY, n, checkpoints=(0.02,), **kw)
-    got = result_arrays(res)
-    with np.load(ENSEMBLE_GOLDEN / f"{case}.npz") as want:
-        assert sorted(got) == sorted(want.files)
-        for name in want.files:
-            assert got[name].dtype == want[name].dtype, name
-            assert np.array_equal(got[name], want[name]), name
+    K = len(time_grid(t, 1e-3, (0.02,))[0]) - 1
+    blocks = []
+    run_block = paths._run_block
+    monkeypatch.setattr(paths, "_run_block", lambda x0, *a, **k: (blocks.append(len(x0)),
+                                                                  run_block(x0, *a, **k))[1])
+    for chunk in (paths._CHUNK_STEPS, 1, 7):
+        monkeypatch.setattr(paths, "_CHUNK_STEPS", chunk)
+        if budget is not None:
+            # the same block width under every chunk: blocks of 24 and 16 paths
+            monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget * min(K, chunk) // K)
+        blocks.clear()
+        res = run_ensemble(model, x0, t, 1e-3, KEY, n, checkpoints=(0.02,), **kw)
+        assert blocks == ([n] if budget is None else [24, 16])
+        got = result_arrays(res)
+        with np.load(ENSEMBLE_GOLDEN / f"{case}.npz") as want:
+            assert sorted(got) == sorted(want.files)
+            for name in want.files:
+                assert got[name].dtype == want[name].dtype, (chunk, name)
+                assert np.array_equal(got[name], want[name]), (chunk, name)
 
 
 # -- rank-3 eigh fallback along paths -----------------------------------------
