@@ -59,6 +59,7 @@ does not narrow it.  Reductions happen in path-index order.
 from __future__ import annotations
 
 import math
+import mmap
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -84,6 +85,16 @@ _SUBSTEP_FRACS = (0.125, 0.375, 0.625, 0.875)
 _BLOCK_BUDGET = 16_000_000  # floats of Gaussian increments held per block
 _CHUNK_STEPS = 2048  # steps of increments a block draws per path at a time
 _GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not grow with the grid
+
+
+def _mapped_empty(shape):
+    """An uninitialised float array on its own anonymous memory map.  The
+    pages go back to the system when the array is freed, so a block's
+    increment buffer neither stays in the malloc heap between calls nor
+    leaves holes there that make the next call's buffer land in new pages."""
+    nbytes = max(math.prod(shape), 1) * 8
+    buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
+    return np.frombuffer(buf, dtype=np.float64, count=math.prod(shape)).reshape(shape)
 
 
 def time_grid(t, h, checkpoints=()):
@@ -298,13 +309,15 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
     snapshot(0)
     streams = RowStreams(key.child(i0), B)
+    # one step-major buffer for every chunk, so that a step reads one
+    # contiguous slice and no two chunks are held at once
+    buf = _mapped_empty((min(K, chunk), B, model.dim))
     done = 0  # steps taken
     for k0 in range(0, K, chunk):
         if not len(rows):
             break
         k1 = min(k0 + chunk, K)
-        # step-major, so that a step reads one contiguous slice
-        incs = np.empty((k1 - k0, len(rows), model.dim))
+        incs = buf[:k1 - k0, :len(rows)]
         streams.draw(rows, (k1 - k0, model.dim), more=k1 < K, out=incs.transpose(1, 0, 2))
         at = None  # state row i steps by incs[:, at[i]]; by incs[:, i] while None
         for k in range(k0, k1):

@@ -154,6 +154,27 @@ def test_row_streams_never_draw_a_row_again_once_left_out():
         streams.draw([2], (4, 1))
 
 
+@pytest.mark.parametrize("shape", [(3, 5, 2), (0, 4, 1), (1, 1, 1)])
+def test_mapped_empty_is_a_writable_float_array(shape):
+    a = paths._mapped_empty(shape)
+    assert a.shape == shape and a.dtype == np.float64 and a.flags.writeable
+    a[...] = 1.5
+    assert np.all(a == 1.5)
+
+
+def test_block_holds_one_increment_buffer_for_all_chunks(monkeypatch):
+    made = []
+
+    def mapped_empty(shape):
+        made.append(shape)
+        return np.empty(shape)
+
+    monkeypatch.setattr(paths, "_CHUNK_STEPS", 7)
+    monkeypatch.setattr(paths, "_mapped_empty", mapped_empty)
+    exit_probability(Euclidean(1), np.zeros((1, 1)), 1.0, 0.5, 0.01, 40, KEY)
+    assert made == [(7, 40, 1)]
+
+
 def _killed_reference(dom, v, t, h, key):
     """(death step, last inside point, trapezoid integral of v up to it) of
     the engine's path `key` on dom, from its own stream."""
