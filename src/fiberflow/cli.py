@@ -388,6 +388,10 @@ def _run_exit_time(cfg: RunConfig, run: _Run):
     starts = cfg.points("x_grid")
     if starts is None:
         starts = run.x
+    base = cfg.model.base
+    dmax = float(np.max(base.distance(starts, base.origin())))
+    if r <= dmax:  # the ball is centred at the origin and must hold every start
+        raise ConfigError("r", f"ball radius r={r:g} must exceed max start distance {dmax:g}")
     t_grid = cfg.values("t_grid")
     cps = [] if t_grid is None else [float(u) for u in t_grid if u < t]
     per, se, inf = exit_probability(cfg.model, starts, r, t, run.h, run.n, run.key,

@@ -381,6 +381,10 @@ class Sphere2(ManifoldModel):
     def origin(self):
         return np.array([0.0, 0.0, self.radius])
 
+    def contains(self, x):
+        # on the sphere to rounding: the frame and the exponential map take |x| = r
+        return np.abs(_norm3(_as_points(x, 3)) - self.radius) <= 1e-9 * self.radius
+
     def heat_kernel(self, t, x, y, tail_tol=1e-12):
         """Spectral series sum_l (2l+1) e^{-l(l+1)t/(2 r^2)} P_l(cos) / (4 pi r^2),
         truncated once the remaining tail is below tail_tol."""
@@ -492,6 +496,9 @@ class HyperbolicPlane(ManifoldModel):
 
     def origin(self):
         return np.zeros(2)
+
+    def contains(self, x):
+        return np.abs(self._z(x)) < 1.0
 
     def heat_kernel(self, t, x, y):
         rho = self.distance(x, y)

@@ -12,14 +12,14 @@ consumes is produced in one vectorized pass over a block of paths, kept in
 one table of per-path state keyed by EnsembleResult field: endpoints and,
 with a potential or a bundle, three accumulators: floor_integral, holonomy
 and transport.  The table holds the live paths only, with `rows`, their
-indices in the block.  Each step builds its updates out of place; on an
-open subdomain, the paths whose step leaves it write their last inside
-values into a block-size frozen table, get their death step, and drop out
-of every state entry, so no later step moves or draws them.  At requested
-checkpoint times a snapshot is the frozen table with the live rows
-scattered into it (the table itself while every path is live).  A
-checkpoint at every grid time gives a whole path, which is how
-`--dump-paths` and the tests read single paths.
+indices in the block.  Each step builds its updates out of place.  At
+requested checkpoint times a snapshot scatters the live rows.  On an open
+subdomain, the paths whose step k -> k+1 leaves it write their last inside
+values into every snapshot at grid index k+1 or later (a suffix, the
+snapshots being sorted), get their death step, and drop out of every state
+entry, so no later step moves or draws them; `alive` is read off the death
+steps at the end.  A checkpoint at every grid time gives a whole path,
+which is how `--dump-paths` and the tests read single paths.
 
 A rank-1 potential is one scalar field v (PotentialSpec.field()): its
 floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
@@ -37,15 +37,15 @@ the sphere a step builds one geodesic head and one frame: the transport
 returns the frame at the endpoint, the table carries it (never
 snapshotted), and the next step passes it back as the frame at its start.
 
-With both a matrix potential and a transport, the weight of a step is
-holonomy acc^H e^{-dt V(x)} acc, acc the transport so far.  The table
-carries G = holonomy acc^H in place of the holonomy (never snapshotted):
-a step sets G <- G e^{-dt V(x)} T^H and acc <- T acc, with no conjugation
-of V, and a snapshot or a path's death rebuilds holonomy = G acc.  The
-weight (G or the holonomy) starts in V's dtype and the transport real, and
-each stays real until a complex step promotes it, so a real potential on
-the tangent bundle runs in real arithmetic; their snapshots and the frozen
-table are complex.
+A matrix potential's one weight state is G = holonomy acc^H, acc the
+transport so far, or the holonomy itself without a bundle (G is never
+snapshotted).  With a transport the weight of a step is
+holonomy acc^H e^{-dt V(x)} acc, so a step sets G <- G e^{-dt V(x)}, then
+G <- G T^H and acc <- T acc, with no conjugation of V; a snapshot or a
+path's exit reads the holonomy as G acc (G without a bundle).  G starts in
+V's dtype and the transport real, and each stays real until a complex
+step promotes it, so a real potential on the tangent bundle runs in real
+arithmetic; their snapshots are complex.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks and process workers only
@@ -124,13 +124,15 @@ def time_grid(t, h, checkpoints=()):
             keep.append(p)
     times = np.asarray(keep)
     times[-1] = t
-    snap_idx = []
-    for c in list(checkpoints) + [t]:
-        i = int(np.argmin(np.abs(times - c)))
-        if abs(times[i] - c) > tol:
-            raise ValueError(f"checkpoint {c} not representable on the grid")
-        snap_idx.append(i)
-    return times, snap_idx
+    # the nearest grid time to each checkpoint, the earlier one on a tie
+    cs = np.asarray(checkpoints + [t])
+    hi = np.minimum(np.searchsorted(times, cs), len(times) - 1)
+    lo = np.maximum(hi - 1, 0)
+    idx = np.where(cs - times[lo] <= times[hi] - cs, lo, hi)
+    off = np.abs(times[idx] - cs) > tol
+    if off.any():
+        raise ValueError(f"checkpoint {cs[off][0]} not representable on the grid")
+    return times, idx.tolist()
 
 
 # ----------------------------------------------------------------------
@@ -140,10 +142,11 @@ def time_grid(t, h, checkpoints=()):
 @dataclass
 class EnsembleResult:
     """Per-path outputs at each checkpoint time (axis 0 = checkpoints,
-    axis 1 = path index).  Dead paths are frozen at their last inside
-    point and excluded from further accumulation.  A field is None when
-    the run does not ask for it: floor_integral and holonomy come with a
-    potential, transport with a non-trivial bundle."""
+    axis 1 = path index).  A path that has left the domain is not alive at
+    the checkpoints from its death_step on, where it holds its last inside
+    values.  A field is None when the run does not ask for it:
+    floor_integral and holonomy come with a potential, transport with a
+    non-trivial bundle."""
 
     snap_times: np.ndarray                    # (T,)
     alive: np.ndarray                         # (T, N) bool
@@ -250,9 +253,10 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
-    snap_at = {}
-    for pos, idx in enumerate(snap_idx):
-        snap_at.setdefault(idx, []).append(pos)
+    # snap_idx is sorted, so the snapshots at one grid index are a slice of them
+    snap_idx = np.asarray(snap_idx)
+    idx, first, count = np.unique(snap_idx, return_index=True, return_counts=True)
+    snap_at = {int(i): slice(f, f + c) for i, f, c in zip(idx, first, count)}
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
@@ -260,59 +264,47 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state of the live paths, keyed by EnsembleResult field; row
-    # i of each entry belongs to path rows[i] of the block
+    # i of each entry belongs to path rows[i] of the block.  A matrix
+    # potential's weight is G = holonomy transport^H, the holonomy itself
+    # without a bundle.  G and the transport start real (V's dtype for G)
+    # and stay so until a complex step promotes them; snapshots are complex
     rows = np.arange(B)
     state = {"points": x0.copy()}
     if potential is not None:
         state["floor_integral"] = np.zeros(B)
-    # the weight and the transport start real (V's dtype for the weight)
-    # and stay so until a complex step promotes them; snapshots are complex
     if matrix_V is not None:
-        state["holonomy"] = np.broadcast_to(np.eye(d, dtype=matrix_V.const.dtype),
-                                            (B, d, d)).copy()
+        state["G"] = np.broadcast_to(np.eye(d, dtype=matrix_V.const.dtype), (B, d, d)).copy()
     if bundle is not None:
         state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
     snaps = {name: np.zeros((len(snap_idx),) + v.shape,
-                            dtype=complex if name in ("holonomy", "transport") else v.dtype)
+                            dtype=complex if name in ("G", "transport") else v.dtype)
              for name, v in state.items()}
-    # per-path state that is never snapshotted: a matrix potential on a
-    # transporting bundle carries G = holonomy transport^H in place of the
-    # holonomy, which a snapshot rebuilds as G transport; the tangent frame
-    # at each path's point, which each step's transport returns for its
-    # endpoint; the trapezoid's left values
-    carry_G = matrix_V is not None and bundle is not None
-    if carry_G:
-        state["G"] = state.pop("holonomy")
+    if matrix_V is not None:
+        snaps["holonomy"] = snaps.pop("G")
+    # per-path state that is never snapshotted: the tangent frame at each
+    # path's point, which each step's transport returns for its endpoint;
+    # the trapezoid's left values
     if bundle is not None and bundle.kind == "tangent":
         state["frame"] = model.base.frame(x0)
     if scalar_v is not None and not scalar_v.singular:
         state["v_prev"] = scalar_v(x0, cap=cap)
-    # the last inside values of the paths that have left, in the snapshot
-    # dtypes; made at the first exit, so until then every path is live
-    frozen = None
-    alive = np.zeros((len(snap_idx), B), dtype=bool)
 
     def live(name, which=slice(None)):
-        if carry_G and name == "holonomy":
-            return small_matmul(state["G"][which], state["transport"][which])
+        if name == "holonomy":
+            G = state["G"][which]
+            return G if bundle is None else small_matmul(G, state["transport"][which])
         return state[name][which]
 
-    def snapshot(idx):
-        for pos in snap_at.get(idx, ()):
-            alive[pos, rows] = True
+    def snapshot(k):
+        if k in snap_at:
             for name, arr in snaps.items():
-                if frozen is None:
-                    arr[pos] = live(name)
-                else:
-                    arr[pos] = frozen[name]
-                    arr[pos, rows] = live(name)
+                arr[snap_at[k], rows] = live(name)
 
     snapshot(0)
     streams = RowStreams(key.child(i0), B)
     # one step-major buffer for every chunk, so that a step reads one
     # contiguous slice and no two chunks are held at once
     buf = _mapped_empty((min(K, chunk), B, model.dim))
-    done = 0  # steps taken
     for k0 in range(0, K, chunk):
         if not len(rows):
             break
@@ -332,6 +324,7 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
             if matrix_V is not None:
                 step_exp, lam_min = expm_neg_hermitian(matrix_V.matrix(x, cap=cap), dt)
                 new["floor_integral"] = state["floor_integral"] + dt * lam_min
+                new["G"] = small_matmul(state["G"], step_exp)
 
             # the step, with its transport when there is a bundle; at rank 1 the
             # transport is a phase, taken elementwise as acc * Tk (with FMA,
@@ -343,15 +336,12 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                 new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
                 if frame is not None:
                     new["frame"] = frame
+                # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
+                if matrix_V is not None:
+                    new["G"] = small_matmul(new["G"], Tk.swapaxes(-1, -2).conj())
             else:
                 y = model.exp(x, step)
             new["points"] = y
-            # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
-            if carry_G:
-                new["G"] = small_matmul(small_matmul(state["G"], step_exp),
-                                        Tk.swapaxes(-1, -2).conj())
-            elif matrix_V is not None:
-                new["holonomy"] = small_matmul(state["holonomy"], step_exp)
 
             # a rank-1 potential's floor integral: trapezoid, or capped
             # sub-steps for a singular field
@@ -365,36 +355,30 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                     new["v_prev"] = vy
                 new["floor_integral"] = state["floor_integral"] + inc
 
-            # paths that leave the domain keep their last inside values in
-            # the frozen table and drop out of the state
+            # paths that leave the domain write their last inside values into
+            # every snapshot from this step on and drop out of the state
             inside = None if model.complete else model.contains(y)
             if inside is not None and not inside.all():
                 gone = ~inside
                 left = rows[gone]
                 death[left] = k + 1
-                if frozen is None:
-                    frozen = {name: np.empty_like(arr[0]) for name, arr in snaps.items()}
-                for name, arr in frozen.items():
-                    arr[left] = live(name, gone)
+                later = np.searchsorted(snap_idx, k + 1)
+                for name, arr in snaps.items():
+                    arr[later:, left] = live(name, gone)
                 state.update(new)
                 state = {name: v[inside] for name, v in state.items()}
                 rows = rows[inside]
                 at = np.flatnonzero(inside) if at is None else at[inside]
             else:
                 state.update(new)
-            done = k + 1
-            snapshot(done)
+            snapshot(k + 1)
             if not len(rows):
                 break
 
-    # once every path has left, the later snapshots are the frozen table
-    for idx in snap_at:
-        if idx > done:
-            snapshot(idx)
     if scalar_v is not None:
         snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]
-    return EnsembleResult(snap_times=np.asarray([times[i] for i in snap_idx]), alive=alive,
-                          death_step=death, **snaps)
+    alive = (death < 0) | (death > snap_idx[:, None])
+    return EnsembleResult(snap_times=times[snap_idx], alive=alive, death_step=death, **snaps)
 
 
 # ----------------------------------------------------------------------

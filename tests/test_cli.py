@@ -364,6 +364,12 @@ BAD_INPUTS = [
     # and on a single time fitted its slope to one point, with a RankWarning
     (dict(command="kato-check", manifold="euclidean(m=3)", potential="coulomb(0.5)",
           t_grid="0.1"), "t_grid"),
+    # points off the model ran: a tiny value off the disk, a first step in a
+    # non-orthonormal frame off the sphere
+    (dict(manifold="hyperbolic()", x="2,0"), "x"),
+    (dict(manifold="sphere2(r=1.0)", x="0,0,5"), "x"),
+    # an exit ball that does not hold the start named no key
+    (dict(command="exit-time", x="0.5", r="0.3"), "r"),
 ]
 
 

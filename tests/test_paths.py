@@ -46,6 +46,20 @@ def test_time_grid_merges_checkpoints():
         time_grid(1.0, -0.1)
 
 
+@pytest.mark.parametrize("t, h, cps", [
+    # between grid points, repeated, at 0 and at t
+    (1.0, 0.25, [0.3, 0.5, 0.5, 0.0, 1.0, 0.3, 0.999]),
+    # within the merge tolerance of a grid time, on either side of it, and
+    # one halfway between two kept times
+    (1.0, 0.25, [0.5, 0.5 + 0.75e-9, 0.5 + 1.5e-9, 0.25 - 4e-10, 1.0 - 1e-12]),
+    # every grid time, as --dump-paths asks
+    (0.7, 1e-3, list(time_grid(0.7, 1e-3)[0])),
+])
+def test_time_grid_locates_checkpoints_like_argmin(t, h, cps):
+    times, snaps = time_grid(t, h, cps)
+    assert snaps == [int(np.argmin(np.abs(times - c))) for c in sorted(cps) + [t]]
+
+
 def test_degenerate_grid():
     _, pts, steps, res = engine_path(Euclidean(2), np.zeros(2), 0.0, 1e-3, KEY)
     assert res.alive.all() and len(pts) == 1 and steps.shape[0] == 0
@@ -189,9 +203,10 @@ def _killed_reference(dom, v, t, h, key):
 
 
 def test_block_where_every_path_dies(monkeypatch):
-    # a ball of radius 0.05 empties long before its first checkpoint at
-    # t = 0.3; whichever chunk draws them, the paths stop where their own
-    # streams leave it, and the two late snapshots are the frozen table
+    # a ball of radius 0.05 empties long before its checkpoint at t = 0.3;
+    # whichever chunk draws them, the paths stop where their own streams
+    # leave it.  Snapshot 0 holds the starts, and each later one (two of
+    # them at t) holds every path's last inside values
     n, t, h = 24, 0.5, 1e-3
     e1, e2 = Euclidean(1), Euclidean(2)
     dom1 = ball(e1, 0.05)
@@ -203,14 +218,21 @@ def test_block_where_every_path_dies(monkeypatch):
         for chunk in (paths._CHUNK_STEPS, 1, 7):
             monkeypatch.setattr(paths, "_CHUNK_STEPS", chunk)
             runs.append(result_arrays(run_ensemble(dom, np.zeros(dom.dim), t, h, KEY, n,
-                                                   checkpoints=(0.3,), **kw)))
+                                                   checkpoints=(0.0, 0.3, t), **kw)))
         res = runs[0]
         if dom is dom1:
             res1 = res
-        assert not res["alive"].any() and np.all(res["death_step"] > 0)
+        assert np.array_equal(res["snap_times"], [0.0, 0.3, t, t])
+        assert res["alive"][0].all() and not res["alive"][1:].any()
+        assert np.all((res["death_step"] > 0) & (res["death_step"] < 300))
+        assert not res["points"][0].any() and not res["floor_integral"][0].any()
+        assert np.all(res["holonomy"][0] == 1.0)
+        if "transport" in res:
+            assert np.all(res["transport"][0] == 1.0)
         for name in ("points", "floor_integral", "holonomy", "transport"):
             if name in res:
-                assert np.array_equal(res[name][0], res[name][1]), name
+                for later in res[name][2:]:
+                    assert np.array_equal(later, res[name][1]), name
         for other in runs[1:]:
             assert sorted(other) == sorted(res)
             for name in res:
@@ -218,8 +240,8 @@ def test_block_where_every_path_dies(monkeypatch):
     for j in range(n):
         k, last, floor = _killed_reference(dom1, V1.field(), t, h, KEY.child(j))
         assert res1["death_step"][j] == k
-        assert np.array_equal(res1["points"][-1, j], last)
-        assert res1["floor_integral"][-1, j] == floor
+        assert np.array_equal(res1["points"][1, j], last)
+        assert res1["floor_integral"][1, j] == floor
 
 
 def test_exit_probability_independent_of_workers_and_blocks(monkeypatch):
