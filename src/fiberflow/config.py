@@ -327,7 +327,9 @@ def parse_points(model, text, key="x"):
         if not pts:
             raise ConfigError(key, "no points given")
         arr = np.asarray(pts, dtype=float)
-    if not np.all(model.contains(arr)):
+    # on the base model first: a subdomain's boundary function alone passes
+    # points off its base
+    if not (np.all(model.base.contains(arr)) and np.all(model.contains(arr))):
         raise ConfigError(key, "a point lies outside the domain")
     return arr
 

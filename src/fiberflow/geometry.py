@@ -5,8 +5,9 @@ Five homogeneous models (Euclidean space, circle, flat torus, round
 Each model supplies exactly what the samplers and analyzers need: an
 orthonormal-frame exponential map (the endpoint only; the sphere's
 transport_matrix adds the parallel transport its tangent bundle uses and
-the frame at the endpoint), geodesic distance, volume sampling, quadrature
-rules, and the closed-form heat kernel where one exists.  `model.base` is
+the frame at the endpoint; `walk` chains it over many steps, in place on
+Euclidean space), geodesic distance, volume sampling, quadrature rules,
+and the closed-form heat kernel where one exists.  `model.base` is
 the complete model a model lies in (itself, or an open subdomain's parent)
 and `model.complete` tells the two apart, so callers never unwrap a
 subdomain by type.
@@ -91,6 +92,16 @@ class ManifoldModel:
         initial frame coefficients xi (exact on all catalog models)."""
         raise NotImplementedError
 
+    def walk(self, x, steps):
+        """The points of a walk from x, one geodesic step per leading index
+        of steps: point j is exp of point j-1 by steps[j], shape
+        steps.shape[:-1] + (coord_dim,).  A model may write the points over
+        steps."""
+        pts = np.empty(np.shape(steps)[:-1] + (self.coord_dim,))
+        for j, xi in enumerate(steps):
+            x = pts[j] = self.exp(x, xi)
+        return pts
+
     def distance(self, x, y):
         raise NotImplementedError
 
@@ -145,6 +156,13 @@ class Euclidean(ManifoldModel):
 
     def exp(self, x, xi):
         return _as_points(x, self.coord_dim) + np.asarray(xi, dtype=float)
+
+    def walk(self, x, steps):
+        # exp's additions, step after step, in place
+        steps[0] += x
+        for j in range(1, len(steps)):
+            steps[j] += steps[j - 1]
+        return steps
 
     def distance(self, x, y):
         # np.linalg.norm(d, axis=-1): its operations, minus its dispatch
@@ -576,6 +594,9 @@ class OpenSubdomain(ManifoldModel):
 
     def exp(self, x, xi):
         return self.base.exp(x, xi)
+
+    def walk(self, x, steps):
+        return self.base.walk(x, steps)
 
     def distance(self, x, y):
         return self.base.distance(x, y)

@@ -12,14 +12,25 @@ consumes is produced in one vectorized pass over a block of paths, kept in
 one table of per-path state keyed by EnsembleResult field: endpoints and,
 with a potential or a bundle, three accumulators: floor_integral, holonomy
 and transport.  The table holds the live paths only, with `rows`, their
-indices in the block.  Each step builds its updates out of place.  At
-requested checkpoint times a snapshot scatters the live rows.  On an open
-subdomain, the paths whose step k -> k+1 leaves it write their last inside
-values into every snapshot at grid index k+1 or later (a suffix, the
-snapshots being sorted), get their death step, and drop out of every state
-entry, so no later step moves or draws them; `alive` is read off the death
-steps at the end.  A checkpoint at every grid time gives a whole path,
-which is how `--dump-paths` and the tests read single paths.
+indices in the block.  The steps are taken in sub-chunks of C consecutive
+steps, C being _SUB_FLOATS over the live paths' coordinates (fewer at a
+chunk's end or a checkpoint, where a sub-chunk always ends).  A sub-chunk
+walks every live path C steps (model.walk; with a bundle, step by step
+through its transport), tests all C endpoints of every path against the
+domain at once, evaluates the rank-1 field once over them, then runs the
+recurrences of the floor, the matrix weight and the transport in step
+order, keeping each step's values; so C = 1 is the same code.  Before any
+field or potential sees them, a leaving path's points from its first
+outside step on are replaced by its last inside point (a bundle's
+transport, being the walk, runs to the sub-chunk's end and its steps past
+the exit are dropped).  At requested checkpoint times a snapshot scatters
+the live rows.  On an open subdomain, the paths whose step k -> k+1 leaves
+it write their last inside values (those after step k) into every snapshot
+at grid index k+1 or later (a suffix, the snapshots being sorted), get
+their death step, and drop out of every state entry, so no later sub-chunk
+moves or draws them; `alive` is read off the death steps at the end.  A
+checkpoint at every grid time gives a whole path, which is how
+`--dump-paths` and the tests read single paths.
 
 A rank-1 potential is one scalar field v (PotentialSpec.field()): its
 floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
@@ -48,16 +59,18 @@ step promotes it, so a real potential on the tangent bundle runs in real
 arithmetic; their snapshots are complex.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
-estimates depend only on (seed, n_paths); blocks and process workers only
-regroup the computation.  A block draws its increments with rng.RowStreams,
-_CHUNK_STEPS steps of its live paths at a time: row for row, the chunks
-concatenate to stream(key.child(i)).standard_normal((K, m)), cut short at
-the path's death.  The block width is set by one chunk, so a long grid
-does not narrow it.  Reductions happen in path-index order.
+estimates depend only on (seed, n_paths); blocks, sub-chunks and process
+workers only regroup the computation.  A block draws its increments with
+rng.RowStreams, _CHUNK_STEPS steps of its live paths at a time: row for
+row, the chunks concatenate to
+stream(key.child(i)).standard_normal((K, m)), cut short at the path's
+death.  The block width is set by one chunk, so a long grid does not
+narrow it.  Reductions happen in path-index order.
 """
 
 from __future__ import annotations
 
+import bisect
 import math
 import mmap
 from concurrent.futures import ProcessPoolExecutor
@@ -84,6 +97,7 @@ __all__ = [
 _SUBSTEP_FRACS = (0.125, 0.375, 0.625, 0.875)
 _BLOCK_BUDGET = 16_000_000  # floats of Gaussian increments held per block
 _CHUNK_STEPS = 2048  # steps of increments a block draws per path at a time
+_SUB_FLOATS = 1 << 14  # floats of points a sub-chunk walks: its steps are this over the live rows
 _GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not grow with the grid
 
 
@@ -195,7 +209,7 @@ def run_ensemble(
         x0 = np.broadcast_to(x0, (n_paths, x0.shape[0]))
     if x0.shape[0] != n_paths:
         raise ValueError("per-path starts must have length n_paths")
-    if not np.all(model.contains(x0)):
+    if not (np.all(model.base.contains(x0)) and np.all(model.contains(x0))):
         raise ValueError("some start points lie outside the domain")
     times, snap_idx = time_grid(t, h, checkpoints)
     K = len(times) - 1
@@ -249,18 +263,28 @@ def _concat_results(parts):
                              for f in fields(EnsembleResult)})
 
 
+def _pin_past_exit(p, cols, e, last):
+    """p[j, c], points of sub-chunk step j, of the rows cols set to each
+    one's last inside point from its leaving step e on, in place."""
+    past = (np.arange(len(p))[:, None] >= e)[..., None]
+    p[:, cols] = np.where(past, last, p[:, cols])
+
+
 def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
+    sqrt_dts = np.sqrt(dts)
     # snap_idx is sorted, so the snapshots at one grid index are a slice of them
     snap_idx = np.asarray(snap_idx)
     idx, first, count = np.unique(snap_idx, return_index=True, return_counts=True)
     snap_at = {int(i): slice(f, f + c) for i, f, c in zip(idx, first, count)}
+    stops = idx.tolist()  # a sub-chunk ends at the next snapshot; the last is K
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
     matrix_V = potential if scalar_v is None else None
+    singular = scalar_v is not None and scalar_v.singular
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state of the live paths, keyed by EnsembleResult field; row
@@ -286,23 +310,24 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     # the trapezoid's left values
     if bundle is not None and bundle.kind == "tangent":
         state["frame"] = model.base.frame(x0)
-    if scalar_v is not None and not scalar_v.singular:
+    if scalar_v is not None and not singular:
         state["v_prev"] = scalar_v(x0, cap=cap)
 
-    def live(name, which=slice(None)):
+    def read(src, name, which=slice(None)):
+        """Field `name` of the rows `which` of the state entries src."""
         if name == "holonomy":
-            G = state["G"][which]
-            return G if bundle is None else small_matmul(G, state["transport"][which])
-        return state[name][which]
+            G = src["G"][which]
+            return G if bundle is None else small_matmul(G, src["transport"][which])
+        return src[name][which]
 
     def snapshot(k):
         if k in snap_at:
             for name, arr in snaps.items():
-                arr[snap_at[k], rows] = live(name)
+                arr[snap_at[k], rows] = read(state, name)
 
     snapshot(0)
     streams = RowStreams(key.child(i0), B)
-    # one step-major buffer for every chunk, so that a step reads one
+    # one step-major buffer for every chunk, so that a sub-chunk reads one
     # contiguous slice and no two chunks are held at once
     buf = _mapped_empty((min(K, chunk), B, model.dim))
     for k0 in range(0, K, chunk):
@@ -310,70 +335,123 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
             break
         k1 = min(k0 + chunk, K)
         incs = buf[:k1 - k0, :len(rows)]
+        state["points"] = state["points"].copy()  # the walk may have left them in buf
         streams.draw(rows, (k1 - k0, model.dim), more=k1 < K, out=incs.transpose(1, 0, 2))
         at = None  # state row i steps by incs[:, at[i]]; by incs[:, i] while None
-        for k in range(k0, k1):
-            dt = dts[k]
-            x = state["points"]
-            step = math.sqrt(dt) * (incs[k - k0] if at is None else incs[k - k0, at])
-            new = {}
+        k = k0
+        while k < k1 and len(rows):
+            # a sub-chunk: the steps k -> k2 of every live row, as long as its
+            # points fit _SUB_FLOATS, and no snapshot before its end
+            k2 = min(k1, stops[bisect.bisect_right(stops, k)],
+                     k + max(1, _SUB_FLOATS // (len(rows) * model.coord_dim)))
+            C, dt, x = k2 - k, dts[k:k2], state["points"]
+            steps = incs[k - k0:k2 - k0] if at is None else incs[k - k0:k2 - k0, at]
+            steps *= sqrt_dts[k:k2, None, None]
+            hist = {}  # the sub-chunk's state after its step j, at hist[name][j]
 
-            # a matrix potential's weight and floor use the step start; V(x) is
-            # evaluated once, and its floor is the smallest eigenvalue the
-            # exponential already solved for
-            if matrix_V is not None:
-                step_exp, lam_min = expm_neg_hermitian(matrix_V.matrix(x, cap=cap), dt)
-                new["floor_integral"] = state["floor_integral"] + dt * lam_min
-                new["G"] = small_matmul(state["G"], step_exp)
-
-            # the step, with its transport when there is a bundle; at rank 1 the
-            # transport is a phase, taken elementwise as acc * Tk (with FMA,
-            # complex products are not bitwise commutative, so the operand
-            # order is part of the result)
-            if bundle is not None:
-                acc = state["transport"]
-                y, Tk, frame = bundle.step_transport(model, x, step, state.get("frame"))
-                new["transport"] = acc * Tk if d == 1 else small_matmul(Tk, acc)
-                if frame is not None:
-                    new["frame"] = frame
-                # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
-                if matrix_V is not None:
-                    new["G"] = small_matmul(new["G"], Tk.swapaxes(-1, -2).conj())
+            # the walk: with a bundle, step by step through its transport,
+            # which also returns the endpoint (and the tangent frame there)
+            if bundle is None:
+                pts = model.walk(x, steps.copy() if singular else steps)
             else:
-                y = model.exp(x, step)
-            new["points"] = y
+                pts = np.empty(steps.shape[:-1] + (model.coord_dim,))
+                Ts, y = [], x
+                for j in range(C):
+                    y, T, frame = bundle.step_transport(model, y, steps[j], state.get("frame"))
+                    pts[j] = y
+                    Ts.append(T)
+                    if frame is not None:
+                        state["frame"] = frame
+            hist["points"] = pts
 
-            # a rank-1 potential's floor integral: trapezoid, or capped
-            # sub-steps for a singular field
+            # one domain test: each leaving row's first step (e) that ends
+            # outside.  Before any layer evaluates them, its points from
+            # there on become its last inside point
+            cols = None
+            if not model.complete:
+                inside = model.contains(pts)
+                if not inside.all():
+                    out = ~inside
+                    cols = np.flatnonzero(out.any(axis=0))
+                    e = out[:, cols].argmax(axis=0)
+                    leave_at = np.unique(e).tolist()
+                    if potential is not None:
+                        last = np.where((e > 0)[:, None], pts[e - 1, cols], x[cols])
+                        _pin_past_exit(pts, cols, e, last)
+
+            # a rank-1 potential's floor integral, once over the sub-chunk:
+            # trapezoid, or capped sub-steps for a singular field
             if scalar_v is not None:
-                if scalar_v.singular:
-                    subs = [model.exp(x, fr * step) for fr in _SUBSTEP_FRACS]
-                    inc = dt * sum(scalar_v(p, cap=cap) for p in subs) / len(subs)
+                if singular:
+                    starts = np.concatenate([x[None], pts[:-1]])
+                    subs = [model.exp(starts, fr * steps) for fr in _SUBSTEP_FRACS]
+                    if cols is not None:
+                        for p in subs:
+                            _pin_past_exit(p, cols, e, last)
+                    inc = sum(scalar_v(p, cap=cap) for p in subs) / len(subs)
+                    inc *= dt[:, None]
                 else:
-                    vy = scalar_v(y, cap=cap)
-                    inc = dt * 0.5 * (state["v_prev"] + vy)
-                    new["v_prev"] = vy
-                new["floor_integral"] = state["floor_integral"] + inc
+                    vy = scalar_v(pts, cap=cap)
+                    inc = np.empty_like(vy)
+                    np.add(state["v_prev"], vy[0], out=inc[0])
+                    np.add(vy[:-1], vy[1:], out=inc[1:])
+                    inc *= 0.5 * dt[:, None]
+                    state["v_prev"] = vy[-1]
+                inc[0] += state["floor_integral"]
+                for j in range(1, C):
+                    inc[j] += inc[j - 1]
+                hist["floor_integral"] = inc
+
+            # the per-step recurrences.  A matrix potential's weight and floor
+            # use the step start; V(x) is evaluated once, and its floor is the
+            # smallest eigenvalue the exponential already solved for.  At
+            # rank 1 the transport is a phase, taken elementwise as acc * Tk
+            # (with FMA, complex products are not bitwise commutative, so the
+            # operand order is part of the result)
+            if matrix_V is not None or bundle is not None:
+                floor, G, acc = (state.get(name) for name in ("floor_integral", "G", "transport"))
+                floors, Gs, accs = {}, {}, {}  # kept after the steps that exits and the end read
+                kept = {C - 1} if cols is None else {C - 1, *(j - 1 for j in leave_at)}
+                for j in range(C):
+                    if matrix_V is not None:
+                        step_exp, lam_min = expm_neg_hermitian(
+                            matrix_V.matrix(x if j == 0 else pts[j - 1], cap=cap), dt[j])
+                        floor = floor + dt[j] * lam_min
+                        G = small_matmul(G, step_exp)
+                    if bundle is not None:
+                        acc = acc * Ts[j] if d == 1 else small_matmul(Ts[j], acc)
+                        # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
+                        if matrix_V is not None:
+                            G = small_matmul(G, Ts[j].swapaxes(-1, -2).conj())
+                    if j in kept:
+                        floors[j], Gs[j], accs[j] = floor, G, acc
+                if matrix_V is not None:
+                    hist["floor_integral"], hist["G"] = floors, Gs
+                if bundle is not None:
+                    hist["transport"] = accs
 
             # paths that leave the domain write their last inside values into
-            # every snapshot from this step on and drop out of the state
-            inside = None if model.complete else model.contains(y)
-            if inside is not None and not inside.all():
-                gone = ~inside
-                left = rows[gone]
-                death[left] = k + 1
+            # every snapshot from the sub-chunk's end on (none lies inside
+            # it), then every path moves on to the sub-chunk's end, and the
+            # leaving ones drop out of the state
+            if cols is not None:
+                death[rows[cols]] = k + 1 + e
                 later = np.searchsorted(snap_idx, k + 1)
-                for name, arr in snaps.items():
-                    arr[later:, left] = live(name, gone)
-                state.update(new)
-                state = {name: v[inside] for name, v in state.items()}
-                rows = rows[inside]
-                at = np.flatnonzero(inside) if at is None else at[inside]
-            else:
-                state.update(new)
-            snapshot(k + 1)
-            if not len(rows):
-                break
+                for j in leave_at:
+                    src = state if j == 0 else {name: h[j - 1] for name, h in hist.items()}
+                    sel = cols[e == j]
+                    for name, arr in snaps.items():
+                        arr[later:, rows[sel]] = read(src, name, sel)
+            for name, h in hist.items():
+                state[name] = h[C - 1]
+            if cols is not None:
+                keep = np.ones(len(rows), dtype=bool)
+                keep[cols] = False
+                state = {name: v[keep] for name, v in state.items()}
+                rows = rows[keep]
+                at = np.flatnonzero(keep) if at is None else at[keep]
+            snapshot(k2)
+            k = k2
 
     if scalar_v is not None:
         snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]

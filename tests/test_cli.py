@@ -370,6 +370,8 @@ BAD_INPUTS = [
     (dict(manifold="sphere2(r=1.0)", x="0,0,5"), "x"),
     # an exit ball that does not hold the start named no key
     (dict(command="exit-time", x="0.5", r="0.3"), "r"),
+    # a ball's boundary function alone passed a start off its base
+    (dict(manifold="ball(sphere2(r=1.0), r=0.5)", x="0,0,5"), "x"),
 ]
 
 

@@ -71,6 +71,15 @@ def test_run_ensemble_rejects_empty_ensemble(n_paths):
         run_ensemble(Euclidean(1), np.zeros(1), 0.1, 0.01, KEY, n_paths)
 
 
+def test_run_ensemble_rejects_a_start_off_the_base():
+    # the ball's boundary function alone measures (0, 0, 5) by its direction,
+    # the north pole, inside the ball; the sphere does not hold it
+    dom, x = ball(Sphere2(1.0), 0.5), np.array([0.0, 0.0, 5.0])
+    assert dom.contains(x)
+    with pytest.raises(ValueError, match="outside the domain"):
+        run_ensemble(dom, x, 0.1, 0.01, KEY, 4)
+
+
 def test_trivial_bundle_transports_identity():
     # a trivial bundle is no bundle in the engine: the run is the bundle-less
     # one, bit for bit, and carries no transport
@@ -202,11 +211,20 @@ def _killed_reference(dom, v, t, h, key):
     return k, pts[k - 1], floor
 
 
+def chunk_lengths(width, model):
+    """(_CHUNK_STEPS, _SUB_FLOATS) pairs: chunks of the default length, 1
+    and 7 steps, each stepped in sub-chunks of the default length, of 1
+    step and of 3 steps of a block of `width` live paths on model."""
+    subs = (paths._SUB_FLOATS, 1, 3 * width * model.coord_dim)
+    return [(chunk, sub) for chunk in (paths._CHUNK_STEPS, 1, 7) for sub in subs]
+
+
 def test_block_where_every_path_dies(monkeypatch):
     # a ball of radius 0.05 empties long before its checkpoint at t = 0.3;
-    # whichever chunk draws them, the paths stop where their own streams
-    # leave it.  Snapshot 0 holds the starts, and each later one (two of
-    # them at t) holds every path's last inside values
+    # whichever chunk draws them and however the steps are cut into
+    # sub-chunks, the paths stop where their own streams leave it (inside
+    # a sub-chunk of the default length).  Snapshot 0 holds the starts, and
+    # each later one (two of them at t) holds every path's last inside values
     n, t, h = 24, 0.5, 1e-3
     e1, e2 = Euclidean(1), Euclidean(2)
     dom1 = ball(e1, 0.05)
@@ -215,8 +233,9 @@ def test_block_where_every_path_dies(monkeypatch):
                     potential=PotentialSpec.scalar(harmonic_field(e2, 1.0)))
     for dom, kw in [(dom1, dict(potential=V1)), (ball(e2, 0.05), magnetic)]:
         runs = []
-        for chunk in (paths._CHUNK_STEPS, 1, 7):
+        for chunk, sub in chunk_lengths(n, dom):
             monkeypatch.setattr(paths, "_CHUNK_STEPS", chunk)
+            monkeypatch.setattr(paths, "_SUB_FLOATS", sub)
             runs.append(result_arrays(run_ensemble(dom, np.zeros(dom.dim), t, h, KEY, n,
                                                    checkpoints=(0.0, 0.3, t), **kw)))
         res = runs[0]
@@ -242,6 +261,36 @@ def test_block_where_every_path_dies(monkeypatch):
         assert res1["death_step"][j] == k
         assert np.array_equal(res1["points"][1, j], last)
         assert res1["floor_integral"][1, j] == floor
+
+
+def _nan_outside(r):
+    """x^2 inside (-r, r), NaN outside it."""
+    return lambda p: np.where(np.abs(p[..., 0]) < r, p[..., 0] ** 2, np.nan)
+
+
+@pytest.mark.parametrize("singular", [False, True], ids=["trapezoid", "substeps"])
+def test_no_field_evaluation_past_an_exit(singular, monkeypatch):
+    # a field that is NaN off a ball (NonFiniteFieldError if evaluated
+    # there) is evaluated only where a path is still inside it: a leaving
+    # step's end and sub-step points and every later point of the sub-chunk
+    # become the path's last inside point.  Sub-chunks of 1 step and of the
+    # default length give the same arrays; the checkpoint off the grid makes
+    # one step short
+    r = 0.2
+    v = ScalarField(_nan_outside(r), class_tag="kato", name="nan_outside",
+                    singular_points=(np.zeros(1),) if singular else ())
+    runs = []
+    for sub in (1, paths._SUB_FLOATS):
+        monkeypatch.setattr(paths, "_SUB_FLOATS", sub)
+        runs.append(result_arrays(run_ensemble(ball(Euclidean(1), r), np.zeros(1), 0.1, 1e-3,
+                                               KEY, 64, potential=PotentialSpec.scalar(v),
+                                               checkpoints=(0.0337,))))
+    a, b = runs
+    assert 0 < a["alive"][-1].sum() < 64
+    assert np.all(np.isfinite(a["floor_integral"]))
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
 
 
 def test_exit_probability_independent_of_workers_and_blocks(monkeypatch):
@@ -598,15 +647,17 @@ def test_ensemble_golden(case, monkeypatch):
     # every result array bit for bit, dtype included, against files the
     # engine wrote before its state-table rewrite, less the fields it has
     # since dropped (magnetic_ball's potential arrays were added later);
-    # the same with the increments drawn 1 or 7 steps at a time
+    # the same with the increments drawn 1 or 7 steps at a time, each way
+    # stepped 1 or 3 steps per sub-chunk as well as at the default length
     model, x0, t, n, kw, budget = ensemble_case(case)
     K = len(time_grid(t, 1e-3, (0.02,))[0]) - 1
     blocks = []
     run_block = paths._run_block
     monkeypatch.setattr(paths, "_run_block", lambda x0, *a, **k: (blocks.append(len(x0)),
                                                                   run_block(x0, *a, **k))[1])
-    for chunk in (paths._CHUNK_STEPS, 1, 7):
+    for chunk, sub in chunk_lengths(n if budget is None else 24, model):
         monkeypatch.setattr(paths, "_CHUNK_STEPS", chunk)
+        monkeypatch.setattr(paths, "_SUB_FLOATS", sub)
         if budget is not None:
             # the same block width under every chunk: blocks of 24 and 16 paths
             monkeypatch.setattr(paths, "_BLOCK_BUDGET", budget * min(K, chunk) // K)
@@ -617,8 +668,8 @@ def test_ensemble_golden(case, monkeypatch):
         with np.load(ENSEMBLE_GOLDEN / f"{case}.npz") as want:
             assert sorted(got) == sorted(want.files)
             for name in want.files:
-                assert got[name].dtype == want[name].dtype, (chunk, name)
-                assert np.array_equal(got[name], want[name]), (chunk, name)
+                assert got[name].dtype == want[name].dtype, (chunk, sub, name)
+                assert np.array_equal(got[name], want[name]), (chunk, sub, name)
 
 
 # -- rank-3 eigh fallback along paths -----------------------------------------
