@@ -5,6 +5,12 @@ itself, in the fibre coordinates of the path's current point (the
 transport enters the weight as a separate factor), and exp(-s W) has
 operator norm exactly exp(-s * lambda_min(W)), which is what makes the
 per-sample domination inequality an identity for the product scheme.
+It passes a sub-chunk's matrices in one batch, W of shape (C, rows, d, d)
+for the C steps' left points, with s of shape (C, 1), each step's size
+broadcast over the rows; every row's result is the one a batch of that
+row alone would give, bit for bit.  The closed forms work in place on a
+few row vectors at a time, so such a batch holds little besides W and
+the result.
 Ranks 1 to 3 use closed forms, to keep the per-step cost off the LAPACK
 path; rank 4 and up use eigendecomposition.  Real (symmetric) input gives
 real output at every rank, complex input complex output.
@@ -54,6 +60,9 @@ def expm_neg_hermitian(W, s):
     that broadcasts to W's batch shape.  The smallest eigenvalue has W's
     batch shape."""
     W = np.asarray(W)
+    if W.ndim == 2:  # one matrix, as a batch of one: the closed forms work in place on arrays
+        E, lam = expm_neg_hermitian(W[None], s)
+        return E[0], lam[0]
     d = W.shape[-1]
     s = np.asarray(s, dtype=float)
     if d == 1:
@@ -89,23 +98,48 @@ def _expm_eigh(W, s):
 def _expm2(W, s):
     # split W = mu*I + D with D traceless Hermitian, D^2 = rho^2 * I:
     # exp(-sW) = e^{-s mu} (cosh(s rho) I - sinh(s rho)/rho * D), and the
-    # eigenvalues of W are mu -+ rho
+    # eigenvalues of W are mu -+ rho.  In place, as _eig3
     a = W[..., 0, 0].real
     c = W[..., 1, 1].real
     b = W[..., 0, 1]
-    mu = 0.5 * (a + c)
-    rho = np.sqrt(0.25 * (a - c) ** 2 + np.abs(b) ** 2)
+    mu = a + c
+    mu *= 0.5
+    rho = a - c
+    np.square(rho, out=rho)
+    rho *= 0.25
+    t = np.abs(b)
+    np.square(t, out=t)
+    rho += t
+    np.sqrt(rho, out=rho)
     sr = s * rho
     ch = np.cosh(sr)
-    # sinh(x)/x, stable at 0
-    shr = np.where(sr < 1e-6, 1.0 + sr**2 / 6.0, np.sinh(np.maximum(sr, 1e-300)) / np.maximum(sr, 1e-300))
+    # sinh(x)/x, with its series below 1e-6
+    small = sr < 1e-6
+    np.maximum(sr, 1e-300, out=t)
+    f = np.sinh(t)
+    f /= t
+    f[small] = 1.0 + sr[small] ** 2 / 6.0
+    ns = -s
+    np.multiply(ns, f, out=f)
     out = np.empty(np.broadcast(W[..., 0, 0], s).shape + (2, 2), dtype=np.result_type(W, float))
-    f = -s * shr
-    out[..., 0, 0] = ch + f * (a - mu)
-    out[..., 1, 1] = ch + f * (c - mu)
-    out[..., 0, 1] = f * b
-    out[..., 1, 0] = f * np.conj(b)
-    return np.exp(-s * mu)[..., None, None] * out, mu - rho
+    for i, w in ((0, a), (1, c)):
+        np.subtract(w, mu, out=t)
+        t *= f
+        np.add(ch, t, out=out[..., i, i])
+    np.multiply(f, b, out=out[..., 0, 1])
+    np.multiply(f, np.conj(b), out=out[..., 1, 0])
+    np.multiply(ns, mu, out=t)
+    np.exp(t, out=t)
+    np.multiply(t[..., None, None], out, out=out)
+    return out, np.subtract(mu, rho, out=mu)
+
+
+def _abs2(w):
+    """|w|^2 as re^2 + im^2, the imaginary part only for complex w."""
+    out = np.square(w.real)
+    if np.iscomplexobj(w):
+        out += np.square(w.imag)
+    return out
 
 
 def _eig3(W):
@@ -115,81 +149,163 @@ def _eig3(W):
     r = det((W - q) / p) / 2, the eigenvalues are q + 2p cos(phi + 2k pi/3),
     phi = acos(r) / 3.  The gaps come from sines of phi, not as differences
     of eigenvalues.  ok is False where 1 - |r| < _R_GUARD, or r is not
-    finite; a multiple of I has p = 0 and gives l1 = q, zero gaps, ok."""
+    finite; a multiple of I has p = 0 and gives l1 = q, zero gaps, ok.
+    The arithmetic runs in place, on a few row vectors at a time."""
     a, b, c = W[..., 0, 0].real, W[..., 1, 1].real, W[..., 2, 2].real
     x, y, z = W[..., 0, 1], W[..., 0, 2], W[..., 1, 2]
-    q = (a + b + c) / 3.0
     # the diagonal of W - q from differences, exactly 0 for a multiple of I
-    da = ((a - b) + (a - c)) / 3.0
-    db = ((b - a) + (b - c)) / 3.0
-    dc = ((c - a) + (c - b)) / 3.0
-    xx, yy, zz = x.real**2 + x.imag**2, y.real**2 + y.imag**2, z.real**2 + z.imag**2
-    p = np.sqrt((da * da + db * db + dc * dc + 2.0 * (xx + yy + zz)) / 6.0)
-    inv = 1.0 / np.where(p > 0.0, p, 1.0)
-    da, db, dc = da * inv, db * inv, dc * inv
+    da, db, dc = a - b, b - a, c - a
+    da += a - c
+    db += b - c
+    dc += c - b
+    da /= 3.0
+    db /= 3.0
+    dc /= 3.0
+    xx, yy, zz = _abs2(x), _abs2(y), _abs2(z)
+    p = da * da
+    p += db * db
+    p += dc * dc
+    t = xx + yy
+    t += zz
+    t *= 2.0
+    p += t
+    p /= 6.0
+    np.sqrt(p, out=p)
+    inv = np.where(p > 0.0, p, 1.0)
+    np.divide(1.0, inv, out=inv)
+    da *= inv
+    db *= inv
+    dc *= inv
     inv2 = inv * inv
+    inv *= inv2
     # det of the Hermitian (W - q) / p: 2 Re(x z conj(y)) is its one cyclic term
-    xzy = (x * z * np.conj(y)).real * (inv2 * inv)
-    r = 0.5 * (da * db * dc + 2.0 * xzy - (da * zz + db * yy + dc * xx) * inv2)
+    xzy = x * z
+    xzy *= np.conj(y)
+    r = da * db
+    r *= dc
+    inv *= xzy.real
+    inv *= 2.0
+    r += inv
+    np.multiply(da, zz, out=t)
+    db *= yy
+    t += db
+    dc *= xx
+    t += dc
+    t *= inv2
+    r -= t
+    r *= 0.5
+    del da, db, dc, inv, inv2, xzy
     ok = 1.0 - np.abs(r) >= _R_GUARD
-    phi = np.arccos(np.clip(r, -1.0, 1.0)) / 3.0
-    cs, sn = np.cos(phi), np.sin(phi)
+    phi = np.clip(r, -1.0, 1.0, out=r)
+    np.arccos(phi, out=phi)
+    phi /= 3.0
+    cs = np.cos(phi)
+    sn = np.sin(phi, out=phi)
     # cos(phi + 2pi/3), and sqrt(3) sin(phi + pi/3) for l3 - l1
-    l1 = q - p * (cs + math.sqrt(3.0) * sn)
-    return l1, 2.0 * math.sqrt(3.0) * p * sn, p * (3.0 * cs + math.sqrt(3.0) * sn), ok, (xx, yy, zz)
+    np.multiply(sn, math.sqrt(3.0), out=t)
+    l1 = cs + t
+    l1 *= p
+    np.subtract((a + b + c) / 3.0, l1, out=l1)
+    cs *= 3.0
+    cs += t
+    cs *= p
+    p *= 2.0 * math.sqrt(3.0)
+    p *= sn
+    return l1, p, cs, ok, (xx, yy, zz)
 
 
 def _phi1(u):
     """(e^u - 1) / u, 1 at u = 0."""
     zero = u == 0.0
-    return np.where(zero, 1.0, np.expm1(u) / np.where(zero, 1.0, u))
+    out = np.expm1(u)
+    out /= np.where(zero, 1.0, u)
+    out[zero] = 1.0
+    return out
 
 
-def _dd2(u, v):
-    """Second divided difference of exp on the nodes 0 >= u >= v.  For
-    |v| >= _SERIES_BELOW it is (e^u phi1(v - u) - phi1(u)) / v, a quotient
-    by the widest gap whose terms are all <= 1; below, the series
-    sum_n h_n(u, v) / (n + 2)!, h_n the complete symmetric polynomials."""
+def _dd2(u, v, phi1_u):
+    """Second divided difference of exp on the nodes 0 >= u >= v, phi1_u
+    being _phi1(u).  For |v| >= _SERIES_BELOW it is
+    (e^u phi1(v - u) - phi1(u)) / v, a quotient by the widest gap whose terms
+    are all <= 1; below, the series sum_n h_n(u, v) / (n + 2)!, h_n the
+    complete symmetric polynomials.  Each rule runs on its own rows only."""
     small = np.abs(v) < _SERIES_BELOW
-    vs = np.where(small, -1.0, v)
-    return np.where(small, _dd2_series(u, v), (np.exp(u) * _phi1(vs - u) - _phi1(u)) / vs)
+    if small.all():
+        return _dd2_series(u, v)
+    out = np.empty_like(v)
+    out[small] = _dd2_series(u[small], v[small])
+    big = ~small
+    u, v = u[big], v[big]
+    q = np.exp(u)
+    q *= _phi1(v - u)
+    q -= phi1_u[big]
+    q /= v
+    out[big] = q
+    return out
 
 
 def _dd2_series(u, v):
-    h = un = np.ones_like(v)  # h_0, u^0
-    out = _SERIES_COEFFS[0] * h
+    h, un = np.ones_like(v), np.ones_like(v)  # h_0, u^0
+    out = np.full_like(v, _SERIES_COEFFS[0])
+    t = np.empty_like(v)
     for coef in _SERIES_COEFFS[1:]:
-        un = un * u
-        h = v * h + un  # h_n(u, v) = v h_{n-1}(u, v) + u^n
-        out = out + coef * h
+        un *= u
+        h *= v
+        h += un  # h_n(u, v) = v h_{n-1}(u, v) + u^n
+        np.multiply(h, coef, out=t)
+        out += t
     return out
 
 
 def _expm3(W, s):
-    batch = W.shape[:-2]
-    W = W.reshape(-1, 3, 3)
-    s = np.broadcast_to(s, batch).reshape(-1)
-    l1, d2, d3, ok, (xx, yy, zz) = _eig3(W)
+    l1, d2, d3, ok, moduli = _eig3(W)
     if not np.any(ok):  # no closed-form row: skip its work
-        out, l1 = _expm_eigh(W, s)
-        return out.reshape(batch + (3, 3)), l1.reshape(batch)
-    u, v = -s * d2, -s * d3
-    g1 = -s * _phi1(u)
-    g2 = s * s * _dd2(u, v)
+        return _expm_eigh(W, s)
+    ns = -s
+    u = ns * d2
+    v = np.multiply(ns, d3, out=d3)
+    g1 = _phi1(u)
+    g2 = _dd2(u, v, g1)
+    g2 *= s * s
+    g1 *= ns
+    e = np.multiply(ns, l1, out=u)
+    np.exp(e, out=e)
+    del v, d3
     # I + g1 A + g2 A (A - d2), A = W - l1, entry by entry: A and the
-    # product are Hermitian, and A's off-diagonal is W's
-    e = np.exp(-s * l1)
-    a = [W[:, i, i].real - l1 for i in range(3)]
-    x, y, z = W[:, 0, 1], W[:, 0, 2], W[:, 1, 2]
+    # product are Hermitian, and A's off-diagonal is W's.  The real diagonal
+    # of out holds A's until the off-diagonal entries have read it.  Each
+    # entry is built in place, the operands in the order of the formula
     out = np.empty(W.shape, dtype=np.result_type(W, float))
+    a = [out.real[..., i, i] for i in range(3)]
+    for i in range(3):
+        np.subtract(W[..., i, i].real, l1, out=a[i])
+    x, y, z = W[..., 0, 1], W[..., 0, 2], W[..., 1, 2]
+
+    def off_diagonal():
+        # (A (A - d2))_ij = W_ij (a_i + a_j - d2) + W_ik W_kj, k the third index
+        yield 0, 1, x, y * np.conj(z)
+        yield 0, 2, y, x * z
+        yield 1, 2, z, np.conj(x) * y
+
+    for i, j, w, cross in off_diagonal():
+        t = a[i] + a[j]
+        t -= d2
+        t = w * t
+        t += cross
+        np.multiply(g2, t, out=t)
+        np.add(g1 * w, t, out=t)
+        np.multiply(e, t, out=out[..., i, j])
+        np.conj(out[..., i, j], out=out[..., j, i])
     # (A (A - d2))_ii = a_i (a_i - d2) + sum over k != i of |W_ik|^2
-    for i, rest in enumerate((xx + yy, xx + zz, yy + zz)):
-        out[:, i, i] = e * (1.0 + g1 * a[i] + g2 * (a[i] * (a[i] - d2) + rest))
-    # (A (A - d2))_ij = W_ij (a_i + a_j - d2) + W_ik W_kj, k the third index
-    for i, j, w, cross in ((0, 1, x, y * np.conj(z)), (0, 2, y, x * z), (1, 2, z, np.conj(x) * y)):
-        out[:, i, j] = wij = e * (g1 * w + g2 * (w * (a[i] + a[j] - d2) + cross))
-        out[:, j, i] = np.conj(wij)
+    xx, yy, zz = moduli
+    for i, (m1, m2) in enumerate(((xx, yy), (xx, zz), (yy, zz))):
+        t = a[i] - d2
+        t *= a[i]
+        t += m1 + m2
+        t *= g2
+        t += 1.0 + g1 * a[i]
+        np.multiply(e, t, out=out[..., i, i])
     bad = ~ok
     if np.any(bad):
-        out[bad], l1[bad] = _expm_eigh(W[bad], s[bad])
-    return out.reshape(batch + (3, 3)), l1.reshape(batch)
+        out[bad], l1[bad] = _expm_eigh(W[bad], np.broadcast_to(s, bad.shape)[bad])
+    return out, l1

@@ -13,11 +13,13 @@ one table of per-path state keyed by EnsembleResult field: endpoints and,
 with a potential or a bundle, three accumulators: floor_integral, holonomy
 and transport.  The table holds the live paths only, with `rows`, their
 indices in the block.  The steps are taken in sub-chunks of C consecutive
-steps, C being _SUB_FLOATS over the live paths' coordinates (fewer at a
+steps, C being _SUB_FLOATS over the live paths' coordinates, or over d
+floats per point for a rank-d weight when d is the larger (fewer at a
 chunk's end or a checkpoint, where a sub-chunk always ends).  A sub-chunk
 walks every live path C steps (model.walk; with a bundle, step by step
 through its transport), tests all C endpoints of every path against the
-domain at once, evaluates the rank-1 field once over them, then runs the
+domain at once, evaluates the rank-1 field once over them, or a matrix
+potential and its exponential once over the C left points, then runs the
 recurrences of the floor, the matrix weight and the transport in step
 order, keeping each step's values; so C = 1 is the same code.  Before any
 field or potential sees them, a leaving path's points from its first
@@ -37,9 +39,11 @@ floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
 with the 1/h cap for a field with declared singular points, and its
 holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
 no matrix work.  A matrix potential is integrated by the exponential-
-product rule (left point): each step evaluates V(x) once and exponentiates
-it as PotentialSpec.matrix returns it, and the matrix exponential also
-returns the smallest eigenvalue of V(x), which is the floor.  A trivial
+product rule (left point): each sub-chunk evaluates V(x) once over the left
+points of its C steps and exponentiates the C x rows matrices as
+PotentialSpec.matrix returns them, in one call whose per-step sizes dt
+broadcast over the rows; the matrix exponential also returns the smallest
+eigenvalue of each V(x), which is the floor.  A trivial
 bundle is no bundle in the engine; every other one, the magnetic phase
 among them, is transported through BundleSpec.step_transport into one
 (B, d, d) accumulator.  The transport also returns the step's endpoint,
@@ -97,7 +101,7 @@ __all__ = [
 _SUBSTEP_FRACS = (0.125, 0.375, 0.625, 0.875)
 _BLOCK_BUDGET = 16_000_000  # floats of Gaussian increments held per block
 _CHUNK_STEPS = 2048  # steps of increments a block draws per path at a time
-_SUB_FLOATS = 1 << 14  # floats of points a sub-chunk walks: its steps are this over the live rows
+_SUB_FLOATS = 1 << 14  # floats of points a sub-chunk holds: its steps are this over the live rows
 _GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not grow with the grid
 
 
@@ -285,6 +289,7 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
     matrix_V = potential if scalar_v is None else None
     singular = scalar_v is not None and scalar_v.singular
+    per_point = max(model.coord_dim, d)  # floats of a point in _SUB_FLOATS
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state of the live paths, keyed by EnsembleResult field; row
@@ -341,9 +346,12 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
         k = k0
         while k < k1 and len(rows):
             # a sub-chunk: the steps k -> k2 of every live row, as long as its
-            # points fit _SUB_FLOATS, and no snapshot before its end
+            # points fit _SUB_FLOATS, and no snapshot before its end.  A point
+            # counts d floats for a rank-d weight when d is more than its
+            # coordinates, which bounds the sub-chunk's matrices and their
+            # exponential's temporaries
             k2 = min(k1, stops[bisect.bisect_right(stops, k)],
-                     k + max(1, _SUB_FLOATS // (len(rows) * model.coord_dim)))
+                     k + max(1, _SUB_FLOATS // (len(rows) * per_point)))
             C, dt, x = k2 - k, dts[k:k2], state["points"]
             steps = incs[k - k0:k2 - k0] if at is None else incs[k - k0:k2 - k0, at]
             steps *= sqrt_dts[k:k2, None, None]
@@ -402,22 +410,25 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                     inc[j] += inc[j - 1]
                 hist["floor_integral"] = inc
 
-            # the per-step recurrences.  A matrix potential's weight and floor
-            # use the step start; V(x) is evaluated once, and its floor is the
-            # smallest eigenvalue the exponential already solved for.  At
-            # rank 1 the transport is a phase, taken elementwise as acc * Tk
-            # (with FMA, complex products are not bitwise commutative, so the
-            # operand order is part of the result)
+            # a matrix potential's weight and floor use each step's start: V(x)
+            # once over the sub-chunk's left points and one exponential, whose
+            # per-step sizes broadcast over the rows; its floor is the smallest
+            # eigenvalue the exponential already solved for
+            if matrix_V is not None:
+                step_exp, lam_min = expm_neg_hermitian(
+                    matrix_V.matrix(np.concatenate([x[None], pts[:-1]]), cap=cap), dt[:, None])
+
+            # the per-step recurrences.  At rank 1 the transport is a phase,
+            # taken elementwise as acc * Tk (with FMA, complex products are not
+            # bitwise commutative, so the operand order is part of the result)
             if matrix_V is not None or bundle is not None:
                 floor, G, acc = (state.get(name) for name in ("floor_integral", "G", "transport"))
                 floors, Gs, accs = {}, {}, {}  # kept after the steps that exits and the end read
                 kept = {C - 1} if cols is None else {C - 1, *(j - 1 for j in leave_at)}
                 for j in range(C):
                     if matrix_V is not None:
-                        step_exp, lam_min = expm_neg_hermitian(
-                            matrix_V.matrix(x if j == 0 else pts[j - 1], cap=cap), dt[j])
-                        floor = floor + dt[j] * lam_min
-                        G = small_matmul(G, step_exp)
+                        floor = floor + dt[j] * lam_min[j]
+                        G = small_matmul(G, step_exp[j])
                     if bundle is not None:
                         acc = acc * Ts[j] if d == 1 else small_matmul(Ts[j], acc)
                         # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H

@@ -300,7 +300,10 @@ class PotentialSpec:
         shape = pts.shape[:-1]
         V = np.broadcast_to(self.const, shape + (self.rank, self.rank)).copy()
         for f, P in self.terms:
-            V += f(pts, cap=cap)[..., None, None] * P
+            fx = f(pts, cap=cap)
+            # entry by entry, so that no product of V's size is held beside V
+            for (i, j), p in np.ndenumerate(P):
+                V[..., i, j] += fx * p
         return V
 
     def field(self) -> ScalarField:

@@ -3,7 +3,8 @@
 The tracer wraps engine functions by name, so renaming one of them breaks
 `bench/run.py --trace 1` without failing any engine test.  This runs a tiny
 rank-3 fk_vector call under the tracer and pins what the fused step
-promises: one V(x) evaluation per step and no separate floor eigen-solve.
+promises: one V(x) evaluation and one exponential per sub-chunk, over all of
+its steps' matrices, and no separate floor eigen-solve.
 A short tangent_sphere call pins that tangent transport is still timed, a
 short scalar_harmonic call that the rank-1 route does no matrix work, and a
 short exit_probability call that the live-step ratio still reads the
@@ -20,13 +21,21 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "bench"))
 import layers  # noqa: E402
 import workloads  # noqa: E402
 
+import fiberflow.paths as paths  # noqa: E402
 from fiberflow.geometry import Euclidean  # noqa: E402
 from fiberflow.paths import exit_probability  # noqa: E402
 from fiberflow.rng import RngKey  # noqa: E402
 from fiberflow.semigroup import fk_scalar, fk_vector  # noqa: E402
 
 
-def test_traced_rank3_call_evaluates_potential_once_per_step():
+def sub_chunks(steps, n, floats):
+    """The engine's sub-chunks over `steps` steps of n live paths with no
+    checkpoint before the last step, each point taking `floats` of
+    _SUB_FLOATS."""
+    return -(-steps // max(1, paths._SUB_FLOATS // (n * floats)))
+
+
+def test_traced_rank3_call_evaluates_potential_once_per_sub_chunk():
     w = workloads.SpinorRank3()
     c = w.cfg
     t, h, n = 0.01, w.h, 16
@@ -37,7 +46,8 @@ def test_traced_rank3_call_evaluates_potential_once_per_step():
     m = tr.metrics()
     steps = int(round(t / h))
     assert m["potentials.floor_s"] == 0
-    assert m["potentials.matrix_calls"] == steps
+    # a rank-3 weight takes 3 floats per point, more than the plane's 2
+    assert m["potentials.matrix_calls"] == sub_chunks(steps, n, 3)
     assert m["matexp.matrices"] == steps * n
     assert m["paths.blocks"] == 1
 
@@ -57,7 +67,8 @@ def test_traced_tangent_call_attributes_transport():
     steps = int(round(t / h))
     assert m["bundles.transport_s"] > 0
     assert m["geometry.exp_calls"] == 0
-    assert m["potentials.matrix_calls"] == steps
+    assert m["potentials.matrix_calls"] == sub_chunks(steps, n, 3) > 1
+    assert m["matexp.matrices"] == steps * n
 
 
 def test_traced_scalar_call_does_no_matrix_work():

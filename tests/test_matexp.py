@@ -6,10 +6,13 @@ cases below cover both branches, degenerate and narrow spectra, large
 s * ||W||, negative eigenvalues and empty or multi-axis batches.
 """
 
+import math
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
+import fiberflow.matexp as matexp
 from fiberflow.config import parse_potential
 from fiberflow.geometry import Euclidean
 from fiberflow.matexp import expm_neg_hermitian
@@ -136,3 +139,30 @@ def test_ranks_one_two_and_four_unchanged():
         ref = np.array([expm(-0.3 * w) for w in W])
         assert np.allclose(E, ref, rtol=0, atol=1e-13)
         assert np.allclose(lam, np.linalg.eigvalsh(W)[:, 0], rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_per_step_sizes_match_step_by_step_calls(d, monkeypatch):
+    # the path engine exponentiates the C steps of a sub-chunk in one call,
+    # s of shape (C, 1) against (C, B, d, d): bit for bit the C calls of
+    # one step each.  At rank 3, one step mixes rows through eigh with
+    # closed-form rows and one goes through eigh whole
+    C, B = 4, 64
+    Z = RNG.normal(size=(C, B, d, d)) + 1j * RNG.normal(size=(C, B, d, d))
+    W = 0.5 * (Z + Z.conj().swapaxes(-1, -2))
+    if d == 3:
+        W[1, ::4] = _conjugated((0.0, 1e-9, 1.0), B // 4)
+        W[2] = _conjugated((0.0, 1e-9, 1.0), B)
+    s = RNG.uniform(0.0, 1.0, size=(C, 1))
+    eigh_rows = []
+    eigh = matexp._expm_eigh
+    monkeypatch.setattr(matexp, "_expm_eigh",
+                        lambda W, s: (eigh_rows.append(math.prod(W.shape[:-2])), eigh(W, s))[1])
+    for V in (W, W.real):
+        E, lam = expm_neg_hermitian(V, s)
+        assert E.shape == V.shape and lam.shape == (C, B)
+        for j in range(C):
+            E_j, lam_j = expm_neg_hermitian(V[j], s[j, 0])
+            assert np.array_equal(E[j], E_j) and np.array_equal(lam[j], lam_j), j
+    if d == 3:
+        assert eigh_rows[:1] == [B + B // 4]

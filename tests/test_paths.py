@@ -214,7 +214,8 @@ def _killed_reference(dom, v, t, h, key):
 def chunk_lengths(width, model):
     """(_CHUNK_STEPS, _SUB_FLOATS) pairs: chunks of the default length, 1
     and 7 steps, each stepped in sub-chunks of the default length, of 1
-    step and of 3 steps of a block of `width` live paths on model."""
+    step and of 3 steps of a block of `width` live paths on model (2 steps
+    for a rank-3 weight on the plane, whose points count 3 floats)."""
     subs = (paths._SUB_FLOATS, 1, 3 * width * model.coord_dim)
     return [(chunk, sub) for chunk in (paths._CHUNK_STEPS, 1, 7) for sub in subs]
 
@@ -268,26 +269,29 @@ def _nan_outside(r):
     return lambda p: np.where(np.abs(p[..., 0]) < r, p[..., 0] ** 2, np.nan)
 
 
-@pytest.mark.parametrize("singular", [False, True], ids=["trapezoid", "substeps"])
-def test_no_field_evaluation_past_an_exit(singular, monkeypatch):
+@pytest.mark.parametrize("kind", ["trapezoid", "substeps", "matrix"])
+def test_no_field_evaluation_past_an_exit(kind, monkeypatch):
     # a field that is NaN off a ball (NonFiniteFieldError if evaluated
     # there) is evaluated only where a path is still inside it: a leaving
     # step's end and sub-step points and every later point of the sub-chunk
-    # become the path's last inside point.  Sub-chunks of 1 step and of the
-    # default length give the same arrays; the checkpoint off the grid makes
-    # one step short
+    # become the path's last inside point, and so do the left points at
+    # which a rank-2 potential built on the field is evaluated.  Sub-chunks
+    # of 1 step and of the default length give the same arrays; the
+    # checkpoint off the grid makes one step short
     r = 0.2
     v = ScalarField(_nan_outside(r), class_tag="kato", name="nan_outside",
-                    singular_points=(np.zeros(1),) if singular else ())
+                    singular_points=(np.zeros(1),) if kind == "substeps" else ())
+    sigma_x = np.array([[0.0, 1.0], [1.0, 0.0]])
+    V = (PotentialSpec(rank=2, const=np.diag([0.2, 0.5]), terms=[(v, sigma_x)])
+         if kind == "matrix" else PotentialSpec.scalar(v))
     runs = []
     for sub in (1, paths._SUB_FLOATS):
         monkeypatch.setattr(paths, "_SUB_FLOATS", sub)
         runs.append(result_arrays(run_ensemble(ball(Euclidean(1), r), np.zeros(1), 0.1, 1e-3,
-                                               KEY, 64, potential=PotentialSpec.scalar(v),
-                                               checkpoints=(0.0337,))))
+                                               KEY, 64, potential=V, checkpoints=(0.0337,))))
     a, b = runs
     assert 0 < a["alive"][-1].sum() < 64
-    assert np.all(np.isfinite(a["floor_integral"]))
+    assert np.all(np.isfinite(a["floor_integral"])) and np.all(np.isfinite(a["holonomy"]))
     assert sorted(a) == sorted(b)
     for name in a:
         assert np.array_equal(a[name], b[name]), name
@@ -672,6 +676,32 @@ def test_ensemble_golden(case, monkeypatch):
                 assert np.array_equal(got[name], want[name]), (chunk, sub, name)
 
 
+@pytest.mark.parametrize("case", ["tangent", "tangent_ball", "rank3", "rank3_ball"])
+def test_matrix_weight_with_unequal_steps_inside_a_sub_chunk(case, monkeypatch):
+    # the off-grid checkpoint puts a short step at the end of a sub-chunk of
+    # full steps, whose one exponential takes each step's own dt; every
+    # array is that of 1-step sub-chunks, bit for bit, on the whole space
+    # and on a ball of radius 0.3, which every path leaves within a few
+    # steps of h = 1e-2
+    if case.startswith("tangent"):
+        model, x0, _, _, kw, _ = ensemble_case("sphere2_ball")
+        model = model if case.endswith("ball") else model.base
+    else:
+        model, x0, kw = Euclidean(2), np.zeros(2), ensemble_case("spin1_rank3")[4]
+        model = ball(model, 0.3) if case.endswith("ball") else model
+    t, h, n = 0.5, 1e-2, 300
+    runs = []
+    for sub in (1, paths._SUB_FLOATS):
+        monkeypatch.setattr(paths, "_SUB_FLOATS", sub)
+        runs.append(result_arrays(run_ensemble(model, x0, t, h, KEY, n,
+                                               checkpoints=(0.25, 0.3337), **kw)))
+    a, b = runs
+    assert np.all(a["death_step"] > 0) if case.endswith("ball") else np.all(a["alive"])
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert np.array_equal(a[name], b[name]), name
+
+
 # -- rank-3 eigh fallback along paths -----------------------------------------
 
 
@@ -692,18 +722,29 @@ def test_rank3_fallback_rows_along_crossing_paths(monkeypatch):
     V = PotentialSpec(rank=3, const=U @ np.diag([0.0, 0.0, 2.0]) @ U.conj().T,
                       terms=[(x1, U @ np.diag([1.0, -1.0, 0.0]) @ U.conj().T)])
     t, h, n = 0.05, 1e-3, 64
-    rows = []
+    rows = []  # matrices of each eigh call
     eigh_rows = matexp._expm_eigh
     monkeypatch.setattr(matexp, "_expm_eigh",
-                        lambda W, s: (rows.append(len(W)), eigh_rows(W, s))[1])
+                        lambda W, s: (rows.append(math.prod(W.shape[:-2])), eigh_rows(W, s))[1])
+    batches = []  # (matrices, of which through eigh) of each of the engine's exponentials
+    expm = paths.expm_neg_hermitian
+
+    def counted(W, s):
+        before = sum(rows)
+        out = expm(W, s)
+        batches.append((math.prod(W.shape[:-2]), sum(rows) - before))
+        return out
+
+    monkeypatch.setattr(paths, "expm_neg_hermitian", counted)
 
     # fk_vector asserts per-sample domination to 1e-9 on every path
     fk_vector(e2, trivial_bundle(3), V, constant_section((1.0, 1.0, 1.0), rank=3), np.zeros(2),
               t, h, n, KEY)
     total = n * int(round(t / h))
+    assert sum(b for b, _ in batches) == total
     assert 0 < sum(rows) < total // 2
     # and in batches where the other rows take the closed form
-    assert any(0 < r < n for r in rows)
+    assert any(0 < r < b for b, r in batches)
 
     rows.clear()
     kw = dict(bundle=trivial_bundle(3), potential=V, checkpoints=(0.02,))
