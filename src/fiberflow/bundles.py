@@ -14,13 +14,16 @@ Three connection kinds cover the catalog:
                 along a step is the phase exp(-i * int beta) with the
                 Stratonovich midpoint rule (rank 1).
 
-BundleSpec.step_transport is the single transport entry point: it returns
-a step's endpoint with its (..., d, d) step matrices, which the path
-engine (paths.run_ensemble) multiplies into the accumulated transport and
-`--dump-paths` writes per step.  For the tangent bundle it also returns
-the frame at the endpoint, which the engine hands back as the next step's
-start frame.  A trivial bundle is no bundle in the engine: after its rank
-check the run drops it and carries no transport.
+BundleSpec.step_transport is the single transport entry point.  One call
+walks C steps, xi of shape (C, ..., m), and returns the C points with their
+(C, ..., d, d) step matrices, which the path engine (paths.run_ensemble)
+multiplies into the accumulated transport, one call per sub-chunk;
+`--dump-paths` passes its steps with a leading axis of 1 and writes each
+step's matrix.  For the tangent bundle the call also returns the frame at
+the last point, which the engine hands back as the next call's start
+frame; the magnetic phase is one model.walk and one midpoint line integral
+over all C steps.  A trivial bundle is no bundle in the engine: after its
+rank check the run drops it and carries no transport.
 """
 
 from __future__ import annotations
@@ -76,21 +79,26 @@ class BundleSpec:
             raise ValueError("magnetic 1-forms are supported on flat models and the circle")
 
     def step_transport(self, model: ManifoldModel, x, xi, frame=None):
-        """(y, T, frame_y) for the geodesic step from x: its endpoint
-        y = exp_x(xi), the unitary (..., d, d) matrices T, real rotations for the
-        tangent bundle, carrying fiber coordinates at x to fiber coordinates at y,
-        and for the tangent bundle the tangent frame at y (None otherwise).
-        `frame` is the frame at x a previous step returned, so the sphere
-        builds one geodesic head and one frame per step."""
+        """(points, T, frame_y) of the walk from x by the geodesic steps xi,
+        shape (C, ..., m), one step per leading index: the points, point j
+        exp of point j-1 by xi[j], shape (C, ..., coord_dim); the unitary
+        (C, ..., d, d) matrices T of the steps, real rotations for the
+        tangent bundle, carrying fiber coordinates at each step's start to
+        fiber coordinates at its end; and for the tangent bundle the
+        tangent frame at the last point (None otherwise).  `frame` is the
+        frame at x a previous call returned.  One step is a leading axis
+        of 1."""
         if self.kind == "tangent":
             return model.base.transport_matrix(x, xi, frame)
-        y = model.exp(x, xi)
+        xi = np.asarray(xi, dtype=float)
+        pts = model.walk(x, xi.copy())
         if self.kind == "trivial":
             eye = np.eye(self.rank, dtype=complex)
-            T = np.broadcast_to(eye, np.asarray(xi).shape[:-1] + (self.rank, self.rank))
-        else:  # magnetic: phase e^{-i int beta} with midpoint evaluation
-            T = np.exp(-1j * stratonovich_increment(model, self.beta, x, xi))[..., None, None]
-        return y, T, None
+            return pts, np.broadcast_to(eye, xi.shape[:-1] + (self.rank, self.rank)), None
+        # magnetic: phase e^{-i int beta} with midpoint evaluation, all steps at once
+        starts = np.concatenate([np.broadcast_to(x, pts.shape[1:])[None], pts[:-1]])
+        phase = stratonovich_increment(model, self.beta, starts, xi)
+        return pts, np.exp(-1j * phase)[..., None, None], None
 
 
 def trivial_bundle(rank=1):

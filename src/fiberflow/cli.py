@@ -169,7 +169,7 @@ def _dump_paths_csv(path, model, bundle, x, t, h, key, count=4):
     res = run_ensemble(model, x, t, h, key, count, bundle=bundle, checkpoints=times[:-1])
     points = res.points.swapaxes(0, 1)  # (count, K + 1, coord_dim)
     steps = np.sqrt(np.diff(times))[:, None] * normals(key, count, (K, model.dim))
-    transports = bundle.step_transport(model, points[:, :-1], steps)[1]
+    transports = bundle.step_transport(model, points[:, :-1], steps[None])[1][0]
     rows = ["path,step,time," + ",".join(f"coord{i}" for i in range(model.coord_dim))
             + ",alive,transport"]
     for j in range(count):

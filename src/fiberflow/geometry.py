@@ -3,14 +3,21 @@
 Five homogeneous models (Euclidean space, circle, flat torus, round
 2-sphere, hyperbolic plane of curvature -1) plus open subdomains of them.
 Each model supplies exactly what the samplers and analyzers need: an
-orthonormal-frame exponential map (the endpoint only; the sphere's
-transport_matrix adds the parallel transport its tangent bundle uses and
-the frame at the endpoint; `walk` chains it over many steps, in place on
-Euclidean space), geodesic distance, volume sampling, quadrature rules,
-and the closed-form heat kernel where one exists.  `model.base` is
+orthonormal-frame exponential map (`exp`, the endpoint only) and `walk`,
+which chains it over many steps (in place on Euclidean space), geodesic
+distance, volume sampling, quadrature rules, and the closed-form heat
+kernel where one exists.  `model.base` is
 the complete model a model lies in (itself, or an open subdomain's parent)
 and `model.complete` tells the two apart, so callers never unwrap a
 subdomain by type.
+
+On the sphere, exp, walk and transport_matrix share one kernel that walks
+C steps at once in component-major form: each coordinate of the points,
+the steps and the tangent frames is a contiguous row over the points, and
+a step is a few dozen operations on those rows, with the bits of the
+(..., 3)-vector forms (np.cross, np.linalg.norm, einsum, argmin).
+transport_matrix adds each step's parallel transport, the rotation its
+tangent bundle uses, and the frame at the last point.
 
 Convention used everywhere in this package: kernels and semigroups belong
 to the generator Delta/2, so a Brownian increment over time h has variance
@@ -69,6 +76,47 @@ def _norm3(v):
     """np.linalg.norm(v, axis=-1) of (..., 3) arrays: its sum of squares, in its order."""
     v0, v1, v2 = v[..., 0], v[..., 1], v[..., 2]
     return np.sqrt(v0 * v0 + v1 * v1 + v2 * v2)
+
+
+def _gauge_frame(n, E):
+    """Sphere2.frame in component-major form, with its operations.  n, of
+    shape (5, N), holds N unit normals, one coordinate per row, in rows 0-2
+    (rows 3-4 are set here to rows 0-1, so that rows i+1 and i+2 of a cross
+    product's factors are the slices [1:4] and [2:5]); E, of shape
+    (2, 5, N), receives e1 in E[0] (doubled the same way) and e2 in
+    E[1, :3].  The reference axis is the coordinate axis least aligned with
+    n, the first of equal ones as argmin picks it, chosen by <= comparisons;
+    then e1 = axis x n, normalized, and e2 = n x e1."""
+    n[3:] = n[:2]
+    m = np.abs(n[:3])
+    lo01, lo02, lo12 = m[0] <= m[1], m[0] <= m[2], m[1] <= m[2]
+    a = np.empty(n.shape, dtype=bool)  # the axis, one-hot, doubled as n
+    np.logical_and(lo01, lo02, out=a[0])
+    np.greater(lo12, lo01, out=a[1])
+    np.logical_or(lo02, lo12, out=a[2])
+    np.logical_not(a[2], out=a[2])
+    a[3:] = a[:2]
+    e1, e2 = E[0], E[1, :3]
+    np.multiply(a[1:4], n[2:5], out=e1[:3])
+    e1[:3] -= a[2:5] * n[1:4]
+    sq = e1[:3] * e1[:3]
+    norm = sq[0] + sq[1]
+    norm += sq[2]
+    np.sqrt(norm, out=norm)
+    e1[:3] /= norm
+    e1[3:] = e1[:2]
+    np.multiply(n[1:4], e1[2:5], out=e2)
+    e2 -= n[2:5] * e1[1:4]
+
+
+def _dots(E, u, W):
+    """(u . e1, u . e2) for a component-major frame E as _gauge_frame
+    fills it, summed as einsum sums (from +0); W is (2, 3, ...) scratch."""
+    np.multiply(E[:, :3], u, out=W)
+    d = W[:, 0] + W[:, 1]
+    d += W[:, 2]
+    d += 0.0
+    return d
 
 
 class ManifoldModel:
@@ -329,64 +377,131 @@ class Sphere2(ManifoldModel):
         Brownian sampling is insensitive to the choice because Gaussian
         increments are rotation invariant."""
         p = _as_points(p, 3)
-        n = p / self.radius
-        # reference axis: the coordinate axis least aligned with n
-        a = (np.argmin(np.abs(n), axis=-1)[..., None] == np.arange(3)).astype(float)
-        e1 = _cross(a, n)
-        e1 = e1 / _norm3(e1)[..., None]
-        e2 = _cross(n, e1)
-        return np.stack([e1, e2], axis=-1)
-
-    def _head(self, x, xi, F=None):
-        """The geodesic step exp and transport_matrix share: (x, F, vhat,
-        cos alpha, sin alpha, y), F = frame(x) (built here unless the caller
-        carries it from the step that ended at x), vhat the ambient step
-        direction (F's first column for a null step), alpha the angle
-        walked, y the endpoint.  A tangent step of the path engine builds
-        one head and one frame, frame(y), which it carries to the next step
-        as F."""
-        x = _as_points(x, 3)
-        xi = np.asarray(xi, dtype=float)
-        if F is None:
-            F = self.frame(x)
-        v = np.einsum("...ij,...j->...i", F, xi)  # ambient step vector
-        norm = _norm3(v)[..., None]
-        alpha = norm / self.radius
-        small = norm < 1e-300
-        vhat = np.where(small, F[..., :, 0], v / np.where(small, 1.0, norm))
-        ca, sa = np.cos(alpha), np.sin(alpha)
-        y = x * ca + self.radius * vhat * sa
-        y = y * (self.radius / _norm3(y)[..., None])
-        return x, F, vhat, ca, sa, y
+        n = np.empty((5, math.prod(p.shape[:-1])))
+        np.divide(p.reshape(-1, 3).T, self.radius, out=n[:3])
+        E = np.empty((2,) + n.shape)
+        _gauge_frame(n, E)
+        return np.ascontiguousarray(E[:, :3].T).reshape(p.shape[:-1] + (3, 2))
 
     def exp(self, x, xi):
-        return self._head(x, xi)[-1]
+        return self._sweep(x, np.asarray(xi, dtype=float)[None], None, False)[0][0]
+
+    def walk(self, x, steps):
+        return self._sweep(x, steps, None, False)[0]
 
     def transport_matrix(self, x, xi, F=None):
-        """(exp_x(xi), T, frame(exp_x(xi))): T is the real 2x2 rotation
-        carrying frame coefficients at x to frame coefficients at exp_x(xi)
-        by parallel transport along the geodesic.  F, if given, is frame(x),
-        as the previous step returned it.
+        """(points, T, frame) of the walk from x by the steps xi, shape
+        (C, ..., 2), one geodesic step per leading index: points (C, ..., 3)
+        as `walk` gives them, T (C, ..., 2, 2) the real rotations carrying
+        frame coefficients at each step's start to frame coefficients at
+        its end by parallel transport along the geodesic, and the frame at
+        the last point, (..., 3, 2).  F, if given, is frame(x), as a
+        previous call returned it.
 
         Transport turns the step direction vhat into the geodesic's
-        direction that_y at y and keeps the binormal nhat x vhat, which is
-        also the binormal at y; both frames are oriented by the outward
-        normal, so T is the rotation taking src = F^T vhat to
-        img = frame(y)^T that_y, [[c, -s], [s, c]] with (c, s) the unit
-        vector along (src . img, src x img), built from that one pair."""
-        x, F, vhat, ca, sa, y = self._head(x, xi, F)
-        that_y = vhat * ca - (x / self.radius) * sa
-        Fy = self.frame(y)
-        img = np.einsum("...i,...ij->...j", that_y, Fy)
-        src = np.einsum("...i,...ij->...j", vhat, F)
-        c = src[..., 0] * img[..., 0] + src[..., 1] * img[..., 1]
-        s = src[..., 0] * img[..., 1] - src[..., 1] * img[..., 0]
-        # |src| |img| = 1 up to a few ulps: scale it out, so T is a rotation
-        # to rounding (c^2 + s^2 within 1e-15 of 1)
-        q = 1.0 / np.sqrt(c * c + s * s)
-        c, s = c * q, s * q
-        T = np.stack([c, -s, s, c], axis=-1).reshape(c.shape + (2, 2))
-        return y, T, Fy
+        direction that_y at the endpoint y and keeps the binormal
+        nhat x vhat, which is also the binormal at y; both frames are
+        oriented by the outward normal, so T is the rotation taking
+        src = F^T vhat to img = frame(y)^T that_y, [[c, -s], [s, c]] with
+        (c, s) the unit vector along (src . img, src x img)."""
+        return self._sweep(x, xi, F, True)
+
+    def _sweep(self, x, xi, F, transport):
+        """The one geodesic step kernel of exp, walk and transport_matrix:
+        (points, T, frame) for steps xi of shape (C, ..., 2) from x, T and
+        frame None unless `transport`.
+
+        The walk runs component-major: each coordinate of the points, the
+        step and both frame columns is a contiguous row over all the
+        points, the steps are transposed once, and each step is a few
+        dozen operations on those rows.  A step maps xi through the frame
+        F at its start to the ambient vector v (F's first column is the
+        direction of a null step), walks the angle |v|/r along the great
+        circle, puts the endpoint back on the sphere, and takes the frame
+        there, which is the next step's F.  The arithmetic is that of the
+        (..., 3) forms (einsum's sums start from +0), so every output is
+        what one step at a time gives, bit for bit."""
+        x = _as_points(x, 3)
+        xi = np.asarray(xi, dtype=float)
+        C = xi.shape[0]
+        shape = np.broadcast_shapes(x.shape[:-1], xi.shape[1:-1])
+        N = math.prod(shape)
+        r = self.radius
+        XI = np.broadcast_to(xi, (C,) + shape + (2,)).reshape(C, N, 2).transpose(0, 2, 1).copy()
+        P = np.empty((C + 1, 3, N))  # P[j + 1] is point j, P[0] the start
+        P[0] = np.broadcast_to(x, shape + (3,)).reshape(N, 3).T
+        n, n_y = np.empty((5, N)), np.empty((5, N))  # x / r and y / r, for _gauge_frame
+        E, E_y = np.empty((2, 5, N)), np.empty((2, 5, N))  # the frames at x and y
+        np.divide(P[0], r, out=n[:3])
+        if F is None:
+            _gauge_frame(n, E)
+        else:
+            E[:, :3] = np.broadcast_to(F, shape + (3, 2)).reshape(N, 3, 2).T
+        W, U = np.empty((2, 3, N)), np.empty((3, N))
+        CS = np.empty((C, 2, N)) if transport else None  # (c, s) of each step's rotation
+        for j in range(C):
+            x, y = P[j], P[j + 1]
+            # the ambient step v = F xi, its length and direction vhat
+            np.multiply(E[:, :3], XI[j][:, None], out=W)
+            v = W[0] + W[1]
+            v += 0.0
+            np.multiply(v, v, out=U)
+            norm = U[0] + U[1]
+            norm += U[2]
+            np.sqrt(norm, out=norm)
+            small = norm < 1e-300
+            if small.any():
+                vhat = np.where(small, E[0, :3], v / np.where(small, 1.0, norm))
+            else:
+                vhat = np.divide(v, norm, out=v)
+            # y = x cos(alpha) + r vhat sin(alpha), scaled back onto the sphere
+            alpha = norm / r
+            ca, sa = np.cos(alpha), np.sin(alpha)
+            np.multiply(x, ca, out=y)
+            np.multiply(r, vhat, out=U)
+            U *= sa
+            y += U
+            np.multiply(y, y, out=U)
+            q = U[0] + U[1]
+            q += U[2]
+            np.sqrt(q, out=q)
+            np.divide(r, q, out=q)
+            y *= q
+            if not transport:
+                if j < C - 1:
+                    np.divide(y, r, out=n[:3])
+                    _gauge_frame(n, E)
+                continue
+            # the frame at y, the next step's F, and the rotation taking
+            # src = F^T vhat to img = frame(y)^T that_y
+            np.divide(y, r, out=n_y[:3])
+            _gauge_frame(n_y, E_y)
+            that = vhat * ca
+            np.multiply(n[:3], sa, out=U)
+            that -= U
+            img, src = _dots(E_y, that, W), _dots(E, vhat, W)
+            cs = CS[j]
+            np.multiply(src[0], img, out=cs)
+            img *= src[1]
+            cs[0] += img[1]
+            cs[1] -= img[0]
+            # |src| |img| = 1 up to a few ulps: scale it out, so T is a rotation
+            # to rounding (c^2 + s^2 within 1e-15 of 1)
+            q = cs[0] * cs[0]
+            q += cs[1] * cs[1]
+            np.sqrt(q, out=q)
+            np.divide(1.0, q, out=q)
+            cs *= q
+            E, E_y, n, n_y = E_y, E, n_y, n
+        pts = np.ascontiguousarray(P[1:].transpose(0, 2, 1)).reshape((C,) + shape + (3,))
+        if not transport:
+            return pts, None, None
+        T = np.empty((C, N, 2, 2))
+        T[..., 0, 0] = T[..., 1, 1] = CS[:, 0]
+        T[..., 1, 0] = CS[:, 1]
+        np.negative(CS[:, 1], out=T[..., 0, 1])
+        frame = np.ascontiguousarray(E[:, :3].T).reshape(shape + (3, 2))
+        return pts, T.reshape((C,) + shape + (2, 2)), frame
 
     def distance(self, x, y):
         # atan2 form stays accurate for nearly coincident or antipodal points

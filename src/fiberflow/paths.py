@@ -1,11 +1,15 @@
 """Brownian path sampling with lifetime, parallel transport and weights.
 
 The sampler realizes the geodesic random walk x_{k+1} = exp_{x_k}(sqrt(h) xi_k)
-with standard Gaussian frame coefficients xi_k; on the catalog models the
-exponential map is exact, so the chain restricted to the grid is exactly the
-time-h skeleton of Brownian motion (generator Delta/2).  Paths on open
-subdomains are killed at the first grid point outside (bias O(sqrt(h)),
-resolved by h-refinement in the estimator tests).
+with standard Gaussian frame coefficients xi_k and each catalog model's
+exact exponential map.  On the flat models (euclidean, circle, torus) the
+chain restricted to the grid is exactly the time-h skeleton of Brownian
+motion (generator Delta/2).  On sphere2 and hyperbolic() it is not: a
+geodesic step of Gaussian length does not have the law of the Brownian
+distance walked in time h, and the weak error is O(h) (E[cos theta_1] on
+the unit sphere reads 0.0051 low at h = 0.1).  Paths on open subdomains
+are killed at the first grid point outside (bias O(sqrt(h)), resolved by
+h-refinement in the estimator tests).
 
 This module is the package's one path engine: everything an estimator
 consumes is produced in one vectorized pass over a block of paths, kept in
@@ -16,8 +20,9 @@ indices in the block.  The steps are taken in sub-chunks of C consecutive
 steps, C being _SUB_FLOATS over the live paths' coordinates, or over d
 floats per point for a rank-d weight when d is the larger (fewer at a
 chunk's end or a checkpoint, where a sub-chunk always ends).  A sub-chunk
-walks every live path C steps (model.walk; with a bundle, step by step
-through its transport), tests all C endpoints of every path against the
+walks every live path C steps in one call (model.walk; with a bundle,
+BundleSpec.step_transport, which returns the C steps' transports with the
+points), tests all C endpoints of every path against the
 domain at once, evaluates the rank-1 field once over them, or a matrix
 potential and its exponential once over the C left points, then runs the
 recurrences of the floor, the matrix weight and the transport in step
@@ -46,11 +51,14 @@ broadcast over the rows; the matrix exponential also returns the smallest
 eigenvalue of each V(x), which is the floor.  A trivial
 bundle is no bundle in the engine; every other one, the magnetic phase
 among them, is transported through BundleSpec.step_transport into one
-(B, d, d) accumulator.  The transport also returns the step's endpoint,
-so a bundle step takes no separate model.exp.  On the tangent bundle of
-the sphere a step builds one geodesic head and one frame: the transport
-returns the frame at the endpoint, the table carries it (never
-snapshotted), and the next step passes it back as the frame at its start.
+(B, d, d) accumulator: one call per sub-chunk walks its C steps and
+returns their (C, rows, d, d) step matrices with the points, so a bundle
+step takes no separate model.exp, and the per-step loop only multiplies
+them in.  On the tangent bundle of the sphere that call is
+Sphere2.transport_matrix's component-major walk, which builds one frame
+per step and returns the frame at the sub-chunk's last point; the table
+carries it (never snapshotted), and the next sub-chunk passes it back as
+the frame at its start.
 
 A matrix potential's one weight state is G = holonomy acc^H, acc the
 transport so far, or the holonomy itself without a bundle (G is never
@@ -357,19 +365,15 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
             steps *= sqrt_dts[k:k2, None, None]
             hist = {}  # the sub-chunk's state after its step j, at hist[name][j]
 
-            # the walk: with a bundle, step by step through its transport,
-            # which also returns the endpoint (and the tangent frame there)
+            # the walk, one call: with a bundle, its transport walks the
+            # sub-chunk and returns the C steps' matrices with the points
+            # (and the tangent frame at the last point)
             if bundle is None:
                 pts = model.walk(x, steps.copy() if singular else steps)
             else:
-                pts = np.empty(steps.shape[:-1] + (model.coord_dim,))
-                Ts, y = [], x
-                for j in range(C):
-                    y, T, frame = bundle.step_transport(model, y, steps[j], state.get("frame"))
-                    pts[j] = y
-                    Ts.append(T)
-                    if frame is not None:
-                        state["frame"] = frame
+                pts, Ts, frame = bundle.step_transport(model, x, steps, state.get("frame"))
+                if frame is not None:
+                    state["frame"] = frame
             hist["points"] = pts
 
             # one domain test: each leaving row's first step (e) that ends

@@ -38,6 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .bundles import BundleSpec
+from .geometry import Euclidean
 from .paths import _grid_reduce, run_ensemble
 from .potentials import NonFiniteFieldError, PotentialSpec, ScalarField, SectionSpec
 from .rng import RngKey, stream
@@ -211,7 +212,10 @@ def _per_start(res, f: SectionSpec, n):
 def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
     """Start points distributed as |f1| 1_domain dvol / Z, by rejection from
     the uniform measure on the complete model (compact) or on a box of the
-    given half-width (noncompact); returns (points, Z estimate)."""
+    given half-width (noncompact); returns (points, Z estimate).  The box
+    is uniform in chart coordinates, which is dvol on Euclidean space only:
+    a noncompact model with a non-isometric chart (the Poincare disk of
+    hyperbolic()) is refused."""
     rng = stream(key.child(INNER_STREAM_GAP))
     if f1.norm_bound is None:
         raise ValueError("rejection sampling needs f1.norm_bound")
@@ -222,6 +226,10 @@ def _rejection_starts(model, f1: SectionSpec, n, key: RngKey, radius=None):
         is_compact = True
     except NotImplementedError:
         is_compact = False
+        if not isinstance(base, Euclidean):
+            raise ValueError(f"manifold {base.spec_string()}: start sampling on a box is "
+                             "uniform in chart coordinates, not in dvol, on a model whose "
+                             "chart is not isometric; use a euclidean or compact model") from None
         if radius is None:
             raise ValueError("noncompact model: supply a sampling radius for f1") from None
 

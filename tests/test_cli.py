@@ -417,6 +417,18 @@ def test_step_count_beyond_cap_exits_naming_h(argv, capsys):
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 
+def test_ground_energy_on_hyperbolic_exits_naming_manifold(capsys):
+    # box starts are uniform in chart coordinates, not in the disk's dvol
+    code = main(["ground-energy", "--manifold", "hyperbolic()", "--potential", "harmonic(1.0)",
+                 "--section", "gaussian(1.0)", "--x", "0,0", "--t-grid", "0.1,0.2,0.3,0.4",
+                 "--n", "10", "--h", "1e-2", "--radius", "0.5"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: manifold hyperbolic(): ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
 @pytest.mark.parametrize("manifold, radius", [("ball(euclidean(m=1), r=1.0)", ["--radius", "3"]),
                                               ("ball(sphere2(r=1.0), r=0.5)", [])])
 def test_ground_energy_on_a_ball(manifold, radius, capsys):

@@ -66,7 +66,8 @@ def test_exp_step_reversibility(model):
     xi = RNG.standard_normal((16, model.dim))
     xi *= 1e-2 / np.linalg.norm(xi, axis=-1, keepdims=True)
     if isinstance(model, Sphere2):
-        ys, T, _ = model.transport_matrix(xs, xi)
+        ys, T, _ = model.transport_matrix(xs, xi[None])
+        ys, T = ys[0], T[0]
         xi_out = np.einsum("...ij,...j->...i", T, xi)
     else:
         ys, xi_out = model.exp(xs, xi), xi
@@ -282,6 +283,20 @@ def test_sphere_frame_matches_np_cross_bitwise(axis, radius):
     assert F.tobytes() == _frame_by_np_cross(pts, radius).tobytes()
 
 
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+def test_sphere_frame_ties_pick_the_first_axis_as_argmin(radius):
+    # where two or three |n_i| are equal, the reference axis is the first of
+    # them, as argmin picks it; signed zeros included, bit for bit
+    s = Sphere2(radius)
+    u, w, a = 1 / np.sqrt(2.0), 1 / np.sqrt(3.0), 0.3
+    b = np.sqrt(1.0 - 2 * a * a)
+    n = np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0],
+                  [u, u, 0], [-u, 0, u], [0, u, -u], [w, w, w], [-w, w, -w],
+                  [a, a, b], [a, -b, -a], [-b, a, a], [a, b, -a]])
+    pts = radius * n
+    assert s.frame(pts).tobytes() == _frame_by_np_cross(pts, radius).tobytes()
+
+
 def test_sphere_step_methods_share_one_endpoint():
     # the path engine passes the frame the previous step returned as F: the
     # step must not depend on where F came from, and the frame it returns
@@ -290,11 +305,11 @@ def test_sphere_step_methods_share_one_endpoint():
     x = random_points(s, 64)
     xi = 0.2 * RNG.standard_normal((64, 2))
     xi[:4] = 0.0  # the null-step branch
-    y, T, Fy = s.transport_matrix(x, xi)
-    for a, b in zip((y, T, Fy), s.transport_matrix(x, xi, s.frame(x))):
+    y, T, Fy = s.transport_matrix(x, xi[None])
+    for a, b in zip((y, T, Fy), s.transport_matrix(x, xi[None], s.frame(x))):
         assert np.array_equal(a, b)
-    assert np.array_equal(Fy, s.frame(y))
-    assert np.array_equal(y, s.exp(x, xi))
+    assert np.array_equal(Fy, s.frame(y[0]))
+    assert np.array_equal(y[0], s.exp(x, xi))
 
 
 def _four_projection_transport(s, x, xi):
@@ -327,12 +342,24 @@ def test_sphere_transport_is_one_pair_rotation(radius):
     x = random_points(s, 10_000)
     xi = radius * RNG.standard_normal((10_000, 2)) * np.exp(RNG.uniform(-8.0, 1.0, (10_000, 1)))
     xi[:100] = 0.0  # the null-step branch
-    y, T, _ = s.transport_matrix(x, xi)
+    y, T, _ = s.transport_matrix(x, xi[None])
+    y, T = y[0], T[0]
     assert np.array_equal(T[:, 0, 0], T[:, 1, 1]) and np.array_equal(T[:, 0, 1], -T[:, 1, 0])
     assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-15
     y_ref, T_ref = _four_projection_transport(s, x, xi)
     assert np.max(np.abs(T - T_ref)) < 1e-14
     assert np.array_equal(y, y_ref)
+
+
+def test_sphere_step_sums_start_from_plus_zero_as_einsum():
+    # from a point with a zero coordinate, a step with a -0 component and an
+    # angle past pi/2 meets v_i = -0 + -0 there: einsum's sum, which starts
+    # from +0, makes it +0, and so must the walk, or y_i comes out -0
+    s = Sphere2(1.0)
+    x = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+    xi = np.array([[-2.0, -0.0], [-2.0, -0.0], [-0.0, -2.0]])
+    y_ref, _ = _four_projection_transport(s, x, xi)
+    assert s.exp(x, xi).tobytes() == y_ref.tobytes()
 
 
 @pytest.mark.parametrize("radius", [1.0, 0.5])
@@ -350,7 +377,7 @@ def test_sphere_transport_is_real_rotation():
     x = random_points(s, 64)
     xi = 0.2 * RNG.standard_normal((64, 2))
     xi[:4] = 0.0  # the null-step branch
-    _, T, _ = s.transport_matrix(x, xi)
+    T = s.transport_matrix(x, xi[None])[1][0]
     assert T.dtype == np.float64
     assert np.max(np.abs(np.swapaxes(T, -1, -2) @ T - np.eye(2))) < 1e-12
     assert np.max(np.abs(np.linalg.det(T) - 1.0)) < 1e-12

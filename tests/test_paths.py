@@ -86,7 +86,7 @@ def test_trivial_bundle_transports_identity():
     e1, b = Euclidean(1), trivial_bundle(1)
     V = PotentialSpec.scalar(harmonic_field(e1, 1.0))
     _, pts, steps, res = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, bundle=b, potential=V)
-    assert np.allclose(b.step_transport(e1, pts[:-1], steps)[1], 1.0)
+    assert np.allclose(b.step_transport(e1, pts[:-1], steps[None])[1][0], 1.0)
     assert res.transport is None
     _, _, _, bare = engine_path(e1, np.zeros(1), 0.05, 1e-3, KEY, potential=V)
     for name in ("holonomy", "floor_integral", "points"):
@@ -495,7 +495,7 @@ def test_dead_paths_are_frozen_and_indexed():
 def test_sphere_transport_unitary_and_composed():
     s2, b = Sphere2(1.0), tangent_bundle()
     _, pts, steps, res = engine_path(s2, s2.origin(), 0.3, 1e-3, KEY, bundle=b)
-    transports = b.step_transport(s2, pts[:-1], steps)[1]
+    transports = b.step_transport(s2, pts[:-1], steps[None])[1][0]
     K = transports.shape[0]
     worst = max(np.max(np.abs(T.conj().T @ T - np.eye(2))) for T in transports)
     assert worst < 1e-10
@@ -530,7 +530,7 @@ def test_tangent_step_builds_each_frame_once(monkeypatch):
     res = run_ensemble(s2, s2.origin(), t, h, KEY, n, bundle=b, potential=V,
                        checkpoints=times[:-1])
     steps = np.sqrt(np.diff(times))[:, None] * normals(KEY, n, (len(times) - 1, 2))
-    transports = b.step_transport(s2, res.points.swapaxes(0, 1)[:, :-1], steps)[1]
+    transports = b.step_transport(s2, res.points.swapaxes(0, 1)[:, :-1], steps[None])[1][0]
     assert transports.dtype == np.float64  # real rotations, no complex arithmetic
     acc = np.broadcast_to(np.eye(2), (n, 2, 2))
     for k in range(len(times) - 1):
@@ -545,6 +545,76 @@ def test_magnetic_transport_phase_matches_line_integral():
                                      bundle=magnetic_bundle(beta))
     line = np.sum(stratonovich_increment(e2, beta, pts[:-1], steps))
     assert abs(res.transport[-1, 0, 0, 0] - np.exp(-1j * line)) < 1e-10
+
+
+def _chained_steps(bundle, model, x, xi, frame=None, carry=True):
+    """bundle.step_transport's (points, T, frame) as C one-step calls, each
+    from the point the last one reached, passed the frame it returned (or,
+    with carry=False, none, so the frame is built from the point)."""
+    pts, Ts = [], []
+    for step in xi:
+        y, T, frame = bundle.step_transport(model, x, step[None], frame if carry else None)
+        x = y[0]
+        pts.append(y[0])
+        Ts.append(T[0])
+    return np.stack(pts), np.stack(Ts), frame
+
+
+def _sub_chunk_steps(model, n, C, rank):
+    """C, or the engine's sub-chunk length for n live rows if C is None."""
+    return C or paths._SUB_FLOATS // (n * max(model.coord_dim, rank))
+
+
+@pytest.mark.parametrize("radius", [1.0, 0.5])
+@pytest.mark.parametrize("C", [1, 3, None], ids=["C1", "C3", "default"])
+def test_sphere_sub_chunk_walk_is_chained_steps_bitwise(radius, C):
+    # one call walks C steps; it must be C one-step calls bit for bit, at the
+    # origin and at points where two |x_i| tie for the frame's reference axis
+    # (null steps keep both where they are), and for random points and steps
+    s2, b = Sphere2(radius), tangent_bundle()
+    rng = np.random.default_rng(8)
+    u, w = radius / math.sqrt(2.0), radius / math.sqrt(3.0)
+    ties = radius * np.array([[0, 0, 1], [0, 0, -1], [1, 0, 0], [0, -1, 0]])
+    ties = np.concatenate([ties, [[u, u, 0], [0, -u, u], [u, 0, -u], [w, w, w], [-w, w, -w]]])
+    g = rng.standard_normal((48, 3))
+    x = np.concatenate([ties, radius * g / np.linalg.norm(g, axis=-1, keepdims=True)])
+    n = len(x)
+    C = _sub_chunk_steps(s2, n, C, 2)
+    xi = 0.2 * radius * rng.standard_normal((C, n, 2))
+    xi[:, :len(ties)] = 0.0  # null steps: the ties stay ties
+    xi[::2, -8:] = 0.0  # and some null steps among moving points
+    got = b.step_transport(s2, x, xi)
+    assert got[0].shape == (C, n, 3) and got[1].shape == (C, n, 2, 2) and got[2].shape == (n, 3, 2)
+    assert np.all(got[0][:, :4] == x[:4])
+    for want in (_chained_steps(b, s2, x, xi), _chained_steps(b, s2, x, xi, carry=False),
+                 b.step_transport(s2, x, xi, s2.frame(x))):
+        for a, c in zip(got, want):
+            assert a.tobytes() == c.tobytes()
+    # the walk alone is the same walk
+    assert s2.walk(x, xi).tobytes() == got[0].tobytes()
+
+
+@pytest.mark.parametrize("model, beta", [(Circle(1.0), angle_form(0.7)),
+                                         (Euclidean(2), landau_form(2.0))],
+                         ids=["circle", "landau"])
+@pytest.mark.parametrize("C", [1, 3, None], ids=["C1", "C3", "default"])
+def test_magnetic_sub_chunk_phases_are_chained_steps_bitwise(model, beta, C):
+    # all C phases of a sub-chunk come from one walk and one line-integral
+    # call; they must be those of C one-step calls, and leave the steps as
+    # they were
+    b = magnetic_bundle(beta)
+    rng = np.random.default_rng(9)
+    n = 64
+    x = rng.uniform(0.0, 2.0, (n, model.coord_dim))
+    C = _sub_chunk_steps(model, n, C, 1)
+    xi = 0.1 * rng.standard_normal((C, n, model.dim))
+    xi[:, :4] = 0.0
+    kept = xi.copy()
+    got = b.step_transport(model, x, xi)
+    assert np.array_equal(xi, kept)
+    assert got[1].shape == (C, n, 1, 1) and got[2] is None
+    for a, c in zip(got[:2], _chained_steps(b, model, x, xi)[:2]):
+        assert a.tobytes() == c.tobytes()
 
 
 @pytest.mark.parametrize("v", [harmonic_field(Euclidean(3), 1.0), coulomb_field(Euclidean(3), 1.0)],

@@ -130,7 +130,7 @@ def test_bundle_validation():
 def test_magnetic_bundle_phase_unit():
     c = Circle(1.0)
     b = magnetic_bundle(angle_form(0.5))
-    _, T, _ = b.step_transport(c, np.zeros((3, 1)), np.full((3, 1), 0.01))
+    T = b.step_transport(c, np.zeros((3, 1)), np.full((3, 1), 0.01)[None])[1][0]
     assert T.shape == (3, 1, 1)
     assert np.allclose(np.abs(T), 1.0)
 

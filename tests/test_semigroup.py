@@ -7,7 +7,7 @@ import pytest
 from fiberflow import paths
 from fiberflow.bundles import magnetic_bundle, tangent_bundle, trivial_bundle
 from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
-from fiberflow.geometry import Circle, Euclidean, FlatTorus, Sphere2, ball
+from fiberflow.geometry import Circle, Euclidean, FlatTorus, HyperbolicPlane, Sphere2, ball
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
 from fiberflow.paths import run_ensemble
 from fiberflow.potentials import (PotentialSpec, ScalarField, SectionSpec, angle_form,
@@ -315,6 +315,28 @@ def test_ground_energy_rank1_vector_branch():
     out = ground_energy(E2, harmonic_field(E2, 1.0), f, f, [0.1, 0.2, 0.3, 0.4], 1e-2, 200,
                         KEY, bundle=magnetic_bundle(landau_form(0.5)), radius=3)
     assert np.isfinite(out["energy"]) and out["n"] == 200
+
+
+def test_ground_energy_magnetic_is_fock_darwin():
+    # the bottom of (1/2)(-i grad - A)^2 + |x|^2/2 with A = landau(lam), a
+    # field B = lam, is Omega = sqrt(1 + lam^2/4) (Fock 1928; Darwin 1931):
+    # sqrt(2) at lam = 2, well above the field-free 1
+    f = gaussian_section(E2, 1.0)
+    out = ground_energy(E2, harmonic_field(E2, 1.0), f, f, [0.5, 1.0, 1.5, 2.0], 1e-2, 40_000,
+                        KEY, bundle=magnetic_bundle(landau_form(2.0)), radius=4)
+    se = out["stderr"]
+    assert abs(out["energy"] - math.sqrt(2.0)) < 3 * se
+    assert out["energy"] - 1.0 > 5 * se
+
+
+def test_ground_energy_refuses_box_starts_on_a_non_isometric_chart():
+    # a box in Poincare-disk coordinates is not uniform in dvol, so the starts
+    # and Z would be off (Z read 0.977 against 8.864 for gaussian(1.0))
+    H = HyperbolicPlane()
+    f = gaussian_section(H, 1.0)
+    with pytest.raises(ValueError, match="manifold hyperbolic"):
+        ground_energy(H, harmonic_field(H, 1.0), f, f, [0.1, 0.2, 0.3, 0.4], 1e-2, 10, KEY,
+                      radius=0.5)
 
 
 @pytest.mark.parametrize("base, r, radius, Z_exact", [
