@@ -507,9 +507,10 @@ def test_sphere_transport_unitary_and_composed():
 
 
 def test_tangent_step_builds_each_frame_once(monkeypatch):
-    # the transport returns frame(y) with the endpoint and the engine hands it
-    # to the next step as frame(x): one frame per step, plus the start frame
-    # of the block; a second one means a geodesic head is being built twice
+    # the transport returns the frame at a sub-chunk's last point and the
+    # engine hands it to the next sub-chunk as frame(x), so Sphere2.frame
+    # builds only a block's start frame; more calls than steps + 1 would
+    # mean frames are being built twice per step
     s2, b = Sphere2(1.0), tangent_bundle()
     V = PotentialSpec(rank=2, const=np.diag([0.2, 0.5]),
                       terms=[(harmonic_field(s2, 1.0), np.array([[0.0, 1.0], [1.0, 0.0]]))])
