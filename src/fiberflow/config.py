@@ -401,11 +401,14 @@ class RunConfig:
             raise ConfigError(unknown[0], "unknown configuration key")
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
         # counts, workers, step, radii, times and every grid entry; t = 0
-        # stays valid (paths of one point)
+        # stays valid (paths of one point).  n and trials are capped where a
+        # run would run out of memory or time rather than end in a result
         count = (">= 1", lambda v: v >= 1)
         positive = ("> 0", lambda v: v > 0)
         non_negative = (">= 0", lambda v: v >= 0)
-        for key, (need, ok) in (("n", count), ("trials", count), ("k", count),
+        for key, (need, ok) in (("n", ("in 1..10^8", lambda v: 1 <= v <= 1e8)),
+                                ("trials", ("in 1..10^5", lambda v: 1 <= v <= 1e5)),
+                                ("k", count),
                                 ("workers", (f"in 1..{_MAX_WORKERS}",
                                              lambda v: 1 <= v <= _MAX_WORKERS)),
                                 ("bundle_rank", (f"in 1..{PotentialSpec.MAX_RANK}",

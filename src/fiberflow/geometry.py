@@ -496,7 +496,8 @@ class Sphere2(ManifoldModel):
         pts = np.ascontiguousarray(P[1:].transpose(0, 2, 1)).reshape((C,) + shape + (3,))
         if not transport:
             return pts, None, None
-        T = np.empty((C, N, 2, 2))
+        # entry-major, as matexp.entry_major lays out: each T[..., i, j] one row
+        T = np.empty((2, 2, C, N)).transpose(2, 3, 0, 1)
         T[..., 0, 0] = T[..., 1, 1] = CS[:, 0]
         T[..., 1, 0] = CS[:, 1]
         np.negative(CS[:, 1], out=T[..., 0, 1])

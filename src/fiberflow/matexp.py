@@ -32,9 +32,20 @@ from the same eigen-data: with W = V(x) this is V's pointwise floor, and
 the path engine uses it instead of solving for V's spectrum a second
 time.
 
-`small_matmul` is the engine's batched product: entry by entry for d <= 3,
-where numpy's stacked complex `matmul` costs several times the arithmetic,
-and `@` above, the same split by rank that the exponential makes.
+Layout: the closed forms (ranks 2 and 3, the eigh fallback rows included)
+return their (..., d, d) results entry-major, as `entry_major` allocates
+them: the transposed view of a (d, d, ...) array, so each entry
+[..., i, j] is one contiguous row over the batch and every operation on
+an entry runs over contiguous memory.  Shapes, dtypes and indexing are
+those of a C-order array, and no result depends on its input's layout.
+
+`small_matmul` is the engine's batched product: for d <= 3, where numpy's
+stacked `matmul` costs several times the arithmetic, it builds the
+product a row at a time, d (2d - 1) operations on rows of d entries, into
+an entry-major result; `@` above, the same split by rank that the
+exponential makes.  Each entry is A_i0 C_0j + A_i1 C_1j + ..., summed in
+that order, whatever the operands' layout, so a product of entry-major
+factors has the bits of one of C-order factors.
 """
 
 from __future__ import annotations
@@ -43,7 +54,7 @@ import math
 
 import numpy as np
 
-__all__ = ["expm_neg_hermitian", "small_matmul"]
+__all__ = ["entry_major", "expm_neg_hermitian", "small_matmul"]
 
 # rows with 1 - |r| below this go through eigh: there the two closest of
 # the three eigenvalues lie within ~1.6% of the spread p of the spectrum
@@ -75,18 +86,30 @@ def expm_neg_hermitian(W, s):
 
 
 def small_matmul(A, C):
-    """A @ C for batches of (..., d, d) matrices, entry by entry for d <= 3."""
+    """A @ C for batches of (..., d, d) matrices.  For d <= 3 the product
+    is entry-major (entry_major) and built a row at a time: row i is
+    A[..., i, 0] C[..., 0, :] + A[..., i, 1] C[..., 1, :] + ..., its terms
+    added in order of k, so each entry is the same sum of the same products
+    as an entry-by-entry loop takes."""
     d = A.shape[-1]
     if d > 3:
         return A @ C
-    out = np.empty(np.broadcast_shapes(A.shape, C.shape), dtype=np.result_type(A, C))
+    shape = np.broadcast_shapes(A.shape, C.shape)
+    out = entry_major(shape[:-2], d, np.result_type(A, C))
     for i in range(d):
-        for j in range(d):
-            acc = A[..., i, 0] * C[..., 0, j]
-            for k in range(1, d):
-                acc = acc + A[..., i, k] * C[..., k, j]
-            out[..., i, j] = acc
+        row = out[..., i, :]
+        np.multiply(A[..., i, 0, None], C[..., 0, :], out=row)
+        for k in range(1, d):
+            row += A[..., i, k, None] * C[..., k, :]
     return out
+
+
+def entry_major(batch, d, dtype):
+    """An uninitialised (*batch, d, d) array laid out entry-major: the
+    transposed view of a (d, d, *batch) array, so each entry [..., i, j]
+    is one contiguous row over the batch."""
+    out = np.empty((d, d) + tuple(batch), dtype=dtype)
+    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _expm_eigh(W, s):
@@ -121,7 +144,7 @@ def _expm2(W, s):
     f[small] = 1.0 + sr[small] ** 2 / 6.0
     ns = -s
     np.multiply(ns, f, out=f)
-    out = np.empty(np.broadcast(W[..., 0, 0], s).shape + (2, 2), dtype=np.result_type(W, float))
+    out = entry_major(np.broadcast(W[..., 0, 0], s).shape, 2, np.result_type(W, float))
     for i, w in ((0, a), (1, c)):
         np.subtract(w, mu, out=t)
         t *= f
@@ -275,7 +298,7 @@ def _expm3(W, s):
     # product are Hermitian, and A's off-diagonal is W's.  The real diagonal
     # of out holds A's until the off-diagonal entries have read it.  Each
     # entry is built in place, the operands in the order of the formula
-    out = np.empty(W.shape, dtype=np.result_type(W, float))
+    out = entry_major(W.shape[:-2], 3, np.result_type(W, float))
     a = [out.real[..., i, i] for i in range(3)]
     for i in range(3):
         np.subtract(W[..., i, i].real, l1, out=a[i])

@@ -70,6 +70,15 @@ V's dtype and the transport real, and each stays real until a complex
 step promotes it, so a real potential on the tangent bundle runs in real
 arithmetic; their snapshots are complex.
 
+Layout: every d x d batch of the matrix layers is entry-major
+(matexp.entry_major), each entry [..., i, j] one contiguous row over the
+batch: G and the transport as they start and as each small_matmul returns
+them, and the sub-chunk's step matrices, V(x) over the left points, its
+exponential and the sphere's transports, as (C, rows, d, d) views of
+(d, d, C, rows) arrays.  Dropping the rows of leaving paths copies a
+state back to C order, and its next product is entry-major again; the
+snapshots are C-order.  No value depends on the layout.
+
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks, sub-chunks and process
 workers only regroup the computation.  A block draws its increments with
@@ -93,7 +102,7 @@ import numpy as np
 
 from .bundles import BundleSpec, stratonovich_increment  # noqa: F401
 from .geometry import ManifoldModel
-from .matexp import expm_neg_hermitian, small_matmul
+from .matexp import entry_major, expm_neg_hermitian, small_matmul
 from .potentials import PotentialSpec
 from .rng import MAX_STEPS, RngKey, RowStreams
 # bench/layers.py wraps paths.stream and paths.stratonovich_increment by name
@@ -310,9 +319,11 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     if potential is not None:
         state["floor_integral"] = np.zeros(B)
     if matrix_V is not None:
-        state["G"] = np.broadcast_to(np.eye(d, dtype=matrix_V.const.dtype), (B, d, d)).copy()
+        state["G"] = entry_major((B,), d, matrix_V.const.dtype)
+        state["G"][...] = np.eye(d)
     if bundle is not None:
-        state["transport"] = np.broadcast_to(np.eye(d), (B, d, d)).copy()
+        state["transport"] = entry_major((B,), d, float)
+        state["transport"][...] = np.eye(d)
     snaps = {name: np.zeros((len(snap_idx),) + v.shape,
                             dtype=complex if name in ("G", "transport") else v.dtype)
              for name, v in state.items()}

@@ -298,7 +298,11 @@ class PotentialSpec:
     def matrix(self, pts, cap=None):
         pts = np.asarray(pts, dtype=float)
         shape = pts.shape[:-1]
-        V = np.broadcast_to(self.const, shape + (self.rank, self.rank)).copy()
+        # entry-major, as matexp.entry_major lays out: each V[..., i, j] one row
+        d = self.rank
+        V = np.empty((d, d) + shape, dtype=self.const.dtype)
+        V = V.transpose(*range(2, V.ndim), 0, 1)
+        V[...] = self.const
         for f, P in self.terms:
             fx = f(pts, cap=cap)
             # entry by entry, so that no product of V's size is held beside V

@@ -372,6 +372,10 @@ BAD_INPUTS = [
     (dict(command="exit-time", x="0.5", r="0.3"), "r"),
     # a ball's boundary function alone passed a start off its base
     (dict(manifold="ball(sphere2(r=1.0), r=0.5)", x="0,0,5"), "x"),
+    # counts past the caps ran out of memory, named no key or ran without end
+    (dict(n="1e12"), "n"),
+    (dict(command="exit-time", r="1", n="1e19"), "n"),
+    (dict(trials="1e12"), "trials"),
 ]
 
 
@@ -384,6 +388,14 @@ def test_bad_input_exits_at_config_time_naming_key(flags, key, capsys):
     assert captured.out == ""
     assert captured.err.startswith(f"error: config key '{key}': ")
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_validate_with_too_many_trials_exits_naming_trials(capsys):
+    code = main(["validate", "appendix-c", "--trials", "1e12"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err == "error: config key 'trials': need trials in 1..10^5, got '1e12'\n"
 
 
 def test_numerical_failure_exit_code(capsys):

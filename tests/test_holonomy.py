@@ -66,18 +66,57 @@ def test_zero_potential_identity():
 
 @pytest.mark.parametrize("d", [1, 2, 3, 4])
 @pytest.mark.parametrize("batch", [(5,), (2, 3), (0,)])
-@pytest.mark.parametrize("real_left", [True, False], ids=["real-complex", "complex-complex"])
-def test_small_matmul_matches_matmul(d, batch, real_left):
+@pytest.mark.parametrize("kinds", ["real-real", "real-complex", "complex-complex"])
+def test_small_matmul_matches_matmul(d, batch, kinds):
     rng = np.random.default_rng(100 * d + len(batch))
     shape = batch + (d, d)
-    A = rng.standard_normal(shape)
-    if not real_left:
-        A = A + 1j * rng.standard_normal(shape)
-    C = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    A, C = (rng.standard_normal(shape) + (1j * rng.standard_normal(shape) if kind == "complex"
+                                          else 0.0) for kind in kinds.split("-"))
     got = small_matmul(A, C)
     assert got.shape == shape
     assert got.dtype == np.result_type(A, C)
-    np.testing.assert_allclose(got, np.matmul(A, C), rtol=1e-14, atol=0)
+    if kinds == "real-real":
+        # one of these real entries cancels to 1e-17, where matmul's own
+        # rounding is the larger part: bound by the sum of |products|
+        assert np.all(np.abs(got - np.matmul(A, C)) <= 1e-14 * (np.abs(A) @ np.abs(C)))
+    else:
+        np.testing.assert_allclose(got, np.matmul(A, C), rtol=1e-14, atol=0)
+
+
+def _entry_by_entry(A, C):
+    """A @ C with each entry summed as A_i0 C_0j + A_i1 C_1j + ..., in order."""
+    d = A.shape[-1]
+    out = np.empty(np.broadcast_shapes(A.shape, C.shape), dtype=np.result_type(A, C))
+    for i in range(d):
+        for j in range(d):
+            acc = A[..., i, 0] * C[..., 0, j]
+            for k in range(1, d):
+                acc = acc + A[..., i, k] * C[..., k, j]
+            out[..., i, j] = acc
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("kinds", ["real-real", "real-complex", "complex-real",
+                                   "complex-complex"])
+@pytest.mark.parametrize("right", [(4, 7), (1, 7), (7,)], ids=["full", "bcast-axis", "bcast-rank"])
+def test_small_matmul_is_the_ordered_entry_sum_entry_major(d, kinds, right):
+    # bit for bit the in-order sum of products, for every dtype pair and a
+    # right factor broadcast over the left's batch; each output entry is
+    # one contiguous row over the batch, from C-order and entry-major
+    # operands alike
+    rng = np.random.default_rng(7 * d)
+    A, C = (rng.standard_normal(batch + (d, d))
+            + (1j * rng.standard_normal(batch + (d, d)) if kind == "complex" else 0.0)
+            for kind, batch in zip(kinds.split("-"), [(4, 7), right]))
+    ref = _entry_by_entry(A, C)
+    for left in (A, small_matmul(A, np.eye(d))):
+        got = small_matmul(left, C)
+        assert got.shape == ref.shape and got.dtype == ref.dtype
+        assert got.tobytes() == ref.tobytes()
+        for i in range(d):
+            for j in range(d):
+                assert got[..., i, j].flags.c_contiguous
 
 
 def test_constant_scalar_matrix():

@@ -166,3 +166,44 @@ def test_per_step_sizes_match_step_by_step_calls(d, monkeypatch):
             assert np.array_equal(E[j], E_j) and np.array_equal(lam[j], lam_j), j
     if d == 3:
         assert eigh_rows[:1] == [B + B // 4]
+
+
+def _entry_major_copy(W):
+    """W's values in a (d, d, ...) array seen as (..., d, d): each entry
+    W[..., i, j] is one contiguous row over the batch."""
+    return np.moveaxis(np.moveaxis(W, (-2, -1), (0, 1)).copy(), (0, 1), (-2, -1))
+
+
+@pytest.mark.parametrize("d", [2, 3])
+@pytest.mark.parametrize("real", [False, True], ids=["complex", "real"])
+def test_layout_of_the_batch_does_not_change_the_result(d, real, monkeypatch):
+    # a C-order batch and an entry-major copy of it give the same bits and
+    # dtype, on a (C, rows) batch with per-step sizes s (C, 1) as the path
+    # engine passes it; at rank 3 one step mixes eigh-fallback rows with
+    # closed-form rows and one goes through eigh whole.  The result is
+    # entry-major either way
+    C, B = 4, 64
+    W = RNG.normal(size=(C, B, d, d))
+    if not real:
+        W = W + 1j * RNG.normal(size=(C, B, d, d))
+    W = 0.5 * (W + W.conj().swapaxes(-1, -2))
+    if d == 3:
+        Q = np.linalg.qr(RNG.normal(size=(B, 3, 3)))[0]
+        near = Q @ np.diag([0.0, 1e-9, 1.0]) @ Q.swapaxes(-1, -2)
+        W[1, ::4] = near[::4]
+        W[2] = near
+    s = RNG.uniform(0.0, 1.0, size=(C, 1))
+    eigh_rows = []
+    eigh = matexp._expm_eigh
+    monkeypatch.setattr(matexp, "_expm_eigh",
+                        lambda W, s: (eigh_rows.append(math.prod(W.shape[:-2])), eigh(W, s))[1])
+    W_em = _entry_major_copy(W)
+    assert np.array_equal(W_em, W) and not W_em.flags.c_contiguous
+    E, lam = expm_neg_hermitian(W, s)
+    E_em, lam_em = expm_neg_hermitian(W_em, s)
+    assert E.dtype == E_em.dtype == W.dtype and lam.dtype == lam_em.dtype == np.float64
+    assert E_em.tobytes() == E.tobytes() and lam_em.tobytes() == lam.tobytes()
+    for out in (E, E_em):
+        assert all(out[..., i, j].flags.c_contiguous for i in range(d) for j in range(d))
+    if d == 3:
+        assert eigh_rows == [B + B // 4] * 2

@@ -142,3 +142,25 @@ def test_rng_streams_distinct_and_reproducible():
     assert not np.allclose(a, b)
     assert np.array_equal(a, c)
     assert RngKey(7, 1).child(4) == RngKey(7, 5)
+
+
+@pytest.mark.parametrize("text", [
+    "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)",
+    "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, harmonic(1.0) @ spin1_z)",
+    "matrix(rank=2, 0.5 @ pauli_z, harmonic(1.0) @ pauli_y)",
+    "matrix(rank=3, const=diag(1,0,-1), harmonic(1.0) @ spin1_y, harmonic(0.5) @ spin1_x)",
+])
+def test_matrix_is_entry_major_and_the_c_order_assembly_bit_for_bit(text):
+    # the same bits and dtype as the C-order assembly const + f(x) P, entry
+    # by entry in term order; each entry V[..., i, j] one contiguous row
+    V = parse_potential(E2, text)
+    pts = PTS.reshape(4, 16, 2)
+    ref = np.broadcast_to(V.const, (4, 16, V.rank, V.rank)).copy()
+    for f, P in V.terms:
+        fx = f(pts)
+        for (i, j), p in np.ndenumerate(P):
+            ref[..., i, j] += fx * p
+    got = V.matrix(pts)
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert got.tobytes() == ref.tobytes()
+    assert all(got[..., i, j].flags.c_contiguous for i in range(V.rank) for j in range(V.rank))
