@@ -85,6 +85,14 @@ def expm_neg_hermitian(W, s):
     return _expm_eigh(W, s)
 
 
+def entry_major(batch, d, dtype):
+    """An uninitialised (*batch, d, d) array laid out entry-major: the
+    transposed view of a (d, d, *batch) array, so each entry [..., i, j]
+    is one contiguous row over the batch."""
+    out = np.empty((d, d) + tuple(batch), dtype=dtype)
+    return out.transpose(*range(2, out.ndim), 0, 1)
+
+
 def small_matmul(A, C):
     """A @ C for batches of (..., d, d) matrices.  For d <= 3 the product
     is entry-major (entry_major) and built a row at a time: row i is
@@ -102,14 +110,6 @@ def small_matmul(A, C):
         for k in range(1, d):
             row += A[..., i, k, None] * C[..., k, :]
     return out
-
-
-def entry_major(batch, d, dtype):
-    """An uninitialised (*batch, d, d) array laid out entry-major: the
-    transposed view of a (d, d, *batch) array, so each entry [..., i, j]
-    is one contiguous row over the batch."""
-    out = np.empty((d, d) + tuple(batch), dtype=dtype)
-    return out.transpose(*range(2, out.ndim), 0, 1)
 
 
 def _expm_eigh(W, s):
