@@ -327,14 +327,15 @@ def _doubled_negative(v):
 def negative_part_exponent(model, V: PotentialSpec):
     """The Khas'minskii exponent cv of 2|V^(2)|, or None when there is no
     bound for it:
-    1. a rank-1 field with a radial profile, on a base where
+    1. a scalar potential v I (PotentialSpec.split with no matrix part; a
+       rank-1 field among them) with a radial profile, on a base where
        smoothed_abs_field has a rule: khasminskii_constants of 2 max(0, -v);
     2. otherwise, a potential with no singular term on a compact base: the
        sup-norm bound, 2 max |V^(2)| over quadrature nodes;
     3. otherwise None."""
     base = model.base
-    f = V.field() if V.rank == 1 else None
-    if f is not None and f.radial_profile is not None:
+    f, W = V.split()
+    if W is None and f.radial_profile is not None:
         try:
             return khasminskii_constants(base, f.mapped(_doubled_negative, f"2neg({f.name})")).cv
         except NotImplementedError:  # smoothed_abs_field has no rule on this base

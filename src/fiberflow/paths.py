@@ -13,9 +13,9 @@ h-refinement in the estimator tests).
 
 This module is the package's one path engine: everything an estimator
 consumes is produced in one vectorized pass over a block of paths, kept in
-one table of per-path state keyed by EnsembleResult field: endpoints and,
-with a potential or a bundle, three accumulators: floor_integral, holonomy
-and transport.  The table holds the live paths only, with `rows`, their
+one table of per-path state: endpoints and, with a potential or a bundle,
+the accumulators that the EnsembleResult fields floor_integral, holonomy
+and transport are read from.  The table holds the live paths only, with `rows`, their
 indices in the block.  The steps are taken in sub-chunks of C consecutive
 steps, C being _SUB_FLOATS over the live paths' coordinates, or over d
 floats per point for a rank-d weight when d is the larger (fewer at a
@@ -23,10 +23,10 @@ chunk's end or a checkpoint, where a sub-chunk always ends).  A sub-chunk
 walks every live path C steps in one call (model.walk; with a bundle,
 BundleSpec.step_transport, which returns the C steps' transports with the
 points), tests all C endpoints of every path against the
-domain at once, evaluates the rank-1 field once over them, or a matrix
-potential and its exponential once over the C left points, then runs the
-recurrences of the floor, the matrix weight and the transport in step
-order, keeping each step's values; so C = 1 is the same code.  Before any
+domain at once, evaluates the potential's scalar part once over them and
+its matrix part and that part's exponential once over the C left points,
+then runs the recurrences of the floor, the matrix weight and the
+transport in step order, keeping each step's values; so C = 1 is the same code.  Before any
 field or potential sees them, a leaving path's points from its first
 outside step on are replaced by its last inside point (a bundle's
 transport, being the walk, runs to the sub-chunk's end and its steps past
@@ -39,16 +39,24 @@ moves or draws them; `alive` is read off the death steps at the end.  A
 checkpoint at every grid time gives a whole path, which is how
 `--dump-paths` and the tests read single paths.
 
-A rank-1 potential is one scalar field v (PotentialSpec.field()): its
-floor_integral is int v by the trapezoid rule, or by 4-point sub-steps
-with the 1/h cap for a field with declared singular points, and its
-holonomy e^{-int v}, taken from it at the snapshots, so a rank-1 step does
-no matrix work.  A matrix potential is integrated by the exponential-
-product rule (left point): each sub-chunk evaluates V(x) once over the left
-points of its C steps and exponentiates the C x rows matrices as
-PotentialSpec.matrix returns them, in one call whose per-step sizes dt
-broadcast over the rows; the matrix exponential also returns the smallest
-eigenvalue of each V(x), which is the floor.  A trivial
+A potential is split as V(x) = s(x) I + W(x) (PotentialSpec.split): s
+gathers its identity part, W is the rest, and at rank 1 s is the whole
+potential.  Since I commutes with everything, e^{-dt V} = e^{-dt s}
+e^{-dt W} exactly, so the scalar part needs no matrix work: its integral
+S = int s is taken by the trapezoid rule, or by 4-point sub-steps with the
+1/h cap for a field with declared singular points.  W is integrated by the
+exponential-product rule (left point): each sub-chunk evaluates W(x) once
+over the left points of its C steps and exponentiates the C x rows
+matrices as PotentialSpec.matrix returns them, in one call whose per-step
+sizes dt broadcast over the rows; the matrix exponential also returns the
+smallest eigenvalue of each W(x).  A W with no x-dependent term (the
+constant spin part of an atomic-type potential) has an exponential and a
+smallest eigenvalue that depend on dt only: they are taken once per block,
+over its distinct step sizes, and each step multiplies in its size's
+matrix, held entry-major over the live rows.  floor_integral is
+S + sum dt lambda_min(W), and the holonomy e^{-S} times W's product (and
+the transport), or e^{-S} I without W, filled in from floor_integral at
+the end.  A trivial
 bundle is no bundle in the engine; every other one, the magnetic phase
 among them, is transported through BundleSpec.step_transport into one
 (B, d, d) accumulator: one call per sub-chunk walks its C steps and
@@ -60,23 +68,24 @@ per step and returns the frame at the sub-chunk's last point; the table
 carries it (never snapshotted), and the next sub-chunk passes it back as
 the frame at its start.
 
-A matrix potential's one weight state is G = holonomy acc^H, acc the
-transport so far, or the holonomy itself without a bundle (G is never
-snapshotted).  With a transport the weight of a step is
-holonomy acc^H e^{-dt V(x)} acc, so a step sets G <- G e^{-dt V(x)}, then
-G <- G T^H and acc <- T acc, with no conjugation of V; a snapshot or a
-path's exit reads the holonomy as G acc (G without a bundle).  G starts in
-V's dtype and the transport real, and each stays real until a complex
-step promotes it, so a real potential on the tangent bundle runs in real
-arithmetic; their snapshots are complex.
+W's one weight state is G = e^{S} holonomy acc^H, acc the transport so
+far, or e^{S} holonomy without a bundle (G is never snapshotted).  With a
+transport the weight of a step is e^{-dt s} holonomy acc^H e^{-dt W(x)} acc,
+so a step sets G <- G e^{-dt W(x)}, then G <- G T^H and acc <- T acc, with
+no conjugation of W; a snapshot or a path's exit reads the holonomy as
+e^{-S} G acc (e^{-S} G without a bundle).  Since ||e^{-dt W}|| =
+e^{-dt lambda_min(W)}, ||holonomy|| <= e^{-floor_integral} holds per
+sample.  G starts in W's dtype and the transport real, and each stays
+real until a complex step promotes it, so a real potential on the tangent
+bundle runs in real arithmetic; their snapshots are complex.
 
 Layout: every d x d batch of the matrix layers is entry-major
 (matexp.entry_major), each entry [..., i, j] one contiguous row over the
-batch: G and the transport as they start and as each small_matmul returns
-them, and the sub-chunk's step matrices, V(x) over the left points, its
-exponential and the sphere's transports, as (C, rows, d, d) views of
-(d, d, C, rows) arrays.  Dropping the rows of leaving paths copies a
-state back to C order, and its next product is entry-major again; the
+batch: G and the transport as they start, as each small_matmul returns
+them and as the rows of leaving paths are dropped (for d <= 3; above,
+matmul's C order), the sub-chunk's step matrices, W(x) over the left
+points, its exponential and the sphere's transports, as (C, rows, d, d)
+views of (d, d, C, rows) arrays, and a constant W's step matrices; the
 snapshots are C-order.  No value depends on the layout.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
@@ -291,6 +300,30 @@ def _pin_past_exit(p, cols, e, last):
     p[:, cols] = np.where(past, last, p[:, cols])
 
 
+def _matrix_rows(batch, which):
+    """Rows `which`, a slice or an index array, of a (rows, d, d) batch.
+    For d <= 3 a copy comes entry-major (matexp.entry_major), as
+    small_matmul's products do, so that the next product reads each entry
+    as one contiguous row; above, in C order, as matmul's products."""
+    if isinstance(which, slice) or batch.shape[-1] > 3:
+        return batch[which]
+    return np.take(batch.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
+
+
+def _broadcast_step(cache, exps, u, n):
+    """exps[u], a step matrix shared by every row, as the right factor of
+    small_matmul over n rows: for d <= 3 an entry-major (n, d, d) array of
+    n copies, built once into cache (a broadcast operand would triple the
+    product's time) and sliced as rows drop out; above, exps[u] itself,
+    which matmul broadcasts."""
+    if exps.shape[-1] > 3:
+        return exps[u]
+    if u not in cache:
+        cache[u] = entry_major((n,), exps.shape[-1], exps.dtype)
+        cache[u][...] = exps[u]
+    return cache[u][:n]
+
+
 def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
     B = x0.shape[0]
     K = len(times) - 1
@@ -303,32 +336,38 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     stops = idx.tolist()  # a sub-chunk ends at the next snapshot; the last is K
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
-    scalar_v = potential.field() if potential is not None and potential.rank == 1 else None
-    matrix_V = potential if scalar_v is None else None
+    scalar_v, matrix_W = potential.split() if potential is not None else (None, None)
     singular = scalar_v is not None and scalar_v.singular
     per_point = max(model.coord_dim, d)  # floats of a point in _SUB_FLOATS
     death = np.full(B, -1, dtype=np.int64)
 
-    # per-path state of the live paths, keyed by EnsembleResult field; row
-    # i of each entry belongs to path rows[i] of the block.  A matrix
-    # potential's weight is G = holonomy transport^H, the holonomy itself
-    # without a bundle.  G and the transport start real (V's dtype for G)
-    # and stay so until a complex step promotes them; snapshots are complex
+    # per-path state of the live paths; row i of each entry belongs to path
+    # rows[i] of the block.  S is the integral of the scalar part, W_floor
+    # that of lambda_min(W), and W's weight is G = e^{S} holonomy
+    # transport^H, e^{S} holonomy without a bundle.  G and the transport
+    # start real (W's dtype for G) and stay so until a complex step
+    # promotes them
     rows = np.arange(B)
     state = {"points": x0.copy()}
-    if potential is not None:
-        state["floor_integral"] = np.zeros(B)
-    if matrix_V is not None:
-        state["G"] = entry_major((B,), d, matrix_V.const.dtype)
+    if scalar_v is not None:
+        state["S"] = np.zeros(B)
+    if matrix_W is not None:
+        state["W_floor"] = np.zeros(B)
+        state["G"] = entry_major((B,), d, matrix_W.const.dtype)
         state["G"][...] = np.eye(d)
     if bundle is not None:
         state["transport"] = entry_major((B,), d, float)
         state["transport"][...] = np.eye(d)
-    snaps = {name: np.zeros((len(snap_idx),) + v.shape,
-                            dtype=complex if name in ("G", "transport") else v.dtype)
-             for name, v in state.items()}
-    if matrix_V is not None:
-        snaps["holonomy"] = snaps.pop("G")
+    # the snapshots, keyed by EnsembleResult field; without W the holonomy
+    # is e^{-S} I, filled in from floor_integral at the end
+    T = len(snap_idx)
+    snaps = {"points": np.zeros((T,) + x0.shape)}
+    if potential is not None:
+        snaps["floor_integral"] = np.zeros((T, B))
+    if matrix_W is not None:
+        snaps["holonomy"] = np.zeros((T, B, d, d), dtype=complex)
+    if bundle is not None:
+        snaps["transport"] = np.zeros((T, B, d, d), dtype=complex)
     # per-path state that is never snapshotted: the tangent frame at each
     # path's point, which each step's transport returns for its endpoint;
     # the trapezoid's left values
@@ -337,11 +376,26 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     if scalar_v is not None and not singular:
         state["v_prev"] = scalar_v(x0, cap=cap)
 
+    # a W with no x-dependent term: its exponential and lambda_min depend on
+    # the step size only, so they are taken once per distinct size of the
+    # block, and each step matrix is held over the live rows
+    # (_broadcast_step), built when a sub-chunk first takes that size
+    if matrix_W is not None and not matrix_W.terms:
+        sizes, size_of = np.unique(dts, return_inverse=True)
+        fixed_exp, fixed_lam = expm_neg_hermitian(
+            np.broadcast_to(matrix_W.const, (len(sizes), d, d)), sizes)
+        fixed_steps = {}
+
     def read(src, name, which=slice(None)):
         """Field `name` of the rows `which` of the state entries src."""
+        if name == "floor_integral":
+            parts = [src[k][which] for k in ("S", "W_floor") if k in src]
+            return parts[0] if len(parts) == 1 else parts[0] + parts[1]
         if name == "holonomy":
-            G = src["G"][which]
-            return G if bundle is None else small_matmul(G, src["transport"][which])
+            G = _matrix_rows(src["G"], which)
+            if bundle is not None:
+                G = small_matmul(G, _matrix_rows(src["transport"], which))
+            return G if "S" not in src else np.exp(-src["S"][which])[:, None, None] * G
         return src[name][which]
 
     def snapshot(k):
@@ -402,8 +456,8 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                         last = np.where((e > 0)[:, None], pts[e - 1, cols], x[cols])
                         _pin_past_exit(pts, cols, e, last)
 
-            # a rank-1 potential's floor integral, once over the sub-chunk:
-            # trapezoid, or capped sub-steps for a singular field
+            # the scalar part's integral, once over the sub-chunk: trapezoid,
+            # or capped sub-steps for a singular field
             if scalar_v is not None:
                 if singular:
                     starts = np.concatenate([x[None], pts[:-1]])
@@ -420,39 +474,44 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                     np.add(vy[:-1], vy[1:], out=inc[1:])
                     inc *= 0.5 * dt[:, None]
                     state["v_prev"] = vy[-1]
-                inc[0] += state["floor_integral"]
+                inc[0] += state["S"]
                 for j in range(1, C):
                     inc[j] += inc[j - 1]
-                hist["floor_integral"] = inc
+                hist["S"] = inc
 
-            # a matrix potential's weight and floor use each step's start: V(x)
-            # once over the sub-chunk's left points and one exponential, whose
-            # per-step sizes broadcast over the rows; its floor is the smallest
-            # eigenvalue the exponential already solved for
-            if matrix_V is not None:
+            # W's weight and floor use each step's start: W(x) once over the
+            # sub-chunk's left points and one exponential, whose per-step
+            # sizes broadcast over the rows (or the block's exponentials of a
+            # constant W); its floor is the smallest eigenvalue the
+            # exponential already solved for
+            if matrix_W is not None and matrix_W.terms:
                 step_exp, lam_min = expm_neg_hermitian(
-                    matrix_V.matrix(np.concatenate([x[None], pts[:-1]]), cap=cap), dt[:, None])
+                    matrix_W.matrix(np.concatenate([x[None], pts[:-1]]), cap=cap), dt[:, None])
+            elif matrix_W is not None:
+                step_exp = [_broadcast_step(fixed_steps, fixed_exp, u, len(rows))
+                            for u in size_of[k:k2]]
+                lam_min = fixed_lam[size_of[k:k2]]
 
             # the per-step recurrences.  At rank 1 the transport is a phase,
             # taken elementwise as acc * Tk (with FMA, complex products are not
             # bitwise commutative, so the operand order is part of the result)
-            if matrix_V is not None or bundle is not None:
-                floor, G, acc = (state.get(name) for name in ("floor_integral", "G", "transport"))
+            if matrix_W is not None or bundle is not None:
+                floor, G, acc = (state.get(name) for name in ("W_floor", "G", "transport"))
                 floors, Gs, accs = {}, {}, {}  # kept after the steps that exits and the end read
                 kept = {C - 1} if cols is None else {C - 1, *(j - 1 for j in leave_at)}
                 for j in range(C):
-                    if matrix_V is not None:
+                    if matrix_W is not None:
                         floor = floor + dt[j] * lam_min[j]
                         G = small_matmul(G, step_exp[j])
                     if bundle is not None:
                         acc = acc * Ts[j] if d == 1 else small_matmul(Ts[j], acc)
-                        # holonomy' = holonomy acc^H e^{-dt V(x)} acc, so G' = G e^{-dt V(x)} T^H
-                        if matrix_V is not None:
+                        # holonomy' = holonomy acc^H e^{-dt W(x)} acc, so G' = G e^{-dt W(x)} T^H
+                        if matrix_W is not None:
                             G = small_matmul(G, Ts[j].swapaxes(-1, -2).conj())
                     if j in kept:
                         floors[j], Gs[j], accs[j] = floor, G, acc
-                if matrix_V is not None:
-                    hist["floor_integral"], hist["G"] = floors, Gs
+                if matrix_W is not None:
+                    hist["W_floor"], hist["G"] = floors, Gs
                 if bundle is not None:
                     hist["transport"] = accs
 
@@ -471,16 +530,16 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
             for name, h in hist.items():
                 state[name] = h[C - 1]
             if cols is not None:
-                keep = np.ones(len(rows), dtype=bool)
-                keep[cols] = False
-                state = {name: v[keep] for name, v in state.items()}
+                keep = np.delete(np.arange(len(rows)), cols)
+                state = {name: _matrix_rows(v, keep) if name in ("G", "transport") else v[keep]
+                         for name, v in state.items()}
                 rows = rows[keep]
-                at = np.flatnonzero(keep) if at is None else at[keep]
+                at = keep if at is None else at[keep]
             snapshot(k2)
             k = k2
 
-    if scalar_v is not None:
-        snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None]
+    if potential is not None and matrix_W is None:
+        snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None] * np.eye(d)
     alive = (death < 0) | (death > snap_idx[:, None])
     return EnsembleResult(snap_times=times[snap_idx], alive=alive, death_step=death, **snaps)
 

@@ -8,13 +8,18 @@ profile(d(y, center)) and declares centre, profile and profile breaks for
 the Kato quadrature.  ScalarField.mapped(g, name) derives a field g(v),
 such as |v| or 2 max(0, -v), through fn and profile alike, keeping every
 other declaration.  Matrix potentials are built as C0 + sum_i s_i(x) * P_i
-with constant Hermitian P_i, which covers the desk-scale bundle cases; at
-rank 1, PotentialSpec.field() is the one scalar field c0 + sum_i p_i s_i
-that the path engine integrates.  Above rank 1, the scalar floor used for
+with constant Hermitian P_i, which covers the desk-scale bundle cases.
+PotentialSpec.split() writes V = s I + W: s is one scalar field from the
+terms whose P_i is a multiple of I (and C0, when it is one), which the path
+engine integrates with no matrix work, as the whole of a rank-1 potential
+(PotentialSpec.field()); W is the rest, with its constant-field terms
+folded into its constant, so that a W with no x-dependent term is
+exponentiated once per step size.  Above rank 1, the scalar floor used for
 semigroup domination is the pointwise smallest eigenvalue.
 PotentialSpec.scalar_floor computes it by eigen-solve; the path engine
-instead takes it from the eigen-data of the step exponential it computes
-anyway (matexp), so a sampled path evaluates V once per step.
+instead takes s plus W's smallest eigenvalue, read off the eigen-data of
+the step exponential it computes anyway (matexp), so a sampled path
+evaluates V once per step.
 
 All field callables are module-level classes so estimator tasks stay
 picklable for process workers.
@@ -310,13 +315,46 @@ class PotentialSpec:
                 V[..., i, j] += fx * p
         return V
 
+    def split(self):
+        """(s, W) with V(x) = s(x) I + W(x): the scalar field s gathers the
+        terms whose matrix is a real multiple c I (as c f) and the const
+        when it is one; W, a PotentialSpec, is the rest, with each remaining
+        term of constant field folded into its const.  s is None when V has
+        no identity part, W None when V has no other part, and V = 0 is the
+        scalar 0.  At rank 1 every matrix is c I, so the split is
+        (field(), None)."""
+        eye = np.eye(self.rank)
+
+        def multiple_of_identity(P):
+            c = float(P[0, 0].real)
+            return c if np.array_equal(P, c * eye) else None
+
+        c0 = multiple_of_identity(self.const)
+        w_const = self.const if c0 is None else np.zeros_like(self.const)
+        scalar_parts, rest = [], []
+        for f, P in self.terms:
+            c = multiple_of_identity(P)
+            if c is not None:
+                scalar_parts.append((c, f))
+            elif isinstance(f.fn, _Constant):
+                w_const = w_const + f.fn.c * P
+            else:
+                rest.append((f, P))
+        W = None
+        if rest or np.any(w_const):
+            W = (self if len(rest) == len(self.terms) and w_const is self.const
+                 else PotentialSpec(self.rank, w_const, rest, self.name))
+        s = None
+        if scalar_parts or c0 or W is None:
+            s = scaled_sum(c0 or 0.0, scalar_parts, self.name)
+        return s, W
+
     def field(self) -> ScalarField:
         """The rank-1 potential c0 + sum_i p_i f_i as one scalar field: the
         term's own field for PotentialSpec.scalar(f)."""
         if self.rank != 1:
             raise ValueError("a scalar field needs a rank-1 potential")
-        return scaled_sum(float(np.real(self.const[0, 0])),
-                          [(float(np.real(P[0, 0])), f) for f, P in self.terms], self.name)
+        return self.split()[0]
 
     def scalar_floor(self, pts, cap=None):
         """Floor v(x) = min sigma(V(x)), the exact smallest eigenvalue (by

@@ -4,7 +4,9 @@ The tracer wraps engine functions by name, so renaming one of them breaks
 `bench/run.py --trace 1` without failing any engine test.  This runs a tiny
 rank-3 fk_vector call under the tracer and pins what the fused step
 promises: one V(x) evaluation and one exponential per sub-chunk, over all of
-its steps' matrices, and no separate floor eigen-solve.
+its steps' matrices, and no separate floor eigen-solve.  The spinor_rank3
+potential, a constant matrix plus a scalar field times I, takes no V(x)
+evaluation and one exponential per block.
 A short tangent_sphere call pins that tangent transport is still timed, a
 short scalar_harmonic call that the rank-1 route does no matrix work, and a
 short exit_probability call that the live-step ratio still reads the
@@ -22,8 +24,9 @@ import layers  # noqa: E402
 import workloads  # noqa: E402
 
 import fiberflow.paths as paths  # noqa: E402
+from fiberflow.config import parse_potential  # noqa: E402
 from fiberflow.geometry import Euclidean  # noqa: E402
-from fiberflow.paths import exit_probability  # noqa: E402
+from fiberflow.paths import exit_probability, time_grid  # noqa: E402
 from fiberflow.rng import RngKey  # noqa: E402
 from fiberflow.semigroup import fk_scalar, fk_vector  # noqa: E402
 
@@ -36,12 +39,14 @@ def sub_chunks(steps, n, floats):
 
 
 def test_traced_rank3_call_evaluates_potential_once_per_sub_chunk():
+    # an x-dependent spin-1 term keeps the matrix part on the per-point route
     w = workloads.SpinorRank3()
     c = w.cfg
+    V = parse_potential(c.model, "matrix(rank=3, const=diag(1,0,-1), harmonic(1.0) @ spin1_x)")
     t, h, n = 0.01, w.h, 16
     tr = layers.Tracer()
     with tr.installed():
-        est = fk_vector(c.model, c.bundle, w.potential, c.section, w.x, t, h, n, RngKey(3))
+        est = fk_vector(c.model, c.bundle, V, c.section, w.x, t, h, n, RngKey(3))
     assert np.all(np.isfinite(est.value))
     m = tr.metrics()
     steps = int(round(t / h))
@@ -50,6 +55,28 @@ def test_traced_rank3_call_evaluates_potential_once_per_sub_chunk():
     assert m["potentials.matrix_calls"] == sub_chunks(steps, n, 3)
     assert m["matexp.matrices"] == steps * n
     assert m["paths.blocks"] == 1
+
+
+def test_traced_spinor_call_exponentiates_its_constant_part_once_per_block(monkeypatch):
+    # V = C + harmonic(1.0) I: the identity part is a scalar field and C is
+    # exponentiated once per block, at each distinct step size of the grid
+    w = workloads.SpinorRank3()
+    c = w.cfg
+    t, h, n = 0.01, w.h, 16
+    calls = []
+    expm = paths.expm_neg_hermitian
+    monkeypatch.setattr(paths, "expm_neg_hermitian",
+                        lambda W, s: (calls.append(np.shape(W)[:-2]), expm(W, s))[1])
+    tr = layers.Tracer()
+    with tr.installed():
+        est = fk_vector(c.model, c.bundle, w.potential, c.section, w.x, t, h, n, RngKey(3))
+    assert np.all(np.isfinite(est.value))
+    m = tr.metrics()
+    sizes = len(np.unique(np.diff(time_grid(t, h)[0])))
+    assert m["potentials.matrix_calls"] == 0 and m["potentials.floor_s"] == 0
+    assert m["paths.blocks"] == 1 and calls == [(sizes,)]
+    assert m["matexp.matrices"] == sizes
+    assert m["potentials.field_s"] > 0
 
 
 def test_traced_tangent_call_attributes_transport():

@@ -215,3 +215,17 @@ def test_kato_report_needs_two_distinct_times(t_grid):
     e3 = Euclidean(3)
     with pytest.raises(ValueError, match="2 distinct times"):
         kato_report(e3, coulomb_field(e3, 0.5), t_grid, np.zeros((1, 3)))
+
+
+def test_negative_part_exponent_reads_the_scalar_part_at_any_rank():
+    # coulomb(1.0) I at rank 2 is the scalar potential coulomb(1.0): rule 1
+    # gives both spellings the same exponent (rule 2 has no bound for a
+    # singular term on a noncompact base)
+    from fiberflow.config import parse_potential
+
+    scalar = negative_part_exponent(E3, parse_potential(E3, "coulomb(1.0)"))
+    matrix = negative_part_exponent(E3, parse_potential(E3, "matrix(rank=2, coulomb(1.0) @ id)"))
+    assert scalar is not None and matrix == scalar
+    # a matrix part besides it leaves rule 1
+    mixed = parse_potential(E3, "matrix(rank=2, coulomb(1.0) @ id, 0.5 @ pauli_x)")
+    assert negative_part_exponent(E3, mixed) is None

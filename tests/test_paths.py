@@ -773,6 +773,75 @@ def test_matrix_weight_with_unequal_steps_inside_a_sub_chunk(case, monkeypatch):
         assert np.array_equal(a[name], b[name]), name
 
 
+class _ZeroField:
+    """0 at every point, but not a constant field: a term of it keeps a
+    constant matrix part on the per-point route."""
+
+    def __call__(self, pts):
+        return 0.0 * np.asarray(pts)[..., 0]
+
+
+@pytest.mark.parametrize("rank", [2, 3, 4])
+@pytest.mark.parametrize("domain", ["plane", "ball"])
+def test_constant_matrix_part_is_exponentiated_once_per_step_size(rank, domain, monkeypatch):
+    # W = C constant beside a scalar part: one exponential per block over
+    # the grid's distinct step sizes, h and h / 2 on this binary grid with
+    # its off-grid checkpoint, and every array bit for bit that of the same
+    # W written with a zero-field term, which exponentiates W(x) per point.
+    # Two blocks; on the ball, rows drop out mid-run
+    rng = np.random.default_rng(rank)
+    A = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
+    C = 0.5 * (A + A.conj().T) if rank == 3 else (A + A.T).real / 2
+    P = np.roll(np.eye(rank), 1, axis=0) + np.roll(np.eye(rank), -1, axis=0)
+    terms = [(harmonic_field(Euclidean(2), 1.0), np.eye(rank))]
+    fixed = PotentialSpec(rank=rank, const=C, terms=terms)
+    per_point = PotentialSpec(rank=rank, const=C, terms=terms + [(ScalarField(_ZeroField()), P)])
+    model = Euclidean(2) if domain == "plane" else ball(Euclidean(2), 0.5)
+    t, h, n = 0.25, 2.0**-6, 40
+    sizes = np.unique(np.diff(time_grid(t, h, (1.5 * h,))[0]))
+    assert sizes.tolist() == [h / 2, h]
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 24 * 2 * len(np.arange(0, t, h)) + 24)
+    runs = []
+    for V in (fixed, per_point):
+        calls = []
+        expm = paths.expm_neg_hermitian
+        monkeypatch.setattr(paths, "expm_neg_hermitian",
+                            lambda W, s: (calls.append(np.shape(W)[:-2]), expm(W, s))[1])
+        runs.append(result_arrays(run_ensemble(model, np.zeros(2), t, h, KEY, n,
+                                               potential=V, checkpoints=(1.5 * h,))))
+        monkeypatch.setattr(paths, "expm_neg_hermitian", expm)
+        if V is fixed:
+            assert calls == [(2,), (2,)]  # one per block, one matrix per step size
+    a, b = runs
+    if domain == "ball":
+        assert 0 < np.sum(a["death_step"] > 0) < n
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+
+
+@pytest.mark.parametrize("case", ["rank3_ball", "tangent_ball"])
+def test_matrix_states_stay_entry_major_through_exits(case, monkeypatch):
+    # dropping the rows of leaving paths keeps G and the transport
+    # entry-major: every operand of the engine's products has each entry
+    # as one contiguous row over the live paths
+    if case == "rank3_ball":
+        model, x0 = ball(Euclidean(2), 0.3), np.zeros(2)
+        kw = dict(potential=parse_potential(
+            model, "matrix(rank=3, const=diag(1,0,-1), harmonic(1.0) @ spin1_x)"))
+    else:
+        model, x0, _, _, kw, _ = ensemble_case("sphere2_ball")
+    operands = []
+    small_matmul = paths.small_matmul
+    monkeypatch.setattr(paths, "small_matmul",
+                        lambda A, C: (operands.extend((A, C)), small_matmul(A, C))[1])
+    res = run_ensemble(model, x0, 0.5, 1e-2, KEY, 300, checkpoints=(0.25,), **kw)
+    assert np.all(res.death_step > 0)
+    assert operands and all(op.ndim == 3 for op in operands)
+    # (a snapshot after the last exit reads no rows)
+    assert all(op.strides[0] == op.itemsize for op in operands if len(op) > 1)
+
+
 # -- rank-3 eigh fallback along paths -----------------------------------------
 
 

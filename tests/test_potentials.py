@@ -164,3 +164,80 @@ def test_matrix_is_entry_major_and_the_c_order_assembly_bit_for_bit(text):
     assert got.shape == ref.shape and got.dtype == ref.dtype
     assert got.tobytes() == ref.tobytes()
     assert all(got[..., i, j].flags.c_contiguous for i in range(V.rank) for j in range(V.rank))
+
+
+def _same_field(f, g, pts=PTS):
+    return np.array_equal(f(pts), g(pts))
+
+
+@pytest.mark.parametrize("V", [
+    PotentialSpec.scalar(harmonic_field(E2, 1.0)),
+    PotentialSpec.scalar(coulomb_field(E2, 1.0)),
+    PotentialSpec(rank=1, const=0.3 * np.eye(1), terms=[(harmonic_field(E2, 1.0), 2.0 * np.eye(1)),
+                                                        (coulomb_field(E2, 0.5), -np.eye(1))]),
+    PotentialSpec.zero(1),
+])
+def test_rank1_split_is_the_field(V):
+    s, W = V.split()
+    assert W is None
+    f = V.field()
+    assert s.name == f.name and s.singular_points == f.singular_points
+    assert _same_field(s, f)
+    if len(V.terms) == 1:  # PotentialSpec.scalar(f) is f itself on both routes
+        assert s is f is V.terms[0][0]
+
+
+def test_split_gathers_identity_terms_and_a_constant_multiple_of_identity():
+    # matrix(rank=2, const=0.3 I, harmonic @ 2 I, coulomb @ -I): no W, and
+    # s = 0.3 + 2 harmonic - coulomb, with coulomb's singular point
+    harm, coul = harmonic_field(E2, 1.0), coulomb_field(E2, 0.5)
+    V = PotentialSpec(rank=2, const=0.3 * np.eye(2),
+                      terms=[(harm, 2.0 * np.eye(2)), (coul, -np.eye(2))])
+    s, W = V.split()
+    assert W is None and s.singular
+    assert np.allclose(s(PTS), 0.3 + 2.0 * harm(PTS) - coul(PTS), rtol=1e-15, atol=0)
+    # one identity term alone is its own field
+    s, W = parse_potential(E2, "matrix(rank=2, harmonic(1.0) @ id)").split()
+    assert W is None and _same_field(s, harm)
+
+
+def test_split_folds_constant_field_terms_into_W():
+    # the grammar's 0.5 @ spin1_x is a constant field: W is the constant C,
+    # with no x-dependent term, and s the harmonic field
+    V = parse_potential(E2, "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, "
+                            "harmonic(1.0) @ id)")
+    s, W = V.split()
+    s_x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / np.sqrt(2.0)
+    assert _same_field(s, harmonic_field(E2, 1.0))
+    assert not W.terms and W.rank == 3
+    assert np.array_equal(W.const, np.diag([1.0, 0.0, -1.0]) + 0.5 * s_x)
+    # V = s I + W at every point
+    assert np.allclose(V.matrix(PTS), s(PTS)[:, None, None] * np.eye(3) + W.matrix(PTS),
+                       rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("text", [
+    "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)",
+    "matrix(rank=3, const=diag(1,0,-1), harmonic(1.0) @ spin1_y)",
+])
+def test_split_without_identity_part_is_all_W(text):
+    V = parse_potential(E2, text)
+    s, W = V.split()
+    assert s is None and W is V
+
+
+def test_split_keeps_an_x_dependent_term_beside_the_identity_part():
+    # const = 0.4 I goes to s; an x-dependent non-identity term stays in W
+    harm = harmonic_field(E2, 1.0)
+    V = PotentialSpec(rank=2, const=0.4 * np.eye(2), terms=[(harm, np.diag([1.0, -1.0]))])
+    s, W = V.split()
+    assert np.array_equal(s(PTS), np.full(len(PTS), 0.4))
+    assert not np.any(W.const) and len(W.terms) == 1 and W.terms[0][0] is harm
+    assert np.array_equal(V.matrix(PTS), s(PTS)[:, None, None] * np.eye(2) + W.matrix(PTS))
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3])
+def test_split_of_zero_is_the_scalar_zero(rank):
+    s, W = PotentialSpec.zero(rank).split()
+    assert W is None and not s.singular
+    assert np.array_equal(s(PTS), np.zeros(len(PTS)))

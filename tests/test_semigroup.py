@@ -3,10 +3,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from fiberflow import paths
 from fiberflow.bundles import magnetic_bundle, tangent_bundle, trivial_bundle
 from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
+from fiberflow.config import parse_potential
 from fiberflow.geometry import Circle, Euclidean, FlatTorus, HyperbolicPlane, Sphere2, ball
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
 from fiberflow.paths import run_ensemble
@@ -166,6 +168,24 @@ def test_per_sample_magnetic_domination():
     assert np.max(np.abs(np.abs(w_mag) - w_sca)) < 1e-14
 
 
+def test_commuting_spin1_potential_has_no_left_point_bias():
+    # V = C + |x|^2/2 I with C = diag(1,0,-1) + S_x / 2 constant: C commutes
+    # with the scalar part, so from the origin of R^2 the semigroup is
+    # e^{-tC} f E[e^{-int |B|^2/2}] = e^{-tC} f / cosh t.  The scalar part
+    # takes the trapezoid rule and C's step exponential is exact, so at
+    # h = 2e-2 the estimate lands within 3 se with no discretization
+    # allowance (the left-point product of V(x) read z = 12 here)
+    V = parse_potential(E2, "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_x, "
+                            "harmonic(1.0) @ id)")
+    s_x = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 1.0], [0.0, 1.0, 0.0]]) / math.sqrt(2.0)
+    C = np.diag([1.0, 0.0, -1.0]) + 0.5 * s_x
+    f3 = constant_section([1.0, 1.0, 1.0], rank=3)
+    t, h, n = 0.4, 2e-2, 2**15
+    est = fk_vector(E2, trivial_bundle(3), V, f3, np.zeros(2), t, h, n, KEY)
+    exact = expm(-t * C) @ np.ones(3) / math.cosh(t)
+    assert np.all(np.abs(est.value - exact) < 3 * est.stderr)
+
+
 # -- domination --------------------------------------------------------------
 
 
@@ -201,10 +221,15 @@ def test_domination_random_hermitian_field():
     assert rep["passed"] and rep["violations"] == 0
 
 
+# V = v sigma_z with v >= 0: the holonomy is diag(e^{-int v}, e^{int v}) and
+# the floor -v, so on the section (0, 1) ||holonomy f|| = e^{-int floor}.
+# An identity part would take the scalar route, which no step exponential
+# reaches
 SATURATED = PotentialSpec(rank=2, const=np.zeros((2, 2)),
-                          terms=[(harmonic_field(E2, 1.0), np.eye(2))])
+                          terms=[(harmonic_field(E2, 1.0), PAULI_Z)])
+SATURATED_SECTION = constant_section([0.0, 1.0], rank=2)
 SATURATED_ARGV = ["--manifold", "euclidean(m=2)", "--bundle-rank", "2", "--potential",
-                  "matrix(rank=2, harmonic(1.0) @ id)", "--section", "constant(1,0)",
+                  "matrix(rank=2, harmonic(1.0) @ pauli_z)", "--section", "constant(0,1)",
                   "--x", "0,0", "--t", "0.2", "--h", "1e-3", "--n", "200"]
 
 
@@ -220,9 +245,9 @@ def _inflate_step_exponentials(monkeypatch, factor=1.0 + 1e-6):
 
 
 def test_domination_assert_fires_on_broken_integrator(monkeypatch):
-    # V = v I saturates domination, so 200 steps of 1e-6 excess break it
-    f2 = constant_section([1.0, 0.0], rank=2)
-    args = (E2, trivial_bundle(2), SATURATED, f2, np.zeros(2), 0.2, 1e-3, 200, KEY)
+    # SATURATED saturates domination, so 200 steps of 1e-6 excess break it
+    args = (E2, trivial_bundle(2), SATURATED, SATURATED_SECTION, np.zeros(2), 0.2, 1e-3, 200,
+            KEY)
     fk_vector(*args)
     _inflate_step_exponentials(monkeypatch)
     with pytest.raises(RuntimeError, match="per-sample domination violated"):
