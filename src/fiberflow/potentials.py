@@ -340,10 +340,7 @@ class PotentialSpec:
                 w_const = w_const + f.fn.c * P
             else:
                 rest.append((f, P))
-        W = None
-        if rest or np.any(w_const):
-            W = (self if len(rest) == len(self.terms) and w_const is self.const
-                 else PotentialSpec(self.rank, w_const, rest, self.name))
+        W = PotentialSpec(self.rank, w_const, rest, self.name) if rest or np.any(w_const) else None
         s = None
         if scalar_parts or c0 or W is None:
             s = scaled_sum(c0 or 0.0, scalar_parts, self.name)

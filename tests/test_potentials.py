@@ -223,7 +223,10 @@ def test_split_folds_constant_field_terms_into_W():
 def test_split_without_identity_part_is_all_W(text):
     V = parse_potential(E2, text)
     s, W = V.split()
-    assert s is None and W is V
+    assert s is None and np.array_equal(W.const, V.const)
+    assert [f for f, _ in W.terms] == [f for f, _ in V.terms]
+    assert all(np.array_equal(P, Q) for (_, P), (_, Q) in zip(W.terms, V.terms))
+    assert W.matrix(PTS).tobytes() == V.matrix(PTS).tobytes()
 
 
 def test_split_keeps_an_x_dependent_term_beside_the_identity_part():
