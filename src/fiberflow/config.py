@@ -400,9 +400,10 @@ class RunConfig:
         if unknown:
             raise ConfigError(unknown[0], "unknown configuration key")
         cfg = cls(raw={k: str(v) for k, v in mapping.items() if v is not None})
-        # counts, workers, step, radii, times and every grid entry; t = 0
-        # stays valid (paths of one point).  n and trials are capped where a
-        # run would run out of memory or time rather than end in a result
+        # counts, workers, step, radii, times and every grid entry, a grid
+        # holding one at least; t = 0 stays valid (paths of one point).  n
+        # and trials are capped where a run would run out of memory or time
+        # rather than end in a result
         count = (">= 1", lambda v: v >= 1)
         positive = ("> 0", lambda v: v > 0)
         non_negative = (">= 0", lambda v: v >= 0)
@@ -419,6 +420,8 @@ class RunConfig:
             if key not in cfg.raw:
                 continue
             v = cfg.values(key) if key.endswith("_grid") else cfg.number(key)
+            if np.size(v) == 0:
+                raise ConfigError(key, f"need at least one value, got {cfg.raw[key]!r}")
             if not np.all(ok(v)):
                 raise ConfigError(key, f"need {key} {need}, got {cfg.raw[key]!r}")
         # the decay fits of ground-energy and kato-check need distinct times

@@ -49,14 +49,14 @@ exponential-product rule (left point): each sub-chunk evaluates W(x) once
 over the left points of its C steps and exponentiates the C x rows
 matrices as PotentialSpec.matrix returns them, in one call whose per-step
 sizes dt broadcast over the rows; the matrix exponential also returns the
-smallest eigenvalue of each W(x).  A W with no x-dependent term (the
-constant spin part of an atomic-type potential) has an exponential and a
-smallest eigenvalue that depend on dt only: they are taken once per block,
-over its distinct step sizes, and each step multiplies in its size's
-matrix, held entry-major over the live rows.  floor_integral is
-S + sum dt lambda_min(W), and the holonomy e^{-S} times W's product (and
-the transport), or e^{-S} I without W, filled in from floor_integral at
-the end.  A trivial
+smallest eigenvalue of each W(x).  floor_integral is S + sum dt
+lambda_min(W), and the holonomy e^{-S} times W's product (and the
+transport).  A weight the same for every path is not carried per path:
+without W, or with a constant W (the spin part of an atomic-type
+potential) and no bundle, the steps keep S alone, and the block's end
+fills in each snapshot at its path's last inside grid index, W's
+exponentials taken once per step size and its product and floor walked
+once, on single (d, d) matrices (I and 0 without W).  A trivial
 bundle is no bundle in the engine; every other one, the magnetic phase
 among them, is transported through BundleSpec.step_transport into one
 (B, d, d) accumulator: one call per sub-chunk walks its C steps and
@@ -68,11 +68,12 @@ per step and returns the frame at the sub-chunk's last point; the table
 carries it (never snapshotted), and the next sub-chunk passes it back as
 the frame at its start.
 
-W's one weight state is G = e^{S} holonomy acc^H, acc the transport so
-far, or e^{S} holonomy without a bundle (G is never snapshotted).  With a
-transport the weight of a step is e^{-dt s} holonomy acc^H e^{-dt W(x)} acc,
-so a step sets G <- G e^{-dt W(x)}, then G <- G T^H and acc <- T acc, with
-no conjugation of W; a snapshot or a path's exit reads the holonomy as
+An x-dependent W, or any W on a bundle, has one weight state per path,
+G = e^{S} holonomy acc^H, acc the transport so far, or e^{S} holonomy
+without a bundle (G is never snapshotted).  With a transport the weight
+of a step is e^{-dt s} holonomy acc^H e^{-dt W(x)} acc, so a step sets
+G <- G e^{-dt W(x)}, then G <- G T^H and acc <- T acc, with no
+conjugation of W; a snapshot or a path's exit reads the holonomy as
 e^{-S} G acc (e^{-S} G without a bundle).  Since ||e^{-dt W}|| =
 e^{-dt lambda_min(W)}, ||holonomy|| <= e^{-floor_integral} holds per
 sample.  G starts in W's dtype and the transport real, and each stays
@@ -85,8 +86,8 @@ batch: G and the transport as they start, as each small_matmul returns
 them and as the rows of leaving paths are dropped (for d <= 3; above,
 matmul's C order), the sub-chunk's step matrices, W(x) over the left
 points, its exponential and the sphere's transports, as (C, rows, d, d)
-views of (d, d, C, rows) arrays, and a constant W's step matrices; the
-snapshots are C-order.  No value depends on the layout.
+views of (d, d, C, rows) arrays; the snapshots are C-order.  No value
+depends on the layout.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks, sub-chunks and process
@@ -311,18 +312,22 @@ def _matrix_rows(batch, which):
     return np.take(batch.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
 
 
-def _broadcast_step(cache, exps, u, n):
-    """exps[u], a step matrix shared by every row, as the right factor of
-    small_matmul over n rows: for d <= 3 an entry-major (n, d, d) array of
-    n copies, built once into cache (a broadcast operand would triple the
-    product's time) and sliced as rows drop out; above, exps[u] itself,
-    which matmul broadcasts."""
-    if exps.shape[-1] > 3:
-        return exps[u]
-    if u not in cache:
-        cache[u] = entry_major((n,), exps.shape[-1], exps.dtype)
-        cache[u][...] = exps[u]
-    return cache[u][:n]
+def _shared_weight(W, dts, at):
+    """(G, F) of a constant W at the grid indices `at`: the ordered product
+    of e^{-dt W} and the sum of dt lambda_min(W) over the steps before each,
+    walked once in step order and kept at the indices read."""
+    sizes, size_of = np.unique(dts, return_inverse=True)
+    exps, lams = expm_neg_hermitian(np.broadcast_to(W, (len(sizes),) + W.shape), sizes)
+    reads = np.unique(at).tolist()
+    G, F, kept = np.eye(len(W), dtype=W.dtype)[None], 0.0, []
+    for k, r in zip([0] + reads, reads):
+        for u in size_of[k:r].tolist():
+            F = F + sizes[u] * lams[u]
+            G = small_matmul(G, exps[u:u + 1])
+        kept.append((G[0], F))
+    Gs, Fs = zip(*kept)
+    i = np.searchsorted(reads, at)
+    return np.stack(Gs)[i], np.asarray(Fs)[i]
 
 
 def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
@@ -338,16 +343,17 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     scalar_v, matrix_W = potential.split() if potential is not None else (None, None)
+    # a constant W with no bundle weighs every path alike: filled in at the end
+    shared_W = None
+    if matrix_W is not None and not matrix_W.terms and bundle is None:
+        shared_W, matrix_W = matrix_W, None
     singular = scalar_v is not None and scalar_v.singular
     per_point = max(model.coord_dim, d)  # floats of a point in _SUB_FLOATS
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state of the live paths; row i of each entry belongs to path
-    # rows[i] of the block.  S is the integral of the scalar part, W_floor
-    # that of lambda_min(W), and W's weight is G = e^{S} holonomy
-    # transport^H, e^{S} holonomy without a bundle.  G and the transport
-    # start real (W's dtype for G) and stay so until a complex step
-    # promotes them
+    # rows[i] of the block: S and W_floor, the integrals of the scalar part
+    # and of lambda_min(W), W's weight G and the transport (module docstring)
     rows = np.arange(B)
     state = {"points": x0.copy()}
     if scalar_v is not None:
@@ -359,11 +365,11 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
     if bundle is not None:
         state["transport"] = entry_major((B,), d, float)
         state["transport"][...] = np.eye(d)
-    # the snapshots, keyed by EnsembleResult field; without W the holonomy
-    # is e^{-S} I, filled in from floor_integral at the end
+    # the snapshots, keyed by EnsembleResult field; without a per-path W the
+    # holonomy is filled in from floor_integral at the end
     T = len(snap_idx)
     snaps = {"points": np.zeros((T,) + x0.shape)}
-    if potential is not None:
+    if scalar_v is not None or matrix_W is not None:
         snaps["floor_integral"] = np.zeros((T, B))
     if matrix_W is not None:
         snaps["holonomy"] = np.zeros((T, B, d, d), dtype=complex)
@@ -376,16 +382,6 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
         state["frame"] = model.base.frame(x0)
     if scalar_v is not None and not singular:
         state["v_prev"] = scalar_v(x0, cap=cap)
-
-    # a W with no x-dependent term: its exponential and lambda_min depend on
-    # the step size only, so they are taken once per distinct size of the
-    # block, and each step matrix is held over the live rows
-    # (_broadcast_step), built when a sub-chunk first takes that size
-    if matrix_W is not None and not matrix_W.terms:
-        sizes, size_of = np.unique(dts, return_inverse=True)
-        fixed_exp, fixed_lam = expm_neg_hermitian(
-            np.broadcast_to(matrix_W.const, (len(sizes), d, d)), sizes)
-        fixed_steps = {}
 
     def read(src, name, which=slice(None)):
         """Field `name` of the rows `which` of the state entries src."""
@@ -482,16 +478,11 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
             # W's weight and floor use each step's start: W(x) once over the
             # sub-chunk's left points and one exponential, whose per-step
-            # sizes broadcast over the rows (or the block's exponentials of a
-            # constant W); its floor is the smallest eigenvalue the
-            # exponential already solved for
-            if matrix_W is not None and matrix_W.terms:
+            # sizes broadcast over the rows; its floor is the smallest
+            # eigenvalue the exponential already solved for
+            if matrix_W is not None:
                 step_exp, lam_min = expm_neg_hermitian(
                     matrix_W.matrix(np.concatenate([x[None], pts[:-1]]), cap=cap), dt[:, None])
-            elif matrix_W is not None:
-                step_exp = [_broadcast_step(fixed_steps, fixed_exp, u, len(rows))
-                            for u in size_of[k:k2]]
-                lam_min = fixed_lam[size_of[k:k2]]
 
             # the per-step recurrences.  At rank 1 the transport is a phase,
             # taken elementwise as acc * Tk (with FMA, complex products are not
@@ -539,9 +530,17 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
             snapshot(k2)
             k = k2
 
-    if potential is not None and matrix_W is None:
-        snaps["holonomy"] = np.exp(-snaps["floor_integral"])[..., None, None] * np.eye(d)
+    # a weight the same for every path: floor_integral holds S so far, and a
+    # snapshot reads W's product and floor at its path's last inside index
     alive = (death < 0) | (death > snap_idx[:, None])
+    if potential is not None and matrix_W is None:
+        S, G = snaps.get("floor_integral", 0.0), np.eye(d)
+        if shared_W is not None:
+            last = np.where(alive, snap_idx[:, None], death - 1)
+            G, F = _shared_weight(shared_W.const, dts, last)
+            snaps["floor_integral"] = S + F
+        holonomy = G if scalar_v is None else np.exp(-S)[..., None, None] * G
+        snaps["holonomy"] = holonomy if shared_W is None else holonomy.astype(complex)
     return EnsembleResult(snap_times=times[snap_idx], alive=alive, death_step=death, **snaps)
 
 

@@ -376,6 +376,9 @@ BAD_INPUTS = [
     (dict(n="1e12"), "n"),
     (dict(command="exit-time", r="1", n="1e19"), "n"),
     (dict(trials="1e12"), "trials"),
+    # grids of no numbers: an IndexError traceback, and a report of t alone
+    (dict(command="continuity-scan", x_grid="auto:32", s_grid=","), "s_grid"),
+    (dict(command="exit-time", r="1", t_grid=","), "t_grid"),
 ]
 
 

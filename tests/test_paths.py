@@ -786,9 +786,10 @@ class _ZeroField:
 def test_constant_matrix_part_is_exponentiated_once_per_step_size(rank, domain, monkeypatch):
     # W = C constant beside a scalar part: one exponential per block over
     # the grid's distinct step sizes, h and h / 2 on this binary grid with
-    # its off-grid checkpoint, and every array bit for bit that of the same
-    # W written with a zero-field term, which exponentiates W(x) per point.
-    # Two blocks; on the ball, rows drop out mid-run
+    # its off-grid checkpoint, one product of single (d, d) matrices per
+    # step, never one per path, and every array bit for bit that of the
+    # same W written with a zero-field term, which exponentiates W(x) per
+    # point.  Two blocks; on the ball, rows drop out mid-run
     rng = np.random.default_rng(rank)
     A = rng.standard_normal((rank, rank)) + 1j * rng.standard_normal((rank, rank))
     C = 0.5 * (A + A.conj().T) if rank == 3 else (A + A.T).real / 2
@@ -803,21 +804,75 @@ def test_constant_matrix_part_is_exponentiated_once_per_step_size(rank, domain, 
     monkeypatch.setattr(paths, "_BLOCK_BUDGET", 24 * 2 * len(np.arange(0, t, h)) + 24)
     runs = []
     for V in (fixed, per_point):
-        calls = []
-        expm = paths.expm_neg_hermitian
+        calls, products = [], []
+        expm, small_matmul = paths.expm_neg_hermitian, paths.small_matmul
         monkeypatch.setattr(paths, "expm_neg_hermitian",
                             lambda W, s: (calls.append(np.shape(W)[:-2]), expm(W, s))[1])
+        monkeypatch.setattr(paths, "small_matmul",
+                            lambda A, C: (products.append((A.shape, C.shape)),
+                                          small_matmul(A, C))[1])
         runs.append(result_arrays(run_ensemble(model, np.zeros(2), t, h, KEY, n,
                                                potential=V, checkpoints=(1.5 * h,))))
         monkeypatch.setattr(paths, "expm_neg_hermitian", expm)
+        monkeypatch.setattr(paths, "small_matmul", small_matmul)
         if V is fixed:
             assert calls == [(2,), (2,)]  # one per block, one matrix per step size
+            assert products and all(a[0] == c[0] == 1 for a, c in products)
     a, b = runs
     if domain == "ball":
         assert 0 < np.sum(a["death_step"] > 0) < n
     assert sorted(a) == sorted(b)
     for name in a:
         assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+
+
+@pytest.mark.parametrize("text", ["matrix(rank=2, const=diag(0.2,0.5))",
+                                  "matrix(rank=2, const=diag(0.2,0.5), 0.3 @ pauli_y)"],
+                         ids=["real", "complex"])
+@pytest.mark.parametrize("domain", ["sphere", "cap"])
+def test_constant_matrix_part_on_the_tangent_bundle_is_taken_per_point(text, domain):
+    # on a transporting bundle G = holonomy transport^H differs from path
+    # to path, so a constant W takes the per-point route: every array bit
+    # for bit that of the same W written with a zero-field term, and the
+    # holonomy's norm at most e^{-floor_integral} per sample
+    s2 = Sphere2(1.0)
+    model = s2 if domain == "sphere" else ball(s2, 0.3)
+    s, fixed = parse_potential(s2, text).split()
+    assert s is None and not fixed.terms
+    per_point = PotentialSpec(rank=2, const=fixed.const,
+                              terms=[(ScalarField(_ZeroField()), np.array([[0.0, 1.0], [1.0, 0.0]]))])
+    runs = [run_ensemble(model, s2.origin(), 0.25, 1e-2, KEY, 200, bundle=tangent_bundle(),
+                         potential=V, checkpoints=(0.1337,)) for V in (fixed, per_point)]
+    a, b = (result_arrays(r) for r in runs)
+    if domain == "cap":
+        assert 0 < np.sum(a["death_step"] > 0) < 200
+    assert sorted(a) == sorted(b)
+    for name in a:
+        assert a[name].dtype == b[name].dtype and np.array_equal(a[name], b[name]), name
+    norms = np.linalg.norm(runs[0].holonomy, 2, axis=(-2, -1))
+    assert np.all(norms <= np.exp(-runs[0].floor_integral) * (1 + 1e-12))
+
+
+@pytest.mark.parametrize("text", ["matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ id)",
+                                  "matrix(rank=3, const=diag(1,0,-1), 0.5 @ spin1_y)"],
+                         ids=["with_scalar_part", "alone"])
+def test_constant_matrix_part_reads_the_start_without_steps(text):
+    # the shared weight at grid index 0 is e^{-S_0} I = I with floor 0: at
+    # t = 0, and on a ball so small that every path leaves on its first
+    # step, at checkpoints before and after the exits
+    e2 = Euclidean(2)
+    V = parse_potential(e2, text)
+    d = V.rank
+    eye = np.broadcast_to(np.eye(d), (1, 50, d, d))
+    res = run_ensemble(e2, np.zeros(2), 0.0, 1e-2, KEY, 50, potential=V)
+    assert res.holonomy.dtype == np.complex128 and np.array_equal(res.holonomy, eye)
+    assert np.array_equal(res.floor_integral, np.zeros((1, 50)))
+    res = run_ensemble(ball(e2, 1e-6), np.zeros(2), 0.1, 1e-2, KEY, 50, potential=V,
+                       checkpoints=(0.0, 0.05))
+    assert np.all(res.death_step == 1)
+    assert res.alive[0].all() and not res.alive[1:].any()
+    assert np.array_equal(res.holonomy, np.broadcast_to(eye, (3, 50, d, d)))
+    assert np.array_equal(res.floor_integral, np.zeros((3, 50)))
 
 
 @pytest.mark.parametrize("case", ["rank3_ball", "tangent_ball"])
