@@ -238,6 +238,8 @@ def _run_smoothing(cfg: RunConfig, run: _Run):
     from .semigroup import heat_pq_norm_check, smoothing_norm_bound
 
     t, model, V = run.t, cfg.model, cfg.potential
+    if t <= 0:  # the heat kernel's smoothing bounds hold for t > 0
+        raise ConfigError("t", f"need t > 0, got {cfg.raw['t']!r}")
     probes_pq = _random_probes(model, 6, run.key.seed)
     pq = heat_pq_norm_check(model, t, [p.fn for p in probes_pq])
     payload = {"heat_pq": pq}
@@ -356,6 +358,8 @@ def _run_kato(cfg: RunConfig, run: _Run):
     t_grid = cfg.values("t_grid", default=np.geomspace(1e-4, 0.25, 8))
     if len(t_grid) < 2:  # the decay exponent is the slope of a fit over the times
         raise ConfigError("t_grid", f"need at least 2 distinct times, got {len(t_grid)}")
+    if np.any(t_grid <= 0):  # the fit is of log sup-integrals, 0 at t = 0
+        raise ConfigError("t_grid", f"need t_grid > 0, got {cfg.raw['t_grid']!r}")
     if cfg.potential.rank != 1:
         raise ConfigError("potential", "kato-check needs a scalar potential")
     f = cfg.potential.field()

@@ -404,12 +404,12 @@ class RunConfig:
         # holding one at least; t = 0 stays valid (paths of one point).  n
         # and trials are capped where a run would run out of memory or time
         # rather than end in a result
-        count = (">= 1", lambda v: v >= 1)
         positive = ("> 0", lambda v: v > 0)
         non_negative = (">= 0", lambda v: v >= 0)
         for key, (need, ok) in (("n", ("in 1..10^8", lambda v: 1 <= v <= 1e8)),
                                 ("trials", ("in 1..10^5", lambda v: 1 <= v <= 1e5)),
-                                ("k", count),
+                                # Gamma(k) of the resolvent overflows a float past 171
+                                ("k", ("in 1..171", lambda v: 1 <= v <= 171)),
                                 ("workers", (f"in 1..{_MAX_WORKERS}",
                                              lambda v: 1 <= v <= _MAX_WORKERS)),
                                 ("bundle_rank", (f"in 1..{PotentialSpec.MAX_RANK}",

@@ -51,34 +51,35 @@ matrices as PotentialSpec.matrix returns them, in one call whose per-step
 sizes dt broadcast over the rows; the matrix exponential also returns the
 smallest eigenvalue of each W(x).  floor_integral is S + sum dt
 lambda_min(W), and the holonomy e^{-S} times W's product (and the
-transport).  A weight the same for every path is not carried per path:
-without W, or with a constant W (the spin part of an atomic-type
-potential) and no bundle, the steps keep S alone, and the block's end
-fills in each snapshot at its path's last inside grid index, W's
-exponentials taken once per step size and its product and floor walked
-once, on single (d, d) matrices (I and 0 without W).  A trivial
-bundle is no bundle in the engine; every other one, the magnetic phase
-among them, is transported through BundleSpec.step_transport into one
-(B, d, d) accumulator: one call per sub-chunk walks its C steps and
-returns their (C, rows, d, d) step matrices with the points, so a bundle
-step takes no separate model.exp, and the per-step loop only multiplies
-them in.  On the tangent bundle of the sphere that call is
-Sphere2.transport_matrix's component-major walk, which builds one frame
-per step and returns the frame at the sub-chunk's last point; the table
-carries it (never snapshotted), and the next sub-chunk passes it back as
-the frame at its start.
+transport); without W it is e^{-S} I, real.  A constant W (the spin part
+of an atomic-type potential) with no bundle weighs every path alike: its
+product and floor are one row of state, a (1, d, d) G and a 0-d floor,
+stepped by the same loop and read by the same snapshots and exits as a
+per-path one, where they broadcast over the rows; its exponentials are
+taken once per block, one for each distinct step size, so a step
+multiplies single (d, d) matrices.  A trivial bundle is no bundle in the
+engine; every other one, the magnetic phase among them, is transported
+through BundleSpec.step_transport into one (B, d, d) accumulator: one call
+per sub-chunk walks its C steps and returns their (C, rows, d, d) step
+matrices with the points, so a bundle step takes no separate model.exp,
+and the per-step loop only multiplies them in.  On the tangent bundle of
+the sphere that call is Sphere2.transport_matrix's component-major walk,
+which builds one frame per step and returns the frame at the sub-chunk's
+last point; the table carries it (never snapshotted), and the next
+sub-chunk passes it back as the frame at its start.
 
-An x-dependent W, or any W on a bundle, has one weight state per path,
-G = e^{S} holonomy acc^H, acc the transport so far, or e^{S} holonomy
-without a bundle (G is never snapshotted).  With a transport the weight
-of a step is e^{-dt s} holonomy acc^H e^{-dt W(x)} acc, so a step sets
-G <- G e^{-dt W(x)}, then G <- G T^H and acc <- T acc, with no
-conjugation of W; a snapshot or a path's exit reads the holonomy as
-e^{-S} G acc (e^{-S} G without a bundle).  Since ||e^{-dt W}|| =
-e^{-dt lambda_min(W)}, ||holonomy|| <= e^{-floor_integral} holds per
-sample.  G starts in W's dtype and the transport real, and each stays
-real until a complex step promotes it, so a real potential on the tangent
-bundle runs in real arithmetic; their snapshots are complex.
+W's weight state is G = e^{S} holonomy acc^H, acc the transport so far,
+or e^{S} holonomy without a bundle (G is never snapshotted): one per path
+for an x-dependent W or any W on a bundle, one row for every path for a
+constant W with no bundle.  With a transport the weight of a step is
+e^{-dt s} holonomy acc^H e^{-dt W(x)} acc, so a step sets G <- G
+e^{-dt W(x)}, then G <- G T^H and acc <- T acc, with no conjugation of W;
+a snapshot or a path's exit reads the holonomy as e^{-S} G acc (e^{-S} G
+without a bundle).  Since ||e^{-dt W}|| = e^{-dt lambda_min(W)},
+||holonomy|| <= e^{-floor_integral} holds per sample.  G starts in W's
+dtype and the transport real, and each stays real until a complex step
+promotes it, so a real potential on the tangent bundle runs in real
+arithmetic; their snapshots are complex.
 
 Layout: every d x d batch of the matrix layers is entry-major
 (matexp.entry_major), each entry [..., i, j] one contiguous row over the
@@ -86,8 +87,9 @@ batch: G and the transport as they start, as each small_matmul returns
 them and as the rows of leaving paths are dropped (for d <= 3; above,
 matmul's C order), the sub-chunk's step matrices, W(x) over the left
 points, its exponential and the sphere's transports, as (C, rows, d, d)
-views of (d, d, C, rows) arrays; the snapshots are C-order.  No value
-depends on the layout.
+views of (d, d, C, rows) arrays (a constant W's, (C, 1, d, d) rows of its
+table, are C-order); the snapshots are C-order.  No value depends on the
+layout.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
 estimates depend only on (seed, n_paths); blocks, sub-chunks and process
@@ -301,33 +303,19 @@ def _pin_past_exit(p, cols, e, last):
     p[:, cols] = np.where(past, last, p[:, cols])
 
 
-def _matrix_rows(batch, which):
-    """Rows `which`, a slice or an index array, of a (rows, d, d) batch.
-    For d <= 3 a copy comes entry-major (matexp.entry_major), as
-    small_matmul's products do, so that the next product reads each entry
-    as one contiguous row; above, in C order, as matmul's products, which
-    matmul reads 1.5-3x faster than entry-major ones."""
-    if isinstance(which, slice) or batch.shape[-1] > 3:
-        return batch[which]
-    return np.take(batch.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
-
-
-def _shared_weight(W, dts, at):
-    """(G, F) of a constant W at the grid indices `at`: the ordered product
-    of e^{-dt W} and the sum of dt lambda_min(W) over the steps before each,
-    walked once in step order and kept at the indices read."""
-    sizes, size_of = np.unique(dts, return_inverse=True)
-    exps, lams = expm_neg_hermitian(np.broadcast_to(W, (len(sizes),) + W.shape), sizes)
-    reads = np.unique(at).tolist()
-    G, F, kept = np.eye(len(W), dtype=W.dtype)[None], 0.0, []
-    for k, r in zip([0] + reads, reads):
-        for u in size_of[k:r].tolist():
-            F = F + sizes[u] * lams[u]
-            G = small_matmul(G, exps[u:u + 1])
-        kept.append((G[0], F))
-    Gs, Fs = zip(*kept)
-    i = np.searchsorted(reads, at)
-    return np.stack(Gs)[i], np.asarray(Fs)[i]
+def _rows(name, v, which, shared):
+    """Rows `which`, a slice or an index array, of the state entry `name`,
+    v; an entry in `shared`, one row for every path, as it is, so that it
+    broadcasts.  For d <= 3 a copy of a (rows, d, d) matrix entry (G, the
+    transport) comes entry-major (matexp.entry_major), as small_matmul's
+    products do, so that the next product reads each entry as one
+    contiguous row; above, in C order, as matmul's products, which matmul
+    reads 1.5-3x faster than entry-major ones."""
+    if name in shared:
+        return v
+    if name not in ("G", "transport") or isinstance(which, slice) or v.shape[-1] > 3:
+        return v[which]
+    return np.take(v.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
 
 
 def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
@@ -343,36 +331,40 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
     d = bundle.rank if bundle is not None else (potential.rank if potential is not None else 1)
     scalar_v, matrix_W = potential.split() if potential is not None else (None, None)
-    # a constant W with no bundle weighs every path alike: filled in at the end
-    shared_W = None
+    # a constant W with no bundle weighs every path alike: its G and floor
+    # are one row of state, stepped by exponentials taken once per step size
+    shared = ()
     if matrix_W is not None and not matrix_W.terms and bundle is None:
-        shared_W, matrix_W = matrix_W, None
+        shared = ("G", "W_floor")
+        sizes, size_of = np.unique(dts, return_inverse=True)
+        size_exp, size_lam = expm_neg_hermitian(
+            np.broadcast_to(matrix_W.const, (len(sizes), d, d)), sizes)
     singular = scalar_v is not None and scalar_v.singular
     per_point = max(model.coord_dim, d)  # floats of a point in _SUB_FLOATS
     death = np.full(B, -1, dtype=np.int64)
 
     # per-path state of the live paths; row i of each entry belongs to path
     # rows[i] of the block: S and W_floor, the integrals of the scalar part
-    # and of lambda_min(W), W's weight G and the transport (module docstring)
+    # and of lambda_min(W), W's weight G and the transport (module
+    # docstring).  A shared entry is one row (a 0-d W_floor) for every path
     rows = np.arange(B)
     state = {"points": x0.copy()}
     if scalar_v is not None:
         state["S"] = np.zeros(B)
     if matrix_W is not None:
-        state["W_floor"] = np.zeros(B)
-        state["G"] = entry_major((B,), d, matrix_W.const.dtype)
+        state["W_floor"] = np.zeros(() if shared else B)
+        state["G"] = entry_major((1 if shared else B,), d, matrix_W.const.dtype)
         state["G"][...] = np.eye(d)
     if bundle is not None:
         state["transport"] = entry_major((B,), d, float)
         state["transport"][...] = np.eye(d)
-    # the snapshots, keyed by EnsembleResult field; without a per-path W the
-    # holonomy is filled in from floor_integral at the end
+    # the snapshots, keyed by EnsembleResult field; the holonomy is real
+    # without W
     T = len(snap_idx)
     snaps = {"points": np.zeros((T,) + x0.shape)}
-    if scalar_v is not None or matrix_W is not None:
+    if potential is not None:
         snaps["floor_integral"] = np.zeros((T, B))
-    if matrix_W is not None:
-        snaps["holonomy"] = np.zeros((T, B, d, d), dtype=complex)
+        snaps["holonomy"] = np.zeros((T, B, d, d), dtype=float if matrix_W is None else complex)
     if bundle is not None:
         snaps["transport"] = np.zeros((T, B, d, d), dtype=complex)
     # per-path state that is never snapshotted: the tangent frame at each
@@ -385,15 +377,18 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
     def read(src, name, which=slice(None)):
         """Field `name` of the rows `which` of the state entries src."""
+        def entry(key):
+            return _rows(key, src[key], which, shared)
+
         if name == "floor_integral":
-            parts = [src[k][which] for k in ("S", "W_floor") if k in src]
+            parts = [entry(k) for k in ("S", "W_floor") if k in src]
             return parts[0] if len(parts) == 1 else parts[0] + parts[1]
         if name == "holonomy":
-            G = _matrix_rows(src["G"], which)
-            if bundle is not None:
-                G = small_matmul(G, _matrix_rows(src["transport"], which))
-            return G if "S" not in src else np.exp(-src["S"][which])[:, None, None] * G
-        return src[name][which]
+            G = np.eye(d)
+            if "G" in src:
+                G = entry("G") if bundle is None else small_matmul(entry("G"), entry("transport"))
+            return G if "S" not in src else np.exp(-entry("S"))[:, None, None] * G
+        return entry(name)
 
     def snapshot(k):
         if k in snap_at:
@@ -476,11 +471,14 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                     inc[j] += inc[j - 1]
                 hist["S"] = inc
 
-            # W's weight and floor use each step's start: W(x) once over the
-            # sub-chunk's left points and one exponential, whose per-step
-            # sizes broadcast over the rows; its floor is the smallest
-            # eigenvalue the exponential already solved for
-            if matrix_W is not None:
+            # W's weight and floor use each step's start: a constant W's come
+            # from its table, else W(x) once over the sub-chunk's left points
+            # and one exponential, whose per-step sizes broadcast over the
+            # rows; the floor is the smallest eigenvalue the exponential
+            # already solved for
+            if shared:
+                step_exp, lam_min = size_exp[size_of[k:k2], None], size_lam[size_of[k:k2]]
+            elif matrix_W is not None:
                 step_exp, lam_min = expm_neg_hermitian(
                     matrix_W.matrix(np.concatenate([x[None], pts[:-1]]), cap=cap), dt[:, None])
 
@@ -523,24 +521,13 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                 state[name] = h[C - 1]
             if cols is not None:
                 keep = np.delete(np.arange(len(rows)), cols)
-                state = {name: _matrix_rows(v, keep) if name in ("G", "transport") else v[keep]
-                         for name, v in state.items()}
+                state = {name: _rows(name, v, keep, shared) for name, v in state.items()}
                 rows = rows[keep]
                 at = keep if at is None else at[keep]
             snapshot(k2)
             k = k2
 
-    # a weight the same for every path: floor_integral holds S so far, and a
-    # snapshot reads W's product and floor at its path's last inside index
     alive = (death < 0) | (death > snap_idx[:, None])
-    if potential is not None and matrix_W is None:
-        S, G = snaps.get("floor_integral", 0.0), np.eye(d)
-        if shared_W is not None:
-            last = np.where(alive, snap_idx[:, None], death - 1)
-            G, F = _shared_weight(shared_W.const, dts, last)
-            snaps["floor_integral"] = S + F
-        holonomy = G if scalar_v is None else np.exp(-S)[..., None, None] * G
-        snaps["holonomy"] = holonomy if shared_W is None else holonomy.astype(complex)
     return EnsembleResult(snap_times=times[snap_idx], alive=alive, death_step=death, **snaps)
 
 

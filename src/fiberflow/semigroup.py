@@ -41,7 +41,7 @@ from .bundles import BundleSpec
 from .geometry import Euclidean
 from .paths import _grid_reduce, run_ensemble
 from .potentials import NonFiniteFieldError, PotentialSpec, ScalarField, SectionSpec
-from .rng import RngKey, stream
+from .rng import MAX_STEPS, RngKey, stream
 
 __all__ = [
     "Estimate",
@@ -320,8 +320,8 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     nodes sharing one path set."""
     from scipy.special import roots_genlaguerre
 
-    if k < 1:
-        raise ValueError("resolvent power k must be >= 1")
+    if not 1 <= k <= 171:  # past 171, Gamma(k) and the weights, which sum to it, overflow
+        raise ValueError(f"need resolvent power k in 1..171, got {k}")
     lam = float(lam)
     if lam <= 0:
         raise ValueError("need Re(lambda) > 0 for the quadrature as scaled")
@@ -329,6 +329,10 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     keep = w >= 1e-14 * w.max()  # far nodes carry no weight but dominate cost
     u, w = u[keep], w[keep]
     t_nodes = np.sort(u / lam)
+    if t_nodes[-1] > MAX_STEPS * h:
+        raise ValueError(f"need at most {MAX_STEPS} steps of h = {h:g} up to t = "
+                         f"{t_nodes[-1]:g}, the last quadrature node u/lambda at "
+                         f"lambda = {lam:g}: raise lambda or h")
     res = _vector_run(model, bundle, V, x, float(t_nodes[-1]), h, n, key, t_nodes[:-1], workers)
     samples, lhs, rhs = _vector_samples(res, f(res.points))
     _assert_domination(lhs, rhs)

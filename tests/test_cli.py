@@ -379,6 +379,16 @@ BAD_INPUTS = [
     # grids of no numbers: an IndexError traceback, and a report of t alone
     (dict(command="continuity-scan", x_grid="auto:32", s_grid=","), "s_grid"),
     (dict(command="exit-time", r="1", t_grid=","), "t_grid"),
+    # Gamma(k) of the resolvent overflowed in a math.gamma traceback
+    ({"command": "resolvent", "lambda": "1", "k": "172"}, "k"),
+    ({"command": "resolvent", "lambda": "1", "k": "400"}, "k"),
+    # a zero time ran for minutes after a divide-by-zero warning, ended in
+    # LAPACK lines and an SVD error, or named no key
+    (dict(command="kato-check", manifold="euclidean(m=3)", potential="coulomb(1.0)",
+          t_grid="0,0.1"), "t_grid"),
+    (dict(command="kato-check", manifold="circle(r=1.0)", potential="well(1,0.5)",
+          t_grid="0,0.1"), "t_grid"),
+    (dict(command="smoothing", manifold="sphere2(r=1.0)", t="0"), "t"),
 ]
 
 
@@ -429,6 +439,18 @@ def test_step_count_beyond_cap_exits_naming_h(argv, capsys):
     assert code == EXIT_USAGE
     assert captured.out == ""
     assert captured.err.startswith("error: need at most 10000000 steps of h = 0.001 up to t = ")
+    assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+
+def test_resolvent_node_beyond_step_cap_names_lambda(capsys):
+    # the last Gauss-Laguerre node u/lambda sets the run's length: at
+    # lambda = 1e-3 it takes 3e7 steps of the default h
+    code = main(["resolvent", *GAUSS_E1, "--x", "0", "--lambda", "1e-3", "--n", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_USAGE
+    assert captured.out == ""
+    assert captured.err.startswith("error: need at most 10000000 steps of h = 0.001 up to t = ")
+    assert "lambda = 0.001" in captured.err
     assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
 

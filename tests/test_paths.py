@@ -875,6 +875,21 @@ def test_constant_matrix_part_reads_the_start_without_steps(text):
     assert np.array_equal(res.floor_integral, np.zeros((3, 50)))
 
 
+def test_identity_weight_on_a_transporting_bundle_reads_e_minus_s_at_exits():
+    # V = harmonic I has no W: every snapshot and every exit reads the
+    # holonomy as e^{-S} I, real, beside the tangent transport, on a cap
+    # that some paths leave before the off-grid checkpoint and the end
+    s2 = Sphere2(1.0)
+    model = ball(s2, 0.3)
+    V = parse_potential(model, "matrix(rank=2, harmonic(1.0) @ id)")
+    res = run_ensemble(model, s2.origin(), 0.1, 1e-2, KEY, 200, bundle=tangent_bundle(),
+                       potential=V, checkpoints=(0.0337,))
+    assert 0 < np.sum(res.death_step > 0) < 200 and not res.alive.all()
+    assert res.holonomy.dtype == np.float64
+    assert np.array_equal(res.holonomy, np.exp(-res.floor_integral)[..., None, None] * np.eye(2))
+    assert res.transport is not None and res.transport.shape == res.holonomy.shape
+
+
 @pytest.mark.parametrize("case", ["rank3_ball", "tangent_ball"])
 def test_matrix_states_stay_entry_major_through_exits(case, monkeypatch):
     # dropping the rows of leaving paths keeps G and the transport

@@ -408,6 +408,15 @@ def test_resolvent_rejects_bad_lambda():
                         1e-3, 100, KEY)
 
 
+@pytest.mark.parametrize("k", [172, 400])
+def test_resolvent_rejects_a_power_whose_gamma_overflows(k):
+    # Gamma(k) and the Gauss-Laguerre weights, which sum to it, overflow a
+    # float past k = 171; the check comes before any path runs
+    with pytest.raises(ValueError, match=r"k in 1\.\.171"):
+        resolvent_apply(E1, None, constant_field(0.0), PHI0, np.zeros(1), k, 1.0,
+                        1e-3, 100, KEY)
+
+
 def test_identity_degenerate_and_noisy():
     v = harmonic_field(E1, 1.0)
     rep0 = semigroup_identity_check(E1, None, v, PHI0, 0.0, 0.8, np.zeros(1), 1e-3,
