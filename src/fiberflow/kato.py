@@ -31,7 +31,7 @@ import numpy as np
 from scipy.special import i0e
 
 from .geometry import Circle, Euclidean, FlatTorus
-from .paths import _grid_reduce, run_ensemble, time_grid
+from .paths import _grid_reduce, _reduce, run_ensemble, time_grid
 from .potentials import PotentialSpec, ScalarField
 from .rng import RngKey
 
@@ -367,9 +367,9 @@ def khasminskii_check(model, f: ScalarField, constants: KhasminskiiConstants,
     ts = np.take(*time_grid(float(t_grid[-1]), h, t_grid[:-1]))  # snapshot times
     neg_abs = PotentialSpec.scalar(f.mapped(_neg_abs, f"-abs({f.name})"))
 
-    def moments(res):
-        w = (res.holonomy[..., 0, 0] * res.alive).reshape(len(ts), -1, n_paths)
-        return w.mean(axis=2), w.std(axis=2, ddof=1) / math.sqrt(n_paths)
+    def moments(res):  # (mean, se) per time and grid point
+        w = (res.holonomy[..., 0, 0] * res.alive).reshape(-1, n_paths)
+        return [a.reshape(len(ts), -1) for a in _reduce(w)]
 
     mean, se = _grid_reduce(
         lambda x0, k: run_ensemble(model, x0, float(t_grid[-1]), h, k, len(x0),

@@ -281,6 +281,21 @@ def _grid_reduce(run, reduce, grid, n, key: RngKey):
     return [np.concatenate(a, axis=-1) for a in zip(*parts)]
 
 
+def _reduce(samples):
+    """(mean, se), each (C, *fibre), of C sets of n samples (C, n, *fibre):
+    se = sqrt(var / n), var with ddof 1 and a complex sample's the sum of
+    its real and imaginary parts' (se 0 for n < 2); row c is bit for bit
+    the reduction of samples[c] alone."""
+    n = samples.shape[1]
+    mean = samples.mean(axis=1)
+    if n < 2:
+        return mean, np.zeros_like(np.abs(mean), dtype=float)
+    var = np.var(samples.real, axis=1, ddof=1)
+    if np.iscomplexobj(samples):
+        var = var + np.var(samples.imag, axis=1, ddof=1)
+    return mean, np.sqrt(var / n)
+
+
 def _concat_results(parts):
     """One result from consecutive blocks: every per-path field joins along
     its path axis (axis 1, axis 0 for death_step); snap_times is shared."""

@@ -15,11 +15,10 @@ engine integrates with no matrix work, as the whole of a rank-1 potential
 (PotentialSpec.field()); W is the rest, with its constant-field terms
 folded into its constant, so that a W with no x-dependent term is
 exponentiated once per step size.  Above rank 1, the scalar floor used for
-semigroup domination is the pointwise smallest eigenvalue.
-PotentialSpec.scalar_floor computes it by eigen-solve; the path engine
-instead takes s plus W's smallest eigenvalue, read off the eigen-data of
-the step exponential it computes anyway (matexp), so a sampled path
-evaluates V once per step.
+semigroup domination is the pointwise smallest eigenvalue, read off the
+eigen-data of matexp's exponential: PotentialSpec.scalar_floor takes it
+of V, and the path engine takes s plus W's, from the step exponential it
+computes anyway, so a sampled path evaluates V once per step.
 
 All field callables are module-level classes so estimator tasks stay
 picklable for process workers.
@@ -354,13 +353,13 @@ class PotentialSpec:
         return self.split()[0]
 
     def scalar_floor(self, pts, cap=None):
-        """Floor v(x) = min sigma(V(x)), the exact smallest eigenvalue (by
-        eigvalsh; v itself at rank 1), so that domination checks saturate in
-        the scalar case.  run_ensemble reads the same eigenvalue off the
-        step exponential's eigen-data instead."""
+        """Floor v(x) = min sigma(V(x)), exact so that domination checks
+        saturate in the scalar case: v itself at rank 1, above it read off
+        matexp.expm_neg_hermitian's eigen-data, as run_ensemble reads W's."""
         if self.rank == 1:
             return self.field()(pts, cap=cap)
-        return np.linalg.eigvalsh(self.matrix(pts, cap=cap))[..., 0]
+        from .matexp import expm_neg_hermitian  # here, so that importing the CLI loads no matexp
+        return expm_neg_hermitian(self.matrix(pts, cap=cap), 0.0)[1]
 
     def negative_norm(self, pts, cap=None):
         """||V^(2)(x)|| = max(0, -min eigenvalue) for the canonical split."""

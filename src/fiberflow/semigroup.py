@@ -1,15 +1,19 @@
 """Feynman-Kac estimators and the semigroup theorem checkers.
 
 Estimators produce a Monte Carlo `Estimate` (value, standard error, sample
-count, discretization echo).  There is one Feynman-Kac estimator, the
-vector one: its weight is the run's holonomy (e^{-int v} by the
-trapezoid/sub-step rule for a rank-1 potential v, the exponential-product
-rule for a matrix potential) and its accumulated transport (the magnetic
-phase among them); fk_scalar is its rank-1 case.  Every run is built by one
-helper, which also carries the integral of the scalar floor and turns an
-overflowing potential into NonFiniteFieldError (any other non-finite
-sample is a RuntimeError); every estimator asserts the per-sample
-domination inequality
+count, discretization echo).  Every reported mean and standard error comes
+from one reducer, paths._reduce, over checkpoint-major samples (C, n,
+*fibre), a grid's points or a report's sides standing for the checkpoints;
+_nested_samples' inner average, _rejection_starts' Z and
+exit_probability's binomial sqrt(p(1-p)/n) are not estimates and stay
+apart.  There is one Feynman-Kac estimator, the vector one: its weight is
+the run's holonomy (e^{-int v} by the trapezoid/sub-step rule for a rank-1
+potential v, the exponential-product rule for a matrix potential) and its
+accumulated transport (the magnetic phase among them); fk_scalar is its
+rank-1 case.  Every run is built by one helper, which also carries the
+integral of the scalar floor and turns an overflowing potential into
+NonFiniteFieldError (any other non-finite sample is a RuntimeError); every
+estimator asserts the per-sample domination inequality
 
     || holonomy * transport^{-1} f ||  <=  exp(-int floor) * ||f(B_t)||
 
@@ -39,7 +43,7 @@ import numpy as np
 
 from .bundles import BundleSpec
 from .geometry import Euclidean
-from .paths import _grid_reduce, run_ensemble
+from .paths import _grid_reduce, _reduce, run_ensemble
 from .potentials import NonFiniteFieldError, PotentialSpec, ScalarField, SectionSpec
 from .rng import MAX_STEPS, RngKey, stream
 
@@ -71,19 +75,6 @@ class Estimate:
     extras: dict = dc_field(default_factory=dict)
 
 
-def _reduce(samples):
-    """Mean and componentwise standard error; complex variance adds the
-    real and imaginary parts."""
-    n = samples.shape[0]
-    mean = samples.mean(axis=0)
-    if n < 2:
-        return mean, np.zeros_like(np.abs(mean), dtype=float)
-    var = np.var(samples.real, axis=0, ddof=1)
-    if np.iscomplexobj(samples):
-        var = var + np.var(samples.imag, axis=0, ddof=1)
-    return mean, np.sqrt(var / n)
-
-
 def _as_potential(v):
     if isinstance(v, PotentialSpec):
         return v
@@ -104,26 +95,20 @@ def fk_scalar(model, v, f: SectionSpec, x, t, h, n, key: RngKey,
 
 def fk_vector(model, bundle: Optional[BundleSpec], V, f: SectionSpec, x, t, h, n,
               key: RngKey, checkpoints=(), workers=1) -> Estimate:
-    """E[V_t transport_t^{-1} f(B_t) 1_{t<zeta}] with the holonomy weight;
-    also records the scalar comparison weight e^{-int floor} per sample and
-    asserts the per-sample domination inequality."""
+    """E[V_t transport_t^{-1} f(B_t) 1_{t<zeta}] with the holonomy weight at
+    the last checkpoint, plus a per_time record of every checkpoint when the
+    run has more than one; also records the mean scalar comparison weight
+    e^{-int floor} and asserts the per-sample domination inequality."""
     res = _vector_run(model, bundle, V, x, t, h, n, key, checkpoints, workers)
     samples, lhs, rhs = _vector_samples(res, f(res.points))
     _assert_domination(lhs, rhs)
-    floor_w = (_floor_weight(res) * res.alive)[-1]
-    return _estimate(samples, res, h, key, floor_weight_mean=float(floor_w.mean()))
-
-
-def _estimate(samples, res, h, key: RngKey, **extras) -> Estimate:
-    """Estimate of the last checkpoint's samples, plus a per_time record of
-    every checkpoint when the run has more than one."""
-    mean, se = _reduce(samples[-1])
-    out = Estimate(mean, se, res.n_paths, h, key.seed, res.alive_fraction(), extras=extras)
+    mean, se = _reduce(samples)
+    floor_w, _ = _reduce(_floor_weight(res) * res.alive)
+    out = Estimate(mean[-1], se[-1], res.n_paths, h, key.seed, res.alive_fraction(),
+                   {"floor_weight_mean": float(floor_w[-1])})
     if len(res.snap_times) > 1:
-        means, ses = zip(*(_reduce(s) for s in samples))
-        out.extras["per_time"] = {"times": res.snap_times.tolist(),
-                                  "value": [np.asarray(mv).tolist() for mv in means],
-                                  "stderr": [np.asarray(sv).tolist() for sv in ses]}
+        out.extras["per_time"] = {"times": res.snap_times.tolist(), "value": mean.tolist(),
+                                  "stderr": se.tolist()}
     return out
 
 
@@ -200,8 +185,7 @@ def _per_start(res, f: SectionSpec, n):
     [j n, (j+1) n)."""
     samples, lhs, rhs = _vector_samples(res, f(res.points))
     _assert_domination(lhs, rhs)
-    s = samples[-1].reshape(samples.shape[1] // n, n, -1)  # (points, n, fibre)
-    mean, se = _reduce(np.moveaxis(s, 1, 0))
+    mean, se = _reduce(samples[-1].reshape(samples.shape[1] // n, n, -1))  # (points, n, fibre)
     return np.linalg.norm(mean, axis=-1), se.max(axis=-1)
 
 
@@ -283,7 +267,7 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     norm1 = np.linalg.norm(f1e, axis=-1)
     dirn = np.where(norm1[:, None] > 0, f1e / np.maximum(norm1, 1e-300)[:, None], 0.0)
     samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec.reshape(len(vec), n, -1))
-    means, ses = map(np.asarray, zip(*(_reduce(s) for s in samples)))
+    means, ses = _reduce(samples)
     vals = means.real
     if np.any(vals <= 0):
         raise RuntimeError("log-functional non-positive; shrink t_max or raise n")
@@ -340,15 +324,15 @@ def resolvent_apply(model, bundle, V, f: SectionSpec, x, k, lam, h, n, key: RngK
     gam = math.gamma(k)
     coeffs = w / (lam**k * gam)
     per_path = np.tensordot(coeffs, samples[order], axes=(0, 0))
-    mean, se = _reduce(per_path)
+    (mean,), (se,) = _reduce(per_path[None])
     # tail diagnostic: the largest node should contribute a negligible share
-    tail_share = float(np.abs(coeffs[-1] * samples[order][-1].mean(axis=0)).max()
+    tail_share = float(np.abs(coeffs[-1] * _reduce(samples[order[-1:]])[0][0]).max()
                        / max(np.abs(mean).max(), 1e-300))
     extras = {"t_nodes": t_nodes.tolist(), "tail_share": tail_share}
     if tail_share > 0.05:
         extras["diverging_tail"] = True
     scalar_ref = np.tensordot(coeffs, rhs[order], axes=(0, 0))
-    extras["floor_resolvent_mean"] = float(scalar_ref.mean(axis=0))
+    extras["floor_resolvent_mean"] = float(_reduce(scalar_ref[None])[0][0])
     snorm = np.abs(per_path) if per_path.ndim == 1 else np.linalg.norm(per_path, axis=-1)
     extras["per_sample_resolvent_domination_margin"] = float((snorm - scalar_ref).max())
     return Estimate(mean, se, n, h, key.seed, res.alive_fraction(), extras=extras)
@@ -362,19 +346,19 @@ def domination_check(model, bundle, V, f: SectionSpec, x, t, h, n, key: RngKey,
                      workers=1):
     """Per-sample and averaged semigroup domination against the scalar
     floor, on shared paths.  The per-sample inequality is exact for the
-    product integrator; the averaged inequality is reported with errors."""
+    product integrator; the averaged inequality is reported with the
+    standard error of the per-path margins, lhs and rhs sharing paths."""
     res = _vector_run(model, bundle, V, x, t, h, n, key, workers=workers)
     _, lhs, rhs = _vector_samples(res, f(res.points))
     margins, bad = _domination_margin(lhs[-1], rhs[-1])
     viol = int(np.sum(bad))
-    lhs_mean, lhs_se = _reduce(lhs[-1])
-    rhs_mean, rhs_se = _reduce(rhs[-1])
+    mean, se = _reduce(np.stack([lhs[-1], rhs[-1], margins]))
     return {
         "passed": viol == 0,
         "violations": viol,
         "worst_margin": float(margins.max()),
-        "mean_lhs": float(lhs_mean), "mean_rhs": float(rhs_mean),
-        "mean_margin_stderr": float(math.hypot(lhs_se, rhs_se)),
+        "mean_lhs": float(mean[0]), "mean_rhs": float(mean[1]),
+        "mean_margin_stderr": float(se[2]),
         "n": n, "h": h, "seed": key.seed,
     }
 
@@ -448,7 +432,7 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     """Outer flow to time s (potential V_outer), then from every outer
     endpoint an independent inner flow to time t (potential V_inner); the
     composite weight follows the multiplicative transport property.
-    Returns per-outer-path samples (n_out, d) complex."""
+    Returns the per-outer-path samples as one set, (1, n_out, d) complex."""
     outer = _vector_run(model, bundle, V_outer, x, s, h, n_out, key, workers=workers)
     y = np.repeat(outer.points[-1], n_in, axis=0)
     inner = _vector_run(model, bundle, V_inner, y, t, h, n_out * n_in,
@@ -457,7 +441,7 @@ def _nested_samples(model, bundle, V_outer, V_inner, s, t, x, n_out, n_in, h,
     _assert_domination(lhs, rhs)
     u = vec[-1].reshape(n_out, n_in, -1).mean(axis=1)  # inner estimates at each y_i
     W = None if outer.holonomy is None else outer.holonomy[-1]
-    return _squeeze(_weighted(W, outer, u, -1))
+    return _squeeze(_weighted(W, outer, u, -1))[None]
 
 
 def semigroup_identity_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
@@ -469,8 +453,8 @@ def semigroup_identity_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
     _require_kato_decomposable(model, V)
     one = fk_vector(model, bundle, V, f, x, s + t, h, n, key, workers=workers)
     exact = bool(s == 0.0)
-    two_value, two_se = (one.value, one.stderr) if exact else _reduce(_nested_samples(
-        model, bundle, V, V, s, t, x, *_split_budget(n), h, key, f, workers=workers))
+    two_value, two_se = (one.value, one.stderr) if exact else (a[0] for a in _reduce(
+        _nested_samples(model, bundle, V, V, s, t, x, *_split_budget(n), h, key, f, workers)))
     return _three_se_report(("one_shot", one.value, one.stderr), ("nested", two_value, two_se),
                             exact, key, h, n)
 
@@ -498,12 +482,12 @@ def perturbation_formula_check(model, bundle, V, f: SectionSpec, s, t, x, h, n,
         cap = np.exp(-(F[-1] - F[si]) if s > 0 else -F[-1]) * f.norm_bound * res.alive[-1]
         _assert_domination(np.linalg.norm(rhs_samples, axis=-1), cap,
                            "perturbation integrand bound")
-    rhs_value, rhs_se = _reduce(_squeeze(rhs_samples))
+    (rhs_value,), (rhs_se,) = _reduce(_squeeze(rhs_samples)[None])
     # degenerate windows collapse to a one-shot estimator on the same
     # streams: V_0^{-1} V_t = V_t, and V_t^{-1} V_t = 1
     exact = bool(s == 0.0 or s == t)
-    lhs_value, lhs_se = (rhs_value, rhs_se) if exact else _reduce(_nested_samples(
-        model, bundle, None, V, s, t - s, x, *_split_budget(n), h, key, f, workers=workers))
+    lhs_value, lhs_se = (rhs_value, rhs_se) if exact else (a[0] for a in _reduce(_nested_samples(
+        model, bundle, None, V, s, t - s, x, *_split_budget(n), h, key, f, workers=workers)))
     return _three_se_report(("left", lhs_value, lhs_se), ("right", rhs_value, rhs_se),
                             exact, key, h, n)
 
@@ -566,7 +550,7 @@ def continuity_scan(model, bundle, V, f: SectionSpec, t, grid, h, n, key: RngKey
     def deviation(res):  # E||1 - V_s||^2 per s and grid point
         dev = res.holonomy - np.eye(V.rank)
         dn = np.abs(dev[..., 0, 0]) if V.rank == 1 else np.linalg.norm(dev, ord=2, axis=(-2, -1))
-        return ((dn**2 * res.alive).reshape(len(s_grid), -1, n).mean(axis=2),)
+        return (_reduce((dn**2 * res.alive).reshape(-1, n))[0].reshape(len(s_grid), -1),)
 
     # (i) holonomy deviation sup over grid; point j owns paths [j n, (j+1) n)
     sup_dev = _grid_reduce(lambda x0, k: _vector_run(model, bundle, V, x0, float(s_grid[-1]), h,

@@ -14,11 +14,17 @@ E2 = Euclidean(2)
 PTS = np.random.default_rng(3).uniform(-2, 2, size=(64, 2))
 
 
-def random_matrix_potential():
-    pz = np.diag([1.0, -1.0])
-    px = np.array([[0.0, 1.0], [1.0, 0.0]])
-    return PotentialSpec(rank=2, const=0.2 * np.eye(2) + 0.1 * px,
-                         terms=[(harmonic_field(E2, 1.0), 0.4 * pz)])
+def random_matrix_potential(rank=2):
+    """0.2 I + 0.1 A + harmonic * 0.4 B: A, B real Pauli matrices at rank 2,
+    random complex Hermitian ones above."""
+    if rank == 2:
+        a, b = np.array([[0.0, 1.0], [1.0, 0.0]]), np.diag([1.0, -1.0])
+    else:
+        m = np.random.default_rng(rank).standard_normal((2, 2, rank, rank))
+        a, b = m[0] + 1j * m[1]
+        a, b = a + a.conj().T, b + b.conj().T
+    return PotentialSpec(rank=rank, const=0.2 * np.eye(rank) + 0.1 * a,
+                         terms=[(harmonic_field(E2, 1.0), 0.4 * b)])
 
 
 @pytest.mark.parametrize("text, dtype", [
@@ -48,11 +54,13 @@ def test_hermitian_part_exact_and_overflow_free():
         PotentialSpec(rank=2, const=np.diag([np.inf, 0.0]), terms=[])
 
 
-def test_scalar_floor_below_spectrum():
-    V = random_matrix_potential()
+@pytest.mark.parametrize("rank", [2, 3, 4])
+def test_scalar_floor_below_spectrum(rank):
+    # read off matexp's eigen-data: closed forms at ranks 2 and 3, eigh above
+    V = random_matrix_potential(rank)
     lam_min = np.linalg.eigvalsh(V.matrix(PTS))[..., 0]
     floor = V.scalar_floor(PTS)
-    assert np.max(floor - lam_min) < 1e-10
+    assert np.allclose(floor, lam_min, rtol=0, atol=1e-13)
     # matches negative part norm
     assert np.allclose(V.negative_norm(PTS), np.maximum(0.0, -lam_min))
 

@@ -11,7 +11,7 @@ from fiberflow.cli import EXIT_CHECK_FAILED, EXIT_NUMERICAL, EXIT_OK, main
 from fiberflow.config import parse_potential
 from fiberflow.geometry import Circle, Euclidean, FlatTorus, HyperbolicPlane, Sphere2, ball
 from fiberflow.oracle import circle_magnetic_semigroup_constant, levy_area_charfn
-from fiberflow.paths import run_ensemble
+from fiberflow.paths import _reduce, run_ensemble
 from fiberflow.potentials import (PotentialSpec, ScalarField, SectionSpec, angle_form,
                                   constant_field, constant_section, gaussian_section,
                                   harmonic_field, harmonic_ground_section, landau_form,
@@ -58,6 +58,32 @@ def test_mehler_ground_state():
                     30000, KEY)
     ref = math.exp(-0.5) * np.pi**-0.25
     assert abs(est.value - ref) < 3 * est.stderr
+
+
+@pytest.mark.parametrize("shape, is_complex", [((5, 777, 2), True), ((3, 1500), False)],
+                         ids=["complex", "real"])
+def test_reduce_rows_are_separate_reductions(shape, is_complex):
+    # one call over C checkpoints has the bits of C reductions, one per
+    # checkpoint, of the formula written out on a (n, *fibre) set
+    z = np.random.default_rng(11).standard_normal((2,) + shape)
+    samples = z[0] + 1j * z[1] if is_complex else z[0]
+    mean, se = _reduce(samples)
+    for c, s in enumerate(samples):
+        var = np.var(s.real, axis=0, ddof=1)
+        if is_complex:
+            var = var + np.var(s.imag, axis=0, ddof=1)
+        assert np.array_equal(mean[c], s.mean(axis=0))
+        assert np.array_equal(se[c], np.sqrt(var / len(s)))
+
+
+def test_fk_vector_value_is_the_last_per_time_row():
+    f2 = constant_section([1.0, 0.3], rank=2)
+    est = fk_vector(E2, trivial_bundle(2), random_hermitian_potential(), f2, np.zeros(2),
+                    0.2, 1e-2, 300, KEY, checkpoints=(0.1,))
+    per_time = est.extras["per_time"]
+    assert len(per_time["times"]) == 2
+    assert np.array_equal(per_time["value"][-1], est.value)
+    assert np.array_equal(per_time["stderr"][-1], est.stderr)
 
 
 def test_vector_reduces_to_scalar_with_shared_seeds():
@@ -212,6 +238,8 @@ def test_domination_scalar_case_saturates():
                            500, KEY)
     assert rep["passed"]
     assert abs(rep["mean_lhs"] - rep["mean_rhs"]) < 1e-10
+    # lhs == rhs on every path, so the paired margin has no spread
+    assert rep["mean_margin_stderr"] < 1e-12
 
 
 def test_domination_random_hermitian_field():
