@@ -92,9 +92,10 @@ table, are C-order); the snapshots are C-order.  No value depends on the
 layout.
 
 Determinism contract: path i draws from the Philox stream (seed, i), so
-estimates depend only on (seed, n_paths); blocks, sub-chunks and process
-workers only regroup the computation.  A block draws its increments with
-rng.RowStreams, _CHUNK_STEPS steps of its live paths at a time: row for
+estimates depend only on (seed, n_paths); blocks, sub-chunks, process
+workers and draw threads only regroup the computation.  A block draws its
+increments with rng.RowStreams, _CHUNK_STEPS steps of its live paths at a
+time, on every usable CPU (on one thread in a worker process): row for
 row, the chunks concatenate to
 stream(key.child(i)).standard_normal((K, m)), cut short at the path's
 death.  The block width is set by one chunk, so a long grid does not
@@ -251,10 +252,12 @@ def run_ensemble(
     block = int(max(16, min(8192, _BLOCK_BUDGET // per_path)))
     ranges = [(i, min(i + block, n_paths)) for i in range(0, n_paths, block)]
     cap = (1.0 / h) if h > 0 else None
+    pool = workers > 1 and len(ranges) > 1
+    # worker processes each draw on one thread, so they do not share cores
     task = dict(model=model, times=times, snap_idx=snap_idx, key=key, bundle=bundle,
-                potential=potential, cap=cap, chunk=_CHUNK_STEPS)
+                potential=potential, cap=cap, chunk=_CHUNK_STEPS, threads=1 if pool else None)
     args = [(task, x0[i0:i1], i0, np.geterr()) for (i0, i1) in ranges]
-    if workers > 1 and len(args) > 1:
+    if pool:
         with ProcessPoolExecutor(max_workers=workers) as ex:
             parts = list(ex.map(_block_worker, args))
     else:
@@ -333,7 +336,7 @@ def _rows(name, v, which, shared):
     return np.take(v.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
 
 
-def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk):
+def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk, threads):
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
@@ -411,7 +414,7 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
                 arr[snap_at[k], rows] = read(state, name)
 
     snapshot(0)
-    streams = RowStreams(key.child(i0), B)
+    streams = RowStreams(key.child(i0), B, threads)
     # one step-major buffer for every chunk, so that a sub-chunk reads one
     # contiguous slice and no two chunks are held at once
     buf = _mapped_empty((min(K, chunk), B, model.dim))

@@ -267,11 +267,14 @@ def ground_energy(model, v_or_V, f1: SectionSpec, f2: SectionSpec, t_grid, h, n,
     norm1 = np.linalg.norm(f1e, axis=-1)
     dirn = np.where(norm1[:, None] > 0, f1e / np.maximum(norm1, 1e-300)[:, None], 0.0)
     samples = Z * np.einsum("nj,tnj->tn", dirn.conj(), vec.reshape(len(vec), n, -1))
-    means, ses = _reduce(samples)
-    vals = means.real
+    # only the real part of the mean enters the log, so the stderr is the
+    # real part's alone.  The mean stays the complex one's real part, which
+    # can differ from the real part's mean in the last bit
+    vals = _reduce(samples)[0].real
+    ses = _reduce(samples.real)[1]
     if np.any(vals <= 0):
         raise RuntimeError("log-functional non-positive; shrink t_max or raise n")
-    if np.any(np.abs(means) < 1e-300):
+    if np.any(vals < 1e-300):
         raise RuntimeError("functional underflow: all weights below 1e-300; reduce t_max")
     L = np.log(vals)
     sigma_L = ses / np.abs(vals)

@@ -1,8 +1,10 @@
-"""tools/bench_pairs.py stops on a failed benchmark run instead of
-recording it, naming the side, workload, seed and exit code, and refuses
-two checkouts whose benchmark code differs."""
+"""tools/bench_pairs.py records a pair of runs with the host's load,
+stops on a failed benchmark run instead of recording it, naming the side,
+workload, seed and exit code, and refuses two checkouts whose benchmark
+code differs."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,28 @@ _spec.loader.exec_module(bench_pairs)
 FAILING = 'import sys\nsys.stderr.write("setup ok\\nbench: workload crashed\\n")\nsys.exit(1)\n'
 WRONG = ('import json\nprint(json.dumps({"env": {}}))\n'
          'print(json.dumps({"correct": False, "attempted": 3, "failed": 1, "metrics": {}}))\n')
+
+
+def test_summary_records_the_host_load_of_every_run(tmp_path):
+    spec = json.loads((_TOOL.parents[1] / "BENCHMARK.json").read_text())
+    metrics = {m["name"]: {"value": 1.0} for m in spec["end_to_end"]}
+    script = ('import json\nprint(json.dumps({"env": {}}))\n'
+              f'print(json.dumps({{"correct": True, "attempted": 2, "failed": 0, '
+              f'"metrics": {metrics!r}}}))\n')
+    for side in ("parent", "change"):
+        (tmp_path / side / "bench").mkdir(parents=True)
+        (tmp_path / side / "bench" / "run.py").write_text(script)
+    out = tmp_path / "BENCH.json"
+    bench_pairs.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--workload", "scalar_harmonic", "--seeds", "5-6", "--trace-seed", "7",
+                      "--out", str(out)])
+    host = json.loads(out.read_text())["workloads"]["scalar_harmonic"]["host"]
+    assert isinstance(host["cpus"], int) and host["cpus"] >= 1
+    runs = [(r["side"], r["seed"], r["trace"]) for r in host["load1"]]
+    assert runs == [("parent", 5, False), ("change", 5, False), ("change", 6, False),
+                    ("parent", 6, False), ("parent", 7, True), ("change", 7, True)]
+    for r in host["load1"]:
+        assert r["before"] >= 0.0 and r["after"] >= 0.0
 
 
 @pytest.mark.parametrize("script, why", [(FAILING, "exit code 1"),

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -8,6 +9,7 @@ from scipy.stats import kstest
 
 import fiberflow.matexp as matexp
 import fiberflow.paths as paths
+import fiberflow.rng as rng
 from fiberflow.bundles import (magnetic_bundle, stratonovich_increment, tangent_bundle,
                                trivial_bundle)
 from fiberflow.config import parse_potential
@@ -137,19 +139,40 @@ def test_stream_contract_across_blocks_and_workers(monkeypatch):
     assert np.array_equal(a.floor_integral, b.floor_integral)
 
 
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started so far in the test."""
+    started = []
+    start = threading.Thread.start
+    monkeypatch.setattr(threading.Thread, "start",
+                        lambda self: (started.append(self), start(self))[1])
+    return started
+
+
+@pytest.fixture(params=[1, 2, 3], ids=lambda n: f"threads{n}")
+def threads(request, monkeypatch, thread_starts):
+    """RowStreams on this many threads by default, splitting every piece,
+    however short, one row a tile."""
+    monkeypatch.setattr(rng, "_usable_cpus", lambda: request.param)
+    monkeypatch.setattr(rng, "_THREAD_FLOATS", 0)
+    monkeypatch.setattr(rng, "_TILE_ROWS", 1)
+    yield request.param
+    assert thread_starts if request.param > 1 else not thread_starts
+
+
 @pytest.mark.parametrize("key, shape", [
     (RngKey(-12345, 3), (7, 2)),                 # negative seed
     (RngKey(99, (1 << 64) - 2), (5, 1)),         # stream index wraps past 2**64
     (RngKey(99, 4), (0, 2)),                     # no steps
 ])
-def test_normals_rows_match_streams(key, shape):
+def test_normals_rows_match_streams(key, shape, threads):
     rows = normals(key, 4, shape)
     assert rows.shape == (4,) + shape
     for j in range(4):
         assert np.array_equal(rows[j], stream(key.child(j)).standard_normal(shape))
 
 
-def test_row_streams_pieces_concatenate_to_streams():
+def test_row_streams_pieces_concatenate_to_streams(threads):
     # pieces of uneven lengths, on fewer rows as the block goes on
     key = RngKey(99, (1 << 64) - 3)
     streams = RowStreams(key, 5)
@@ -165,7 +188,7 @@ def test_row_streams_pieces_concatenate_to_streams():
         assert np.array_equal(row, stream(key.child(j)).standard_normal(row.shape))
 
 
-def test_row_streams_never_draw_a_row_again_once_left_out():
+def test_row_streams_never_draw_a_row_again_once_left_out(threads):
     streams = RowStreams(KEY, 3)
     streams.draw([0, 1, 2], (4, 1), more=True)
     streams.draw([0, 2], (4, 1), more=True)
@@ -175,6 +198,74 @@ def test_row_streams_never_draw_a_row_again_once_left_out():
     assert np.array_equal(last[0], stream(KEY.child(2)).standard_normal((12, 1))[8:])
     with pytest.raises(ValueError, match="row 2"):
         streams.draw([2], (4, 1))
+
+
+def test_row_streams_split_above_threshold_match_streams(thread_starts):
+    # the module's own tile and threshold: 3 tiles and a bit of rows, a kept
+    # piece, then a last piece on every third row into a transposed view
+    count = 3 * rng._TILE_ROWS + 5
+    length = rng._THREAD_FLOATS // 2 + 1
+    streams = RowStreams(KEY, count, threads=3)
+    first = streams.draw(np.arange(count), (length, 2), more=True)
+    assert thread_starts
+    rows = np.arange(0, count, 3)
+    out = np.empty((length, len(rows), 2)).transpose(1, 0, 2)
+    streams.draw(rows, (length, 2), out=out)
+    for j in range(count):
+        want = stream(KEY.child(j)).standard_normal((2 * length, 2))
+        assert np.array_equal(first[j], want[:length])
+        if j % 3 == 0:
+            assert np.array_equal(out[j // 3], want[length:])
+
+
+@pytest.mark.parametrize("where", ["helper", "caller"])
+def test_row_streams_failure_stops_every_thread_and_reaches_the_caller(where, monkeypatch):
+    # the helper's failure comes while the caller waits in its first row, so
+    # the helper has taken a tile; a failing caller stops the helpers
+    real = np.random.Generator
+    helper_failed = threading.Event()
+
+    class Failing:
+        def __init__(self, bits):
+            self._gen = real(bits)
+
+        def standard_normal(self, out):
+            on_caller = threading.current_thread() is threading.main_thread()
+            if on_caller == (where == "caller"):
+                helper_failed.set()
+                raise RuntimeError(f"fill failed on the {where}")
+            helper_failed.wait(10.0)
+            return self._gen.standard_normal(out=out)
+
+    monkeypatch.setattr(np.random, "Generator", Failing)
+    monkeypatch.setattr(rng, "_TILE_ROWS", 1)
+    before = threading.active_count()
+    streams = RowStreams(KEY, 16, threads=2)
+    with pytest.raises(RuntimeError, match=f"on the {where}"):
+        streams.draw(np.arange(16), (rng._THREAD_FLOATS,))
+    assert threading.active_count() == before
+
+
+def test_run_ensemble_values_do_not_depend_on_threads(monkeypatch, thread_starts):
+    # paths die on both sides of a chunk boundary, in pieces split one row a
+    # tile: every field is the same on one thread and on two
+    monkeypatch.setattr(paths, "_CHUNK_STEPS", 16)
+    monkeypatch.setattr(rng, "_THREAD_FLOATS", 0)
+    monkeypatch.setattr(rng, "_TILE_ROWS", 2)
+    domain = ball(Euclidean(1), 0.15)
+    before = threading.active_count()
+    got = {}
+    for n_threads in (1, 2):
+        monkeypatch.setattr(rng, "_usable_cpus", lambda n=n_threads: n)
+        got[n_threads] = run_ensemble(domain, np.zeros(1), 0.5, 1e-3, KEY, 300,
+                                      potential=PotentialSpec.scalar(harmonic_field(domain, 1.0)),
+                                      checkpoints=[0.01, 0.1])
+        assert bool(thread_starts) == (n_threads > 1)
+    assert threading.active_count() == before
+    death = got[1].death_step
+    assert np.any((death > 0) & (death <= 16)) and np.any(death > 16)
+    for f in dataclasses.fields(paths.EnsembleResult):
+        assert np.array_equal(getattr(got[1], f.name), getattr(got[2], f.name)), f.name
 
 
 @pytest.mark.parametrize("shape", [(3, 5, 2), (0, 4, 1), (1, 1, 1)])

@@ -382,6 +382,23 @@ def test_ground_energy_magnetic_is_fock_darwin():
     assert out["energy"] - 1.0 > 5 * se
 
 
+def test_ground_energy_stderr_is_the_real_parts(monkeypatch):
+    # only the real part of the mean enters the log, so the stderr is the
+    # real part's: the imaginary spread of magnetic samples must not widen it
+    from fiberflow import semigroup
+
+    seen = []
+    monkeypatch.setattr(semigroup, "_reduce", lambda s: (seen.append(s), _reduce(s))[1])
+    f = gaussian_section(E2, 1.0)
+    out = ground_energy(E2, harmonic_field(E2, 1.0), f, f, [0.1, 0.2, 0.3, 0.4], 1e-2, 200,
+                        KEY, bundle=magnetic_bundle(landau_form(2.0)), radius=3)
+    samples = seen[0]
+    assert np.iscomplexobj(samples) and np.any(samples.imag != 0)
+    assert not np.iscomplexobj(seen[-1])
+    want = _reduce(samples.real)[1] / _reduce(samples)[0].real
+    assert out["per_time"]["stderr"] == want.tolist()
+
+
 def test_ground_energy_refuses_box_starts_on_a_non_isometric_chart():
     # a box in Poincare-disk coordinates is not uniform in dvol, so the starts
     # and Z would be off (Z read 0.977 against 8.864 for gaussian(1.0))

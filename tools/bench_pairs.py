@@ -15,9 +15,12 @@ change first on odd i.  The workload's entry in --out records, for each
 end-to-end metric of BENCHMARK.json: every run, each side's median and
 quartiles, how many pairs the change won (ties count for neither side),
 the ratio of the medians and the parent's interquartile range, plus the
-attempted and failed operations of each side.  --trace-seed
-adds one --trace 1 run per side with its per-layer split.  --out is updated
-in place, one workload per call, so workloads can be measured separately.
+attempted and failed operations of each side, and the host: its usable
+CPU count and the 1-minute load average before and after every run, since
+a change that draws on several cores gains only while they are free.
+--trace-seed adds one --trace 1 run per side with its per-layer split.
+--out is updated in place, one workload per call, so workloads can be
+measured separately.
 A run that exits non-zero or reports "correct": false stops the tool with
 a non-zero exit, naming the side, workload, seed and exit code, followed
 by the last lines of that run's stderr; nothing is written to --out.
@@ -25,6 +28,7 @@ by the last lines of that run's stderr; nothing is written to --out.
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -33,13 +37,17 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def bench(side, checkout, workload, seed, seconds, trace):
-    """(info line, result line) of one bench/run.py run in checkout.  A run
+def bench(side, checkout, workload, seed, seconds, trace, loads):
+    """(info line, result line) of one bench/run.py run in checkout; the
+    host's 1-minute load average before and after it goes to loads.  A run
     that exits non-zero or reports "correct": false stops the tool with one
     line naming it and the last lines of its stderr."""
     cmd = [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
            "--seconds", str(seconds), "--trace", str(trace)]
+    before = os.getloadavg()[0]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    loads.append({"side": side, "seed": seed, "trace": bool(trace), "before": before,
+                  "after": os.getloadavg()[0]})
     if proc.returncode == 0:
         info, result = map(json.loads, proc.stdout.strip().splitlines()[-2:])
         if result["correct"]:
@@ -47,6 +55,14 @@ def bench(side, checkout, workload, seed, seconds, trace):
     why = f"exit code {proc.returncode}" + ("" if proc.returncode else ", result not correct")
     tail = "\n".join(proc.stderr.strip().splitlines()[-5:])
     sys.exit(f"bench_pairs: {side} {workload} seed {seed}: {why}\n{tail}")
+
+
+def usable_cpus():
+    """The CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count()
 
 
 def benchmark_files(checkout):
@@ -95,10 +111,11 @@ def main(argv=None):
     seconds = spec["run_seconds"]
     sides = {"parent": a.parent, "change": a.change}
     runs = {side: [] for side in sides}
+    loads = []
     env = None
     for i, seed in enumerate(a.seeds):
         for side in (("parent", "change") if i % 2 == 0 else ("change", "parent")):
-            info, result = bench(side, sides[side], a.workload, seed, seconds, 0)
+            info, result = bench(side, sides[side], a.workload, seed, seconds, 0, loads)
             env = info["env"]
             runs[side].append(result)
             print(f"{a.workload} seed {seed} {side}: "
@@ -120,11 +137,12 @@ def main(argv=None):
              "metrics": metrics,
              "operations": {side: {"attempted": sum(r["attempted"] for r in runs[side]),
                                    "failed": sum(r["failed"] for r in runs[side])}
-                            for side in sides}}
+                            for side in sides},
+             "host": {"cpus": usable_cpus(), "load1": loads}}
     if a.trace_seed is not None:
         entry["trace"] = {"seed": a.trace_seed}
         for side in sides:
-            _, result = bench(side, sides[side], a.workload, a.trace_seed, seconds, 1)
+            _, result = bench(side, sides[side], a.workload, a.trace_seed, seconds, 1, loads)
             entry["trace"][side] = {k: v["value"] for k, v in result["metrics"].items()}
 
     doc = json.loads(a.out.read_text()) if a.out.exists() else {"schema": 1, "workloads": {}}

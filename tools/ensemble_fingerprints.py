@@ -12,7 +12,11 @@ constant matrix part alone and beside a scalar part, an x-dependent matrix
 part, a rank-3 spin-1 part) with its bundles (none, magnetic, tangent) and
 domains (the complete model and a ball that every path leaves within a few
 steps), each at t = 0 and at t = 0.1 with an off-grid checkpoint; the
-`two_blocks` cases run more paths than one block holds.
+`two_blocks` cases run more paths than one block holds.  The `threaded`
+cases (no bundle, magnetic, tangent) run 256 paths for 4000 steps on a ball
+they leave on both sides of the first 2048-step draw, in pieces long
+enough for rng.RowStreams to split them over threads where the host has
+more than one usable CPU.
 
 An estimator line reads `estimator/case entry sha1`, the hash taken over
 the entry's JSON with every float written in full (repr), a complex number
@@ -90,6 +94,20 @@ def cases():
         model = e2 if domain == "complete" else ball(e2, 0.05)
         kw = dict(potential=parse_potential(model, POTENTIALS["spin1"]))
         yield f"two_blocks/{domain}/spin1/t={T:g}", model, e2.origin(), T, H / 10, 9000, kw
+    # killed across the engine's 2048-step draws, every piece past the split
+    # threshold of RowStreams
+    for bundle_kind, model_text, r, name in [("none", "euclidean(m=1)", 0.15, "scalar"),
+                                             ("magnetic", "euclidean(m=2)", 0.2, "scalar"),
+                                             ("tangent", "sphere2(r=1.0)", 0.2, "x_W")]:
+        base = parse_manifold(model_text)
+        model = ball(base, r)
+        kw = dict(potential=parse_potential(model, POTENTIALS[name]))
+        if bundle_kind == "magnetic":
+            kw["bundle"] = magnetic_bundle(landau_form(0.9))
+        elif bundle_kind == "tangent":
+            kw["bundle"] = tangent_bundle()
+        yield (f"threaded/{bundle_kind}/ball/{name}/t=0.04", model, base.origin(), 0.04, 1e-5,
+               256, kw)
 
 
 def estimator_cases():
