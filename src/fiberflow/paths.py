@@ -100,13 +100,25 @@ row, the chunks concatenate to
 stream(key.child(i)).standard_normal((K, m)), cut short at the path's
 death.  The block width is set by one chunk, so a long grid does not
 narrow it.  Reductions happen in path-index order.
+
+The increments of a block live in one step-major buffer on its own
+anonymous memory map.  A process keeps at most one such buffer between
+blocks and calls, the largest mapped so far, and lends it to one block at
+a time as a view of its first floats, so a block does not fault in fresh
+pages: a block that finds none kept, or one too small, maps its own (a
+concurrent block on another thread never shares one), and a forked worker
+process starts with none.  No value depends on what a buffer held before,
+since every chunk is drawn into it before any step reads it.
 """
 
 from __future__ import annotations
 
 import bisect
+import contextlib
 import math
 import mmap
+import os
+import threading
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -137,12 +149,53 @@ _GRID_PATHS = 1 << 15  # paths per run of a start grid, so its memory does not g
 
 def _mapped_empty(shape):
     """An uninitialised float array on its own anonymous memory map.  The
-    pages go back to the system when the array is freed, so a block's
-    increment buffer neither stays in the malloc heap between calls nor
-    leaves holes there that make the next call's buffer land in new pages."""
+    pages go back to the system when the array is freed, so an increment
+    buffer never enters the malloc heap: one kept between calls
+    (_lent_increments) holds no heap memory, and one let go leaves no holes
+    there that make the next allocation land in new pages."""
     nbytes = max(math.prod(shape), 1) * 8
     buf = mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS)
     return np.frombuffer(buf, dtype=np.float64, count=math.prod(shape)).reshape(shape)
+
+
+# the increment buffer kept between blocks and calls, flat: at most one, the
+# largest mapped so far, out of the list while a block holds it
+_KEPT = []
+_KEPT_LOCK = threading.Lock()
+
+
+def _forget_kept():
+    """Start a forked child with no kept buffer, so that a worker maps its
+    own instead of writing into copies of the parent's pages, and with a
+    lock no thread of the child holds."""
+    global _KEPT_LOCK
+    _KEPT.clear()
+    _KEPT_LOCK = threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_kept)
+
+
+@contextlib.contextmanager
+def _lent_increments(shape):
+    """A float array of `shape` for one block's increments: a view of the
+    kept buffer's first floats when it holds enough, else a newly mapped
+    array that replaces it.  On exit the buffer is kept again, the larger
+    one when a concurrent block has given one back meanwhile."""
+    n = math.prod(shape)
+    with _KEPT_LOCK:
+        flat = _KEPT.pop() if _KEPT else None
+    if flat is None or len(flat) < n:
+        del flat  # a buffer too small is unmapped before the new one is mapped
+        flat = _mapped_empty(shape).reshape(-1)
+    try:
+        yield flat[:n].reshape(shape)
+    finally:
+        with _KEPT_LOCK:
+            if _KEPT:
+                flat = max(_KEPT.pop(), flat, key=len)
+            _KEPT.append(flat)
 
 
 def time_grid(t, h, checkpoints=()):
@@ -267,8 +320,12 @@ def run_ensemble(
 
 def _block_worker(arg):
     task, x0blk, i0, errstate = arg
-    with np.errstate(**errstate):  # the caller's, whatever process runs the block
-        return _run_block(x0blk, i0, **task)
+    # one step-major buffer for every chunk of the block, so that a sub-chunk
+    # reads one contiguous slice and no two chunks are held at once
+    shape = (min(len(task["times"]) - 1, task["chunk"]), len(x0blk), task["model"].dim)
+    # the errstate is the caller's, whatever process runs the block
+    with np.errstate(**errstate), _lent_increments(shape) as buf:
+        return _run_block(x0blk, i0, buf, **task)
 
 
 def _grid_reduce(run, reduce, grid, n, key: RngKey):
@@ -336,7 +393,8 @@ def _rows(name, v, which, shared):
     return np.take(v.transpose(1, 2, 0), which, axis=-1).transpose(2, 0, 1)
 
 
-def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, chunk, threads):
+def _run_block(x0, i0, buf, *, model, times, snap_idx, key, bundle, potential, cap, chunk,
+               threads):
     B = x0.shape[0]
     K = len(times) - 1
     dts = np.diff(times)
@@ -415,9 +473,6 @@ def _run_block(x0, i0, *, model, times, snap_idx, key, bundle, potential, cap, c
 
     snapshot(0)
     streams = RowStreams(key.child(i0), B, threads)
-    # one step-major buffer for every chunk, so that a sub-chunk reads one
-    # contiguous slice and no two chunks are held at once
-    buf = _mapped_empty((min(K, chunk), B, model.dim))
     for k0 in range(0, K, chunk):
         if not len(rows):
             break

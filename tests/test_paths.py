@@ -1,6 +1,11 @@
 import dataclasses
 import math
+import mmap
+import multiprocessing
+import os
+import sys
 import threading
+from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -277,16 +282,156 @@ def test_mapped_empty_is_a_writable_float_array(shape):
 
 
 def test_block_holds_one_increment_buffer_for_all_chunks(monkeypatch):
-    made = []
+    # 7-step chunks in blocks of 40 and 20 paths, in two calls: the first
+    # block's one mapping serves every chunk of both blocks of both calls
+    made, blocks = [], []
 
     def mapped_empty(shape):
         made.append(shape)
         return np.empty(shape)
 
+    run_block = paths._run_block
+    monkeypatch.setattr(paths, "_run_block", lambda x0, *a, **k: (blocks.append(len(x0)),
+                                                                  run_block(x0, *a, **k))[1])
     monkeypatch.setattr(paths, "_CHUNK_STEPS", 7)
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 7 * 40)
     monkeypatch.setattr(paths, "_mapped_empty", mapped_empty)
-    exit_probability(Euclidean(1), np.zeros((1, 1)), 1.0, 0.5, 0.01, 40, KEY)
+    monkeypatch.setattr(paths, "_KEPT", [])
+    for _ in range(2):
+        exit_probability(Euclidean(1), np.zeros((1, 1)), 1.0, 0.5, 0.01, 60, KEY)
+    assert blocks == [40, 20, 40, 20]
     assert made == [(7, 40, 1)]
+
+
+class _NanPool(list):
+    """Kept buffers that are filled with NaN each time one is lent."""
+
+    def pop(self):
+        flat = super().pop()
+        flat[...] = np.nan
+        return flat
+
+
+class _NoPool(list):
+    """Kept buffers that keep nothing: every block maps fresh, zeroed pages."""
+
+    def append(self, flat):
+        pass
+
+
+@pytest.mark.parametrize("case", ["scalar", "magnetic", "tangent"])
+def test_stale_increment_buffer_never_reaches_a_result(case, monkeypatch):
+    # every block draws into a lent buffer full of NaN: two blocks of 7-step
+    # chunks on a ball that paths leave on both sides of the first chunk
+    # boundary, with checkpoints, give every field of fresh zeroed maps bit
+    # for bit
+    base = Sphere2(1.0) if case == "tangent" else Euclidean(1 if case == "scalar" else 2)
+    model = ball(base, 0.2)
+    kw = dict(potential=PotentialSpec.scalar(harmonic_field(model, 1.0)))
+    if case == "magnetic":
+        kw["bundle"] = magnetic_bundle(landau_form(0.9))
+    elif case == "tangent":
+        kw = dict(bundle=tangent_bundle(), potential=parse_potential(
+            model, "matrix(rank=2, const=diag(0.2,0.5), harmonic(1.0) @ pauli_x)"))
+    monkeypatch.setattr(paths, "_CHUNK_STEPS", 7)
+    monkeypatch.setattr(paths, "_BLOCK_BUDGET", 7 * model.dim * 40)  # blocks of 40 and 20
+    runs = []
+    for pool in (_NoPool(), _NanPool([np.full(4096, np.nan)])):
+        seed = pool[:]
+        monkeypatch.setattr(paths, "_KEPT", pool)
+        runs.append(result_arrays(run_ensemble(model, model.base.origin(), 0.05, 1e-3, KEY, 60,
+                                               checkpoints=(0.0037, 0.02), **kw)))
+        assert len(pool) == len(seed) and all(a is b for a, b in zip(pool, seed))
+    want, got = runs
+    death = want["death_step"]
+    assert np.any((death > 0) & (death <= 7)) and np.any(death > 7)
+    assert sorted(got) == sorted(want)
+    for name in want:
+        assert got[name].dtype == want[name].dtype and np.array_equal(got[name], want[name]), name
+
+
+def _scalar_run(n, x0=0.0, key=KEY):
+    e1 = Euclidean(1)
+    return run_ensemble(e1, np.full(1, x0), 0.1, 1e-3, key, n,
+                        potential=PotentialSpec.scalar(harmonic_field(e1, 1.0)),
+                        checkpoints=(0.05,))
+
+
+def test_kept_buffer_never_aliases_a_result(monkeypatch):
+    monkeypatch.setattr(paths, "_KEPT", [])
+    first = result_arrays(_scalar_run(300))
+    before = {name: a.copy() for name, a in first.items()}
+    _scalar_run(300, 0.5, RngKey(3))  # draws other increments into the same buffer
+    assert len(paths._KEPT) == 1
+    for name, a in first.items():
+        assert np.array_equal(a, before[name]), name
+
+
+def test_concurrent_calls_equal_their_serial_results(monkeypatch):
+    # four threads, two cores: each call maps its own buffer when it finds
+    # none kept, so no two calls draw into one
+    monkeypatch.setattr(paths, "_KEPT", [])
+    sizes = (300, 500)
+    want = [result_arrays(_scalar_run(n)) for n in sizes]
+    got = [None] * 4
+
+    def work(i):
+        got[i] = result_arrays(_scalar_run(sizes[i % 2]))
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(got))]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(th.is_alive() for th in threads)
+    for i, res in enumerate(got):
+        assert res is not None and sorted(res) == sorted(want[i % 2])
+        for name in res:
+            assert np.array_equal(res[name], want[i % 2][name]), (i, name)
+    assert len(paths._KEPT) == 1
+
+
+def test_process_keeps_only_its_largest_increment_buffer(monkeypatch):
+    # 100 steps of m = 1: a block of n paths needs 100 n floats
+    monkeypatch.setattr(paths, "_KEPT", [])
+    held = []
+    for n in (100, 3000, 100):
+        _scalar_run(n)
+        held.append([len(flat) for flat in paths._KEPT])
+    assert held == [[100 * 100], [100 * 3000], [100 * 3000]]
+
+
+def _kept_buffers():
+    return len(paths._KEPT)
+
+
+@pytest.mark.skipif(not hasattr(os, "register_at_fork"), reason="no fork on this platform")
+def test_forked_worker_starts_with_no_kept_buffer(monkeypatch):
+    monkeypatch.setattr(paths, "_KEPT", [])
+    _scalar_run(100)
+    assert _kept_buffers() == 1
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("fork")) as ex:
+        assert ex.submit(_kept_buffers).result(timeout=60) == 0
+    assert _kept_buffers() == 1
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="minor page faults as Linux counts them")
+def test_repeated_call_faults_in_no_fresh_increment_pages(monkeypatch):
+    # 8192 paths of 1000 steps on the line: one 65 MB buffer, faulted in by
+    # the first call and reused by the second
+    resource = pytest.importorskip("resource")
+    monkeypatch.setattr(paths, "_KEPT", [])
+    args = (Euclidean(1), np.zeros(1), 1.0, 1e-3, KEY, 8192)
+    run_ensemble(*args)
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    run_ensemble(*args)
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+    assert faults < 1000 * 8192 * 8 // mmap.PAGESIZE / 4
 
 
 def _killed_reference(dom, v, t, h, key):

@@ -18,6 +18,12 @@ they leave on both sides of the first 2048-step draw, in pieces long
 enough for rng.RowStreams to split them over threads where the host has
 more than one usable CPU.
 
+The engine cases then run a second time, after a route whose increment
+buffer is larger than any case's, so that each case draws into a view of
+the buffer the process keeps between calls rather than into fresh pages.
+These lines read `reuse ` followed by the first pass's line; the tool
+exits non-zero, after printing everything, when any differs from it.
+
 An estimator line reads `estimator/case entry sha1`, the hash taken over
 the entry's JSON with every float written in full (repr), a complex number
 as [re, im].  The entries are an Estimate's fields and extras, a report's
@@ -205,15 +211,12 @@ def _plain(o):
     raise TypeError(f"no JSON for {type(o).__name__}")
 
 
-def main():
-    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    ap.add_argument("--checkout", type=Path, default=ROOT,
-                    help="checkout whose src/ is imported (default: this one)")
-    args = ap.parse_args()
-    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+def engine_lines():
+    """`case field dtype shape sha1` of every array of every engine case."""
     from fiberflow.paths import run_ensemble
     from fiberflow.rng import RngKey
 
+    lines = []
     for name, model, x0, t, h, n, kw in cases():
         res = run_ensemble(model, x0, t, h, RngKey(7), n,
                            checkpoints=(CHECKPOINT,) if t > 0 else (), **kw)
@@ -223,11 +226,36 @@ def main():
                 continue
             a = np.ascontiguousarray(a)
             digest = hashlib.sha1(a.tobytes()).hexdigest()
-            print(name, f.name, a.dtype, "x".join(map(str, a.shape)) or "()", digest)
+            lines.append(f"{name} {f.name} {a.dtype} {'x'.join(map(str, a.shape)) or '()'} "
+                         f"{digest}")
+    return lines
+
+
+def main():
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("--checkout", type=Path, default=ROOT,
+                    help="checkout whose src/ is imported (default: this one)")
+    args = ap.parse_args()
+    sys.path.insert(0, str(args.checkout.resolve() / "src"))
+    from fiberflow.config import parse_manifold
+    from fiberflow.paths import run_ensemble
+    from fiberflow.rng import RngKey
+
+    first = engine_lines()
+    print(*first, sep="\n")
+    # 200 steps of 8192 paths in R^3: a buffer larger than any case's
+    e3 = parse_manifold("euclidean(m=3)")
+    run_ensemble(e3, e3.origin(), 0.2, H / 10, RngKey(7), 8192)
+    again = engine_lines()
+    for line in again:
+        print("reuse", line)
     for name, run in estimator_cases():
         for entry, value in _leaves(run(), ""):
             text = json.dumps(value, default=_plain, sort_keys=True)
             print(name, entry, hashlib.sha1(text.encode()).hexdigest())
+    if again != first:
+        changed = sum(a != b for a, b in zip(first, again))
+        sys.exit(f"ensemble_fingerprints: {changed} engine lines differ on the reuse pass")
 
 
 if __name__ == "__main__":
